@@ -165,27 +165,89 @@ let check_limits t snap =
 
 (* --- protocol handling ---------------------------------------------------- *)
 
+(* A report without events carries its batch's metric deltas instead;
+   they enter the registry as the batch is absorbed, so [/metrics] moves
+   per batch.  Once a stop is requested nothing more is absorbed: a
+   prefetched batch cannot slip past a limit, whatever the timing. *)
 let absorb t ~lease ~(report : Proto.report) =
   let stale () =
     m_inc t t.mx.mx_stale;
     Proto.Stale
   in
+  let merge_metrics snap =
+    match report.Proto.r_metrics with
+    | None -> Ok ()
+    | Some values ->
+      Telemetry.merge_deltas t.tel values
+        ~bugs:
+          (List.map
+             (fun (b : Sresult.bug) -> b.Sresult.key)
+             (Collector.snapshot_bugs snap))
+  in
   match t.round with
-  | Some rs when t.phase = Serving -> (
+  | Some rs when t.phase = Serving && t.stop_requested = None -> (
     match List.find_opt (fun l -> l.l_token = lease) rs.rs_leases with
     | None -> stale ()
     | Some l -> (
       match Collector.snapshot_of_json report.Proto.r_snapshot with
       | Error _ -> stale ()
-      | Ok snap ->
-        rs.rs_leases <- List.filter (fun x -> x.l_token <> lease) rs.rs_leases;
-        rs.rs_reports.(l.l_batch) <- Some (report, snap);
-        rs.rs_completed <- rs.rs_completed + 1;
-        m_inc t t.mx.mx_completed;
-        check_limits t snap;
-        Condition.broadcast t.cv;
-        Proto.Accepted))
+      | Ok snap -> (
+        match merge_metrics snap with
+        | Error _ -> stale ()
+        | Ok () ->
+          rs.rs_leases <-
+            List.filter (fun x -> x.l_token <> lease) rs.rs_leases;
+          rs.rs_reports.(l.l_batch) <- Some (report, snap);
+          rs.rs_completed <- rs.rs_completed + 1;
+          m_inc t t.mx.mx_completed;
+          check_limits t snap;
+          Condition.broadcast t.cv;
+          Proto.Accepted)))
   | _ -> stale ()
+
+let holds_lease rs conn = List.exists (fun l -> l.l_conn = conn) rs.rs_leases
+
+(* A request is answered with a batch as soon as one is pending.  With
+   none pending, a connection holding no lease parks on [t.cv] until a
+   batch is pending or the run ends.  One that still holds a lease is
+   told to wait at once instead: its handler is sequential, so parking
+   would queue the connection's own result — and maybe the round's last
+   batch — behind the parked request. *)
+let rec lease_for t ~conn =
+  match t.round with
+  | Some rs when t.phase = Serving && t.stop_requested = None -> (
+    reclaim_expired t rs;
+    match rs.rs_pending with
+    | b :: rest ->
+      rs.rs_pending <- rest;
+      let token = t.next_token in
+      t.next_token <- t.next_token + 1;
+      rs.rs_leases <-
+        {
+          l_token = token;
+          l_batch = b;
+          l_conn = conn;
+          l_issued = Unix.gettimeofday ();
+        }
+        :: rs.rs_leases;
+      m_inc t t.mx.mx_leased;
+      Proto.Batch
+        {
+          Proto.b_lease = token;
+          b_id = b;
+          b_tag = rs.rs_tag;
+          b_params = rs.rs_params;
+          b_round = rs.rs_round;
+          b_items = rs.rs_items.(b);
+          b_pending = List.length rest;
+        }
+    | [] -> if holds_lease rs conn then Proto.Wait { ms = 0 } else park t ~conn)
+  | Some rs when holds_lease rs conn -> Proto.Wait { ms = 0 }
+  | _ -> if t.phase = Finished then Proto.Done else park t ~conn
+
+and park t ~conn =
+  Condition.wait t.cv t.m;
+  lease_for t ~conn
 
 (* [greeted] is per connection: the worker gauge counts connections that
    completed a hello, and is decremented when they drop. *)
@@ -203,35 +265,7 @@ let reply_to t ~conn ~greeted msg =
       let wid = t.next_worker in
       t.next_worker <- t.next_worker + 1;
       Proto.Job { job with Proto.j_worker = wid })
-  | Proto.Request -> (
-    match t.round with
-    | Some rs when t.phase = Serving && t.stop_requested = None -> (
-      reclaim_expired t rs;
-      match rs.rs_pending with
-      | [] -> Proto.Wait { ms = 50 }
-      | b :: rest ->
-        rs.rs_pending <- rest;
-        let token = t.next_token in
-        t.next_token <- t.next_token + 1;
-        rs.rs_leases <-
-          {
-            l_token = token;
-            l_batch = b;
-            l_conn = conn;
-            l_issued = Unix.gettimeofday ();
-          }
-          :: rs.rs_leases;
-        m_inc t t.mx.mx_leased;
-        Proto.Batch
-          {
-            Proto.b_lease = token;
-            b_id = b;
-            b_tag = rs.rs_tag;
-            b_params = rs.rs_params;
-            b_round = rs.rs_round;
-            b_items = rs.rs_items.(b);
-          })
-    | _ -> if t.phase = Finished then Proto.Done else Proto.Wait { ms = 50 })
+  | Proto.Request -> lease_for t ~conn
   | Proto.Result { lease; report } -> absorb t ~lease ~report
 
 let serve_protocol t fd =
@@ -501,6 +535,47 @@ let shutdown t =
     match t.acceptor with None -> () | Some th -> Thread.join th
   end
 
+(* --- reading a round's reports -------------------------------------------- *)
+
+(* The barrier and the mid-round save both read a round's reports in
+   batch-id order, like the in-process barrier, and both stay linear in
+   the round's batch count: the coordinator's threads share one runtime
+   lock, so every connection waits while the round loop computes. *)
+
+(* Fold the absorbed batches' statistics and candidate bugs into [col]. *)
+let merge_reports col reports =
+  let candidates = ref [] in
+  Array.iter
+    (function
+      | None -> ()
+      | Some (_, sn) ->
+        Collector.merge_stats col sn;
+        candidates := Collector.snapshot_bugs sn @ !candidates)
+    reports;
+  Driver.absorb_bugs col !candidates
+
+let absorbed reports = List.filter_map (Option.map fst) (Array.to_list reports)
+
+let reported_params completed =
+  List.map (fun (r : Proto.report) -> r.Proto.r_params) completed
+
+(* The next round: the carried items plus every absorbed batch's
+   deferred ones, sorted. *)
+let next_round carry completed =
+  Driver.sorted_items
+    (carry
+    @ List.concat_map
+        (fun (rep : Proto.report) ->
+          List.map Driver.of_prefix rep.Proto.r_deferred)
+        completed)
+
+(* The work items of the batches not absorbed yet. *)
+let unabsorbed batches reports =
+  List.concat
+    (List.filteri
+       (fun b _ -> Option.is_none reports.(b))
+       (Array.to_list batches))
+
 (* --- the search loop ------------------------------------------------------ *)
 
 let rec chunk n acc l =
@@ -645,6 +720,7 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
             j_deadlock_is_error = options.Collector.deadlock_is_error;
             j_terminal_states_only = options.Collector.terminal_states_only;
             j_cache = cache;
+            j_events = Telemetry.streams_events t.tel;
             j_worker = 0;
           };
       t.limits <-
@@ -696,63 +772,32 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
     | None -> ()
     | Some ctl ->
       Search_core.save_checkpoint col ctl ~strategy:S.name
-        ~frontier:(Checkpoint.V3 (stamp (S.to_prefixes ~wstates ~work ~next)));
-      with_lock t.m (fun () -> t.ck_last <- ctl.Search_core.ck_last)
+        ~frontier:(Checkpoint.V3 (stamp (S.to_prefixes ~wstates ~work ~next)))
   in
   (* Mid-round checkpoint: a scratch collector over the round-start
-     snapshot plus every batch absorbed so far (in batch-id order, like
-     the barrier), unabsorbed batches as the work list.  Runs in this
-     thread with [t.m] released, over a capture taken under the lock. *)
-  let mid_save ~master_snap ~sent_params ~round_no ~arr ~carry =
+     snapshot plus every batch absorbed so far, unabsorbed batches as the
+     work list.  Runs in this thread with [t.m] released, over
+     [reports], a capture taken under the lock. *)
+  let mid_save ~master_snap ~sent_params ~round_no ~arr ~carry reports =
     match ckpt with
     | None -> ()
     | Some ctl ->
-      let reports =
-        with_lock t.m (fun () ->
-            match t.round with
-            | Some rs -> Array.copy rs.rs_reports
-            | None -> [||])
-      in
       let scratch = Collector.restore stripped master_snap in
-      let candidates = ref [] in
-      Array.iter
-        (fun r ->
-          match r with
-          | None -> ()
-          | Some (_, sn) ->
-            Collector.merge_stats scratch sn;
-            candidates := Collector.snapshot_bugs sn @ !candidates)
-        reports;
-      Driver.absorb_bugs scratch !candidates;
-      let work = ref [] and deferred = ref [] and reported = ref [] in
-      Array.iteri
-        (fun b r ->
-          match r with
-          | None -> work := !work @ arr.(b)
-          | Some ((rep : Proto.report), _) ->
-            deferred := !deferred @ rep.Proto.r_deferred;
-            reported := rep.Proto.r_params :: !reported)
-        reports;
-      let params =
-        Strategy.merge_params ~sent:sent_params ~reported:(List.rev !reported)
-      in
-      let next =
-        Driver.strip_items
-          (Driver.sorted_items
-             (carry @ List.map Driver.of_prefix !deferred))
-      in
+      merge_reports scratch reports;
+      let completed = absorbed reports in
       Search_core.save_checkpoint scratch ctl ~strategy:S.name
         ~frontier:
           (Checkpoint.V3
              (stamp
                 {
                   Checkpoint.v3_tag = S.tag;
-                  v3_params = params;
+                  v3_params =
+                    Strategy.merge_params ~sent:sent_params
+                      ~reported:(reported_params completed);
                   v3_round = round_no;
-                  v3_work = !work;
-                  v3_next = next;
-                }));
-      with_lock t.m (fun () -> t.ck_last <- ctl.Search_core.ck_last)
+                  v3_work = unabsorbed arr reports;
+                  v3_next = Driver.strip_items (next_round carry completed);
+                }))
   in
   let rec drive work carry =
     let work = Driver.sorted_items work in
@@ -794,13 +839,18 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
             };
         t.phase <- Serving;
         Condition.broadcast t.cv);
+    (* A checkpoint's capture moves [ck_last] at once: reports absorbed
+       while the save runs count toward the next one, not this one. *)
     let rec wait () =
       let what = with_lock t.m (fun () ->
           let rs = Option.get t.round in
           if rs.rs_completed >= nb || t.stop_requested <> None then `Barrier
           else if t.ck_wanted then begin
             t.ck_wanted <- false;
-            `Ckpt
+            (match t.limits with
+            | Some li -> t.ck_last <- li.li_base_execs + li.li_acc_execs
+            | None -> ());
+            `Ckpt (Array.copy rs.rs_reports)
           end
           else begin
             Condition.wait t.cv t.m;
@@ -809,8 +859,8 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
       in
       match what with
       | `Barrier -> ()
-      | `Ckpt ->
-        mid_save ~master_snap ~sent_params ~round_no ~arr ~carry;
+      | `Ckpt reports ->
+        mid_save ~master_snap ~sent_params ~round_no ~arr ~carry reports;
         wait ()
       | `Again -> wait ()
     in
@@ -823,16 +873,7 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
         (rs, t.stop_requested))
     in
     (* the deterministic barrier merge, in batch-id order *)
-    let candidates = ref [] in
-    Array.iter
-      (fun r ->
-        match r with
-        | None -> ()
-        | Some (_, sn) ->
-          Collector.merge_stats master sn;
-          candidates := Collector.snapshot_bugs sn @ !candidates)
-      rs.rs_reports;
-    Driver.absorb_bugs master !candidates;
+    merge_reports master rs.rs_reports;
     (* telemetry: replay each batch's buffered events in batch-id order —
        the merged trace is deterministic up to timestamps — then stamp
        the batch totals *)
@@ -854,19 +895,8 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
                  bugs = List.length (Collector.snapshot_bugs sn);
                }))
       rs.rs_reports;
-    let completed = ref [] in
-    Array.iter
-      (fun r -> match r with None -> () | Some (rep, _) -> completed := rep :: !completed)
-      rs.rs_reports;
-    let completed = List.rev !completed in
-    let next_items =
-      Driver.sorted_items
-        (carry
-        @ List.concat_map
-            (fun (rep : Proto.report) ->
-              List.map Driver.of_prefix rep.Proto.r_deferred)
-            completed)
-    in
+    let completed = absorbed rs.rs_reports in
+    let next_items = next_round carry completed in
     (* fold the workers' round-local params (truncation counts, sealing
        counts, PCT's step estimate) back into this instance, as if one
        [to_prefixes] had seen the union of their worker states; the
@@ -878,7 +908,7 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
              Checkpoint.v3_tag = S.tag;
              v3_params =
                Strategy.merge_params ~sent:sent_params
-                 ~reported:(List.map (fun (r : Proto.report) -> r.Proto.r_params) completed);
+                 ~reported:(reported_params completed);
              v3_round = round_no;
              v3_work = prefixes;
              v3_next = [];
@@ -888,11 +918,7 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
     match stop with
     | Some r ->
       Collector.note_stop master r;
-      let unabsorbed = ref [] in
-      Array.iteri
-        (fun b rep -> if rep = None then unabsorbed := !unabsorbed @ arr.(b))
-        rs.rs_reports;
-      save_with master ~work:!unabsorbed
+      save_with master ~work:(unabsorbed arr rs.rs_reports)
         ~next:(Driver.strip_items next_items)
     | None -> (
       Collector.mark_growth master;

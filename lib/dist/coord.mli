@@ -12,11 +12,17 @@
     telemetry stream of a distributed run identical to a serial run of
     the same search.
 
+    A [Request] with nothing to lease is held until a batch is pending
+    or the run ends, unless its connection still holds a lease: that
+    one is answered [Wait] at once, since the connection's own result
+    queues behind it.
+
     Failure model: a lease is voided when its connection drops or its
     {!create} [lease_timeout] passes, and the batch returns to the
     pending queue for re-issue — a killed worker loses nothing.  A report
-    whose lease was voided is answered [Stale] and discarded, so every
-    batch is absorbed at most once.  With [checkpoint_out] set, the
+    whose lease was voided, or that arrives after a stop was requested,
+    is answered [Stale] and discarded, so every batch is absorbed at
+    most once.  With [checkpoint_out] set, the
     coordinator itself is kill/resumable: periodic saves go through the
     same checkpoint machinery as the serial driver (absorbed batches in
     the collector, unabsorbed ones in the work list). *)

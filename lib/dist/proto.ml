@@ -2,7 +2,7 @@ module Json = Icb_obs.Json
 module Framing = Icb_util.Framing
 
 let magic = "ICBDIST\x01"
-let version = 1
+let version = 2
 
 type job = {
   j_meta : (string * string) list;
@@ -10,6 +10,7 @@ type job = {
   j_deadlock_is_error : bool;
   j_terminal_states_only : bool;
   j_cache : bool;
+  j_events : bool;
   j_worker : int;
 }
 
@@ -20,6 +21,7 @@ type batch = {
   b_params : (string * string) list;
   b_round : int;
   b_items : (int list * int) list;
+  b_pending : int;
 }
 
 type report = {
@@ -27,6 +29,7 @@ type report = {
   r_snapshot : Json.t;
   r_deferred : (int list * int) list;
   r_events : Json.t list;
+  r_metrics : Json.t option;
 }
 
 type c2s = Hello | Request | Result of { lease : int; report : report }
@@ -165,6 +168,7 @@ let report_to_json r =
       ("snapshot", r.r_snapshot);
       ("deferred", items_to_json r.r_deferred);
       ("events", Json.List r.r_events);
+      ("metrics", Option.value r.r_metrics ~default:Json.Null);
     ]
 
 let report_of_json j =
@@ -174,7 +178,14 @@ let report_of_json j =
   let* deferred = field j "deferred" in
   let* r_deferred = items_of_json "deferred" deferred in
   let* r_events = list_field j "events" in
-  Ok { r_params; r_snapshot; r_deferred; r_events }
+  let* r_metrics =
+    let* m = field j "metrics" in
+    match m with
+    | Json.Null -> Ok None
+    | Json.Obj _ -> Ok (Some m)
+    | _ -> Error "message: field \"metrics\" is not an object"
+  in
+  Ok { r_params; r_snapshot; r_deferred; r_events; r_metrics }
 
 let c2s_to_json = function
   | Hello -> Json.Obj [ ("type", Json.String "hello") ]
@@ -209,6 +220,7 @@ let s2c_to_json = function
         ("deadlock_is_error", Json.Bool job.j_deadlock_is_error);
         ("terminal_states_only", Json.Bool job.j_terminal_states_only);
         ("cache", Json.Bool job.j_cache);
+        ("events", Json.Bool job.j_events);
         ("worker", Json.Int job.j_worker);
       ]
   | Batch b ->
@@ -221,6 +233,7 @@ let s2c_to_json = function
         ("params", params_to_json b.b_params);
         ("round", Json.Int b.b_round);
         ("items", items_to_json b.b_items);
+        ("pending", Json.Int b.b_pending);
       ]
   | Wait { ms } ->
     Json.Obj [ ("type", Json.String "wait"); ("ms", Json.Int ms) ]
@@ -238,6 +251,7 @@ let s2c_of_json j =
     let* j_deadlock_is_error = bool_field j "deadlock_is_error" in
     let* j_terminal_states_only = bool_field j "terminal_states_only" in
     let* j_cache = bool_field j "cache" in
+    let* j_events = bool_field j "events" in
     let* j_worker = int_field j "worker" in
     Ok
       (Job
@@ -247,6 +261,7 @@ let s2c_of_json j =
            j_deadlock_is_error;
            j_terminal_states_only;
            j_cache;
+           j_events;
            j_worker;
          })
   | "batch" ->
@@ -258,7 +273,8 @@ let s2c_of_json j =
     let* b_round = int_field j "round" in
     let* items = field j "items" in
     let* b_items = items_of_json "items" items in
-    Ok (Batch { b_lease; b_id; b_tag; b_params; b_round; b_items })
+    let* b_pending = int_field j "pending" in
+    Ok (Batch { b_lease; b_id; b_tag; b_params; b_round; b_items; b_pending })
   | "wait" ->
     let* ms = int_field j "ms" in
     Ok (Wait { ms })

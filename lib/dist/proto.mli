@@ -14,6 +14,8 @@ val magic : string
     sniffed). *)
 
 val version : int
+(** The frame version, [2]: a peer speaking another version is refused
+    at the first frame. *)
 
 type job = {
   j_meta : (string * string) list;
@@ -25,6 +27,11 @@ type job = {
   j_deadlock_is_error : bool;
   j_terminal_states_only : bool;
   j_cache : bool;  (** whether workers should enable their replay caches *)
+  j_events : bool;
+      (** whether the coordinator's telemetry has a consumer besides its
+          own metrics projection
+          ({!Icb_obs.Telemetry.streams_events}): then reports carry the
+          batch's events, otherwise only its metric deltas *)
   j_worker : int;  (** this worker's id (1-based; 0 is the coordinator) *)
 }
 
@@ -37,6 +44,10 @@ type batch = {
           worker of the round *)
   b_round : int;
   b_items : (int list * int) list;  (** the work items, stripped *)
+  b_pending : int;
+      (** the round's batches still waiting for a lease after this one;
+          at [0] a worker does not ask ahead, since it would only be
+          told to wait *)
 }
 
 type report = {
@@ -50,7 +61,12 @@ type report = {
           ({!Icb_search.Collector.snapshot_to_json}) *)
   r_deferred : (int list * int) list;  (** items deferred to the next round *)
   r_events : Icb_obs.Json.t list;
-      (** the batch's buffered telemetry envelopes, in emission order *)
+      (** the batch's buffered telemetry envelopes, in emission order;
+          empty unless the job's [j_events] is set *)
+  r_metrics : Icb_obs.Json.t option;
+      (** without [j_events]: {!Icb_obs.Metrics.values_to_json} of a
+          local metrics projection fed the batch's events, which the
+          coordinator folds in with {!Icb_obs.Telemetry.merge_deltas} *)
 }
 
 type c2s =
@@ -61,13 +77,19 @@ type c2s =
 type s2c =
   | Job of job
   | Batch of batch
-  | Wait of { ms : int }  (** nothing to lease right now; retry after [ms] *)
+  | Wait of { ms : int }
+      (** no job yet (reply to [Hello]), or nothing to lease while this
+          connection still holds a lease (reply to [Request], [ms = 0]);
+          retry after [ms].  A [Request] from a connection holding no
+          lease is instead held until a batch is pending or the run
+          ends. *)
   | Done  (** the run is over (or was never started on this socket) *)
   | Accepted  (** result absorbed *)
   | Stale
       (** result rejected: the lease expired and was re-issued, the
-          report arrived twice, or the round already closed — the batch's
-          outcome was (or will be) absorbed exactly once elsewhere *)
+          report arrived twice, the round already closed, or a stop was
+          requested — the batch's outcome was (or will be) absorbed
+          exactly once elsewhere, or not at all after a stop *)
 
 val send : out_channel -> Icb_obs.Json.t -> unit
 val recv : in_channel -> (Icb_obs.Json.t, [ `Closed | `Malformed of string ]) result

@@ -1,4 +1,5 @@
 module Json = Icb_obs.Json
+module Telemetry = Icb_obs.Telemetry
 module Collector = Icb_search.Collector
 module Strategy = Icb_search.Strategy
 module Driver = Icb_search.Driver
@@ -18,7 +19,9 @@ type packed_engine =
    [c_push] follow-ups run depth-first — and serialize everything the
    coordinator's barrier needs.  The collector carries no limits:
    batches are the unit of both work and accounting, and stopping is the
-   coordinator's call. *)
+   coordinator's call.  The batch's events are buffered for the wire
+   when the coordinator has a stream consumer ([j_events]); otherwise a
+   local metrics projection reads them, and only its values travel. *)
 let process_batch (type s) (module E : Icb_search.Engine.S with type state = s)
     ~(rp : s Search_core.replayer) ~(job : Proto.job) ~clock
     (b : Proto.batch) : (Proto.report, string) result =
@@ -38,9 +41,17 @@ let process_batch (type s) (module E : Icb_search.Engine.S with type state = s)
       Explore.instantiate (module E) strat
     in
     let buf = ref [] in
+    let local =
+      if job.Proto.j_events then None else Some (Telemetry.create ())
+    in
     let emit =
-      Icb_obs.Emit.live ~worker:job.Proto.j_worker ~clock ~push:(fun env ->
-          buf := env :: !buf)
+      match local with
+      | None ->
+        Icb_obs.Emit.live ~worker:job.Proto.j_worker ~clock ~push:(fun env ->
+            buf := env :: !buf)
+      | Some tel ->
+        Telemetry.track_metrics tel;
+        Telemetry.emitter tel ~worker:job.Proto.j_worker
     in
     let lcol =
       Collector.create
@@ -109,6 +120,10 @@ let process_batch (type s) (module E : Icb_search.Engine.S with type state = s)
         r_snapshot = Collector.snapshot_to_json (Collector.snapshot lcol);
         r_deferred = List.rev_map Strategy.prefix_of !deferred;
         r_events = List.rev_map Icb_obs.Event.to_json !buf;
+        r_metrics =
+          Option.map
+            (fun tel -> Icb_obs.Metrics.values_to_json (Telemetry.metrics tel))
+            local;
       }
 
 let connect ~host ~port =
@@ -173,23 +188,51 @@ let run ?(cache = true) ~host ~port ~resolve () =
       in
       let epoch = Unix.gettimeofday () in
       let clock () = Unix.gettimeofday () -. epoch in
-      let rec serve batches =
-        Proto.send oc (Proto.c2s_to_json Proto.Request);
+      let ack () =
         let* reply = recv_s2c ic in
         match reply with
-        | Proto.Batch b ->
-          let* report = process_batch (module E) ~rp ~job ~clock b in
-          Proto.send oc
-            (Proto.c2s_to_json
-               (Proto.Result { lease = b.Proto.b_lease; report }));
-          let* ack = recv_s2c ic in
-          (match ack with
-          | Proto.Accepted | Proto.Stale -> serve (batches + 1)
-          | _ -> Error "protocol error: expected an accept/stale ack")
+        | Proto.Accepted | Proto.Stale -> Ok ()
+        | _ -> Error "protocol error: expected an accept/stale ack"
+      in
+      (* Pipelined: holding a batch, ask for the next one before running
+         it, so the lease round trip overlaps the search; the previous
+         result's ack is read only after the run.  The coordinator
+         answers in message order, so replies are read in send order:
+         [owed] says the last result's ack precedes the next reply.  With
+         nothing left pending when this batch was leased, asking ahead
+         would only earn a wait; ask after the result instead. *)
+      let rec idle batches ~owed =
+        Proto.send oc (Proto.c2s_to_json Proto.Request);
+        let* () = if owed then ack () else Ok () in
+        let* reply = recv_s2c ic in
+        match reply with
+        | Proto.Batch b -> busy batches b ~owed:false
         | Proto.Wait { ms } ->
           Unix.sleepf (float_of_int ms /. 1000.);
-          serve batches
+          idle batches ~owed:false
         | Proto.Done -> Ok batches
         | _ -> Error "protocol error: expected batch/wait/done"
+      and busy batches b ~owed =
+        let ahead = b.Proto.b_pending > 0 in
+        if ahead then Proto.send oc (Proto.c2s_to_json Proto.Request);
+        let* report = process_batch (module E) ~rp ~job ~clock b in
+        let* () = if owed then ack () else Ok () in
+        Proto.send oc
+          (Proto.c2s_to_json
+             (Proto.Result { lease = b.Proto.b_lease; report }));
+        if ahead then ahead_reply (batches + 1)
+        else idle (batches + 1) ~owed:true
+      and ahead_reply batches =
+        let* next = recv_s2c ic in
+        match next with
+        | Proto.Batch b -> busy batches b ~owed:true
+        | Proto.Wait _ ->
+          (* the rest of the round went to other leases meanwhile: ask
+             again with no lease held, which waits for the next round *)
+          idle batches ~owed:true
+        | Proto.Done ->
+          let* () = ack () in
+          Ok batches
+        | _ -> Error "protocol error: expected batch/wait/done"
       in
-      serve 0)
+      idle 0 ~owed:false)

@@ -1,7 +1,10 @@
 (** The distributed worker: connects to a coordinator, leases work-item
     batches and runs each through the generic driver item path
     ({!Icb_search.Search_core}) with a local replay cache, reporting
-    back counters, bugs, deferred items and buffered telemetry.
+    back counters, bugs, deferred items and either buffered telemetry
+    or metric deltas (the job's [j_events]).  It asks for its next
+    batch before running the one it holds, so it holds at most two
+    leases and the lease round trip overlaps the search.
 
     A worker is stateless between batches except for its replay cache:
     killing one at any point loses nothing — the coordinator re-issues

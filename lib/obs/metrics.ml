@@ -65,6 +65,81 @@ let find t name =
       else match e.v with Counter c | Gauge c -> Some !c | Histogram _ -> None)
     t.entries
 
+(* --- deltas -------------------------------------------------------------- *)
+
+(* The additive part of a registry, keyed by name: counter values and
+   histogram bucket counts plus sums.  Gauges are levels, not deltas, so
+   they stay out; so do instruments still at zero, which keeps a
+   per-batch image small. *)
+let values_to_json t =
+  Json.Obj
+    (List.fold_left
+       (fun acc { name; v; _ } ->
+         match v with
+         | Counter c when !c <> 0.0 -> (name, Json.Float !c) :: acc
+         | Histogram h when h.total > 0 ->
+           ( name,
+             Json.Obj
+               [
+                 ( "counts",
+                   Json.List
+                     (Array.to_list (Array.map (fun n -> Json.Int n) h.counts))
+                 );
+                 ("sum", Json.Float h.sum);
+               ] )
+           :: acc
+         | Counter _ | Gauge _ | Histogram _ -> acc)
+       [] t.entries)
+
+(* Validate the whole image before touching anything, so a bad one
+   leaves the registry as it was. *)
+let merge_values t j =
+  let ( let* ) = Result.bind in
+  let bad name what = Error (Printf.sprintf "metric %s: %s" name what) in
+  let* fields =
+    match j with
+    | Json.Obj l -> Ok l
+    | _ -> Error "metric values: not an object"
+  in
+  let update (name, vj) =
+    match List.find_opt (fun e -> e.name = name) t.entries with
+    | None -> bad name "not registered here"
+    | Some { v = Gauge _; _ } -> bad name "a gauge has no delta"
+    | Some { v = Counter c; _ } -> (
+      match Json.to_float vj with
+      | Some d -> Ok (fun () -> c := !c +. d)
+      | None -> bad name "counter delta is not a number")
+    | Some { v = Histogram h; _ } -> (
+      let counts =
+        match Json.find vj "counts" with
+        | Some (Json.List l) ->
+          List.filter_map
+            (fun c ->
+              match Json.to_int c with Some n when n >= 0 -> Some n | _ -> None)
+            l
+        | _ -> []
+      in
+      match Option.bind (Json.find vj "sum") Json.to_float with
+      | Some sum when List.length counts = Array.length h.counts ->
+        let counts = Array.of_list counts in
+        Ok
+          (fun () ->
+            Array.iteri (fun i n -> h.counts.(i) <- h.counts.(i) + n) counts;
+            h.sum <- h.sum +. sum;
+            h.total <- h.total + Array.fold_left ( + ) 0 counts)
+      | _ -> bad name "histogram delta does not match the bucket layout")
+  in
+  let* updates =
+    List.fold_left
+      (fun acc f ->
+        let* acc = acc in
+        let* u = update f in
+        Ok (u :: acc))
+      (Ok []) fields
+  in
+  List.iter (fun u -> u ()) (List.rev updates);
+  Ok ()
+
 (* --- rendering ----------------------------------------------------------- *)
 
 (* Prometheus sample values: counters are exact when integral, floats

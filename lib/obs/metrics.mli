@@ -37,6 +37,18 @@ val find : t -> string -> float option
 (** Current value of a counter or gauge by name; [None] for histograms
     and unknown names.  For tests and file validation. *)
 
+val values_to_json : t -> Json.t
+(** The registry's additive part, keyed by name: each non-zero counter's
+    value and each non-empty histogram's bucket counts and sum.  Gauges
+    are left out — they are levels, not deltas.  This is what a
+    distributed worker ships per batch instead of its event stream. *)
+
+val merge_values : t -> Json.t -> (unit, string) result
+(** Add a {!values_to_json} image into this registry: counters add,
+    histograms add bucket counts, sums and totals.  An unknown name, a
+    gauge, or a histogram whose bucket count differs is an error, and
+    then nothing is applied. *)
+
 val to_prometheus : t -> string
 (** Text exposition format: [# HELP]/[# TYPE] comments, cumulative
     [_bucket{le="..."}] samples plus [_sum]/[_count] for histograms. *)

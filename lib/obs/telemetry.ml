@@ -10,13 +10,23 @@
    time (and for the rare checkpoint event written mid-round from a
    worker domain), so the search hot path never contends on it. *)
 
+(* The parts of the metrics projection that {!merge_deltas} updates
+   itself rather than by adding a remote image. *)
+type projection = {
+  executions : Metrics.counter;
+  bugs : Metrics.counter;
+  rate : Metrics.gauge;
+  seen_bugs : (string, unit) Hashtbl.t;
+}
+
 type t = {
   epoch : float;
   lock : Mutex.t;
   metrics : Metrics.t;
   mutable consumers : (Event.envelope -> unit) list;  (* reversed *)
   mutable closers : (unit -> unit) list;              (* reversed *)
-  mutable tracking : bool;   (* metrics updater installed *)
+  mutable projection : projection option;  (* metrics updater installed *)
+  mutable streaming : bool;  (* a consumer other than the projection *)
   mutable closed : bool;
 }
 
@@ -27,7 +37,8 @@ let create () =
     metrics = Metrics.create ();
     consumers = [];
     closers = [];
-    tracking = false;
+    projection = None;
+    streaming = false;
     closed = false;
   }
 
@@ -44,7 +55,13 @@ let with_lock m f =
     Mutex.unlock m;
     raise e
 
-let add_consumer t f = t.consumers <- f :: t.consumers
+let subscribe t f = t.consumers <- f :: t.consumers
+
+let add_consumer t f =
+  t.streaming <- true;
+  subscribe t f
+
+let streams_events t = t.streaming
 let on_close t f = t.closers <- f :: t.closers
 
 let deliver t env =
@@ -87,19 +104,28 @@ let add_trace t path =
       output_char oc '\n');
   on_close t (fun () -> close_out oc)
 
+let note_bug p key =
+  if not (Hashtbl.mem p.seen_bugs key) then begin
+    Hashtbl.add p.seen_bugs key ();
+    Metrics.inc p.bugs 1.0
+  end
+
+let bugs_metric = "icb_bugs_total"
+
 (* The standard event -> metrics projection.  Distinct bug keys are
    counted exactly because [Bug_found] fires only on a collector that
    had not seen the key (barrier merges never re-emit), but a serial +
    parallel mix could still repeat a key across collectors — dedup
    here. *)
 let track_metrics t =
-  if not t.tracking then begin
-    t.tracking <- true;
+  if t.projection = None then begin
     let m = t.metrics in
     let executions = Metrics.counter m ~help:"Completed executions" "icb_executions_total" in
     let steps = Metrics.counter m ~help:"Engine steps, summed over work items" "icb_steps_total" in
     let items = Metrics.counter m ~help:"Work items expanded" "icb_items_total" in
-    let bugs = Metrics.counter m ~help:"Distinct bug keys discovered" "icb_bugs_total" in
+    let bugs =
+      Metrics.counter m ~help:"Distinct bug keys discovered" bugs_metric
+    in
     let checkpoints = Metrics.counter m ~help:"Checkpoints written" "icb_checkpoints_total" in
     let bound = Metrics.gauge m ~help:"Current strategy round (ICB: context bound)" "icb_current_bound" in
     let frontier = Metrics.gauge m ~help:"Work items seeding the current round" "icb_frontier_items" in
@@ -128,8 +154,9 @@ let track_metrics t =
     let cache_misses = Metrics.counter m ~help:"Replay-cache materializations replayed from the root" "icb_replay_cache_misses_total" in
     let cache_saved = Metrics.counter m ~help:"Engine steps avoided by the replay cache" "icb_replay_cache_steps_saved_total" in
     let cache_replayed = Metrics.counter m ~help:"Engine steps re-executed to rebuild schedule prefixes" "icb_replay_cache_steps_replayed_total" in
-    let seen_bugs = Hashtbl.create 8 in
-    add_consumer t (fun { Event.ts; ev; _ } ->
+    let p = { executions; bugs; rate; seen_bugs = Hashtbl.create 8 } in
+    t.projection <- Some p;
+    subscribe t (fun { Event.ts; ev; _ } ->
         match ev with
         | Event.Execution_done e ->
           Metrics.inc executions 1.0;
@@ -142,11 +169,7 @@ let track_metrics t =
           Metrics.observe h_item i.seconds;
           if i.steps > 0 then
             Metrics.observe h_step (i.seconds /. float_of_int i.steps)
-        | Event.Bug_found b ->
-          if not (Hashtbl.mem seen_bugs b.key) then begin
-            Hashtbl.add seen_bugs b.key ();
-            Metrics.inc bugs 1.0
-          end
+        | Event.Bug_found b -> note_bug p b.key
         | Event.Bound_started b ->
           Metrics.set bound (float_of_int b.bound);
           Metrics.set frontier (float_of_int b.items)
@@ -160,6 +183,28 @@ let track_metrics t =
         | Event.Run_finished _ | Event.Minimize_started _
         | Event.Minimize_improved _ | Event.Minimize_finished _ -> ())
   end
+
+(* A remote projection's image ({!Metrics.values_to_json}) adds in
+   directly, except for the distinct-bug count: per-batch distinct keys
+   do not sum, so count the reported keys against this projection's own
+   set.  The rate gauge is this run's, on this clock. *)
+let merge_deltas t values ~bugs =
+  match t.projection with
+  | None -> Error "merge_deltas: no metrics projection (track_metrics)"
+  | Some p ->
+    let values =
+      match values with
+      | Json.Obj l -> Json.Obj (List.remove_assoc bugs_metric l)
+      | v -> v
+    in
+    with_lock t.lock (fun () ->
+        Result.map
+          (fun () ->
+            List.iter (note_bug p) bugs;
+            let ts = clock t () in
+            if ts > 1e-9 then
+              Metrics.set p.rate (Metrics.value p.executions /. ts))
+          (Metrics.merge_values t.metrics values))
 
 let dump_metrics t path =
   let data =

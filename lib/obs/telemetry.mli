@@ -35,6 +35,14 @@ val buffered : t -> worker:int -> Emit.t * (unit -> unit)
 val add_consumer : t -> (Event.envelope -> unit) -> unit
 (** Sinks observe every event, in registration order. *)
 
+val streams_events : t -> bool
+(** Whether anything besides the {!track_metrics} projection reads the
+    event stream: true once {!add_consumer}, {!add_trace} or
+    {!add_metrics_dump} has registered a sink.  A distributed
+    coordinator asks this when it publishes its job: only then do its
+    workers ship their events; otherwise they ship metric deltas
+    ({!merge_deltas}). *)
+
 val locked : t -> (unit -> 'a) -> 'a
 (** Run a thunk under the consumer lock, mutually excluded from every
     fan-out: the distributed coordinator's HTTP handlers render the
@@ -58,6 +66,17 @@ val track_metrics : t -> unit
     items, distinct bugs, checkpoints, current bound, frontier size,
     executions/second, steps/preemptions/item-seconds/step-latency
     histograms) into {!metrics}.  Idempotent. *)
+
+val merge_deltas : t -> Json.t -> bugs:string list -> (unit, string) result
+(** Fold a remote projection's image into {!metrics}, under the lock:
+    [values] is {!Metrics.values_to_json} of a registry that
+    {!track_metrics} fed with one batch's events, and [bugs] the bug
+    keys that batch found.  Counters and histograms add;
+    [icb_bugs_total] instead counts the keys this projection has not
+    seen yet, since per-batch distinct counts do not sum; the
+    executions-per-second gauge is recomputed on this handle's clock.
+    An error (no projection installed, a malformed image) leaves the
+    registry untouched. *)
 
 val add_metrics_dump : t -> ?every:float -> string -> unit
 (** Periodically (default every 5 event-clock seconds; [every <= 0.] =

@@ -53,7 +53,14 @@ exception Stop
 
 type t
 
-val create : options -> t
+val create : ?least_witness:bool -> options -> t
+(** [least_witness] (default [false]) is for worker-local collectors
+    whose bugs a barrier merges ({!merge_stats} and a sort of the
+    candidates): a key found again with a smaller
+    [(preemptions, schedule)] replaces its witness, so each worker
+    offers its least one and the merge's choice does not depend on
+    which worker ran which item.  Serial collectors keep the first
+    witness. *)
 
 val touch : t -> int64 -> unit
 (** Record a reached state by signature.  Raises {!Stop} when the state or

@@ -394,7 +394,9 @@ let run_parallel (type s)
      by workers at item boundaries.  Semantic options (deadlock_is_error,
      terminal_states_only) are kept.  Telemetry is re-installed per
      worker as a buffered emitter (below), never the master's direct
-     one. *)
+     one.  Each keeps its least witness per bug key, so which items work
+     stealing handed a worker cannot change the witness the barrier
+     picks. *)
   let stripped =
     {
       options with
@@ -730,7 +732,7 @@ let run_parallel (type s)
               ~frontier:n_work
           in
           let c =
-            Collector.create
+            Collector.create ~least_witness:true
               {
                 stripped with
                 Collector.on_progress = Some hook;

@@ -15,6 +15,8 @@ module Proto = Icb_dist.Proto
 module Json = Icb_obs.Json
 module Telemetry = Icb_obs.Telemetry
 module Metrics = Icb_obs.Metrics
+module Trace = Icb_obs.Trace
+module Event = Icb_obs.Event
 
 let check = Alcotest.check
 
@@ -60,12 +62,14 @@ let spawn_worker ~port p =
    loopback.  [keep] leaves the port up (and skips shutdown) so a test
    can poke the HTTP endpoints after the run. *)
 let distributed ?(workers = 2) ?(batch_size = 4) ?(lease_timeout = 5.0)
-    ?options ?checkpoint_out ?resume_from ?(keep = false) p strategy =
-  let coord = Coord.create ~batch_size ~lease_timeout () in
+    ?telemetry ?options ?checkpoint_out ?checkpoint_every ?resume_from
+    ?(keep = false) p strategy =
+  let coord = Coord.create ~batch_size ~lease_timeout ?telemetry () in
   let port = Coord.port coord in
   let ws = List.init workers (fun _ -> spawn_worker ~port p) in
   match
-    Coord.run coord (Icb.engine p) ?options ?checkpoint_out ?resume_from
+    Coord.run coord (Icb.engine p) ?options ?checkpoint_out ?checkpoint_every
+      ?resume_from
       ~env:(Strategy.env_of_prog p)
       strategy
   with
@@ -254,6 +258,7 @@ let lease_tests =
                    (Collector.create Collector.default_options));
             r_deferred = [];
             r_events = [];
+            r_metrics = None;
           }
         in
         (match rpc ic oc (Proto.Result { lease = b.Proto.b_lease; report })
@@ -270,6 +275,348 @@ let lease_tests =
           (dist_metric coord "icb_dist_stale_reports" >= 1.0);
         Coord.shutdown coord;
         assert_equivalent "the zombie never double-counts" s d);
+  ]
+
+(* --- pipelined leases ----------------------------------------------------- *)
+
+let recv_reply ic =
+  match Proto.recv ic with
+  | Ok j -> (
+    match Proto.s2c_of_json j with
+    | Ok reply -> reply
+    | Error m -> Alcotest.failf "undecodable server message: %s" m)
+  | Error `Closed -> Alcotest.fail "the coordinator closed the connection"
+  | Error (`Malformed m) -> Alcotest.failf "malformed frame: %s" m
+
+(* Whether the coordinator has answered on [fd] within [secs]; the
+   channel holds no read-ahead when this is asked. *)
+let answered_within fd secs =
+  match Unix.select [ fd ] [] [] secs with [], _, _ -> false | _ -> true
+
+let expect_batch what = function
+  | Proto.Batch b -> b
+  | _ -> Alcotest.failf "%s: expected a batch" what
+
+(* A report that claims nothing but [executions] and [deferred]: enough
+   to drive the coordinator's rounds by hand. *)
+let forged_report ?(executions = 0) ?(deferred = []) (b : Proto.batch) =
+  let snap = Collector.snapshot (Collector.create Collector.default_options) in
+  let snap =
+    if executions = 0 then snap
+    else Collector.forge_counts snap ~executions ~total_steps:executions
+  in
+  {
+    Proto.r_params = b.Proto.b_params;
+    r_snapshot = Collector.snapshot_to_json snap;
+    r_deferred = deferred;
+    r_events = [];
+    r_metrics = None;
+  }
+
+(* A coordinator resuming a serial run stopped after 5 executions: its
+   first round is the 18 bound-1 items left, two batches at batch size
+   10.  Run to the end, it lands on the serial resume of the same
+   checkpoint, returned as the reference. *)
+let resumed_executions = 5
+
+let two_batch_coord ?options () =
+  let p = prog () in
+  let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
+  let path = Filename.temp_file "icb-dist" ".ckpt" in
+  ignore
+    (Icb.run
+       ~options:
+         {
+           Collector.default_options with
+           Collector.max_executions = Some resumed_executions;
+         }
+       ~checkpoint_out:path ~strategy p);
+  let ckpt = Checkpoint.load path in
+  Sys.remove path;
+  let reference () = Icb.resume p ckpt in
+  let coord = Coord.create ~batch_size:10 ~lease_timeout:30.0 () in
+  let cell = ref None in
+  let th =
+    Thread.create
+      (fun () ->
+        cell :=
+          Some
+            (Coord.run coord (Icb.engine p) ?options ~resume_from:ckpt
+               ~env:(Strategy.env_of_prog p) strategy))
+      ()
+  in
+  let finish () =
+    Thread.join th;
+    Option.get !cell
+  in
+  (reference, coord, finish)
+
+let pipeline_tests =
+  [
+    Alcotest.test_case "two requests before a result get two distinct leases"
+      `Quick (fun () ->
+        let _, coord, finish = two_batch_coord () in
+        let fd, ic, oc = raw_connect (Coord.port coord) in
+        let _job = wait_for_job ic oc in
+        let b0 = expect_batch "first request" (rpc ic oc Proto.Request) in
+        let b1 = expect_batch "second request" (rpc ic oc Proto.Request) in
+        check Alcotest.bool "distinct lease tokens" true
+          (b0.Proto.b_lease <> b1.Proto.b_lease);
+        check (Alcotest.pair Alcotest.int Alcotest.int) "batches 0 and 1"
+          (0, 1) (b0.Proto.b_id, b1.Proto.b_id);
+        check Alcotest.int "one round" b0.Proto.b_round b1.Proto.b_round;
+        Unix.close fd;
+        let w = spawn_worker ~port:(Coord.port coord) (prog ()) in
+        ignore (finish ());
+        Thread.join w;
+        Coord.shutdown coord);
+    Alcotest.test_case
+      "a lease holder's request with nothing pending gets an immediate wait"
+      `Quick (fun () ->
+        let _, coord, finish = two_batch_coord () in
+        let fd, ic, oc = raw_connect (Coord.port coord) in
+        let _job = wait_for_job ic oc in
+        ignore (expect_batch "first" (rpc ic oc Proto.Request));
+        ignore (expect_batch "second" (rpc ic oc Proto.Request));
+        Proto.send oc (Proto.c2s_to_json Proto.Request);
+        check Alcotest.bool "answered at once, not parked" true
+          (answered_within fd 5.0);
+        (match recv_reply ic with
+        | Proto.Wait { ms = 0 } -> ()
+        | _ -> Alcotest.fail "expected wait with ms 0");
+        Unix.close fd;
+        let w = spawn_worker ~port:(Coord.port coord) (prog ()) in
+        ignore (finish ());
+        Thread.join w;
+        Coord.shutdown coord);
+    (* A drives round 0 by hand, deferring one item so that round 1 is
+       one batch; B's request parks until round 1 opens, then A's parks
+       until the run ends. *)
+    Alcotest.test_case
+      "a parked request gets the next round's batch, then done" `Quick
+      (fun () ->
+        let _, coord, finish = two_batch_coord () in
+        let port = Coord.port coord in
+        let fa, ia, oa = raw_connect port in
+        let fb, ib, ob = raw_connect port in
+        ignore (wait_for_job ia oa);
+        ignore (wait_for_job ib ob);
+        let b0 = expect_batch "a: first" (rpc ia oa Proto.Request) in
+        let b1 = expect_batch "a: second" (rpc ia oa Proto.Request) in
+        Proto.send ob (Proto.c2s_to_json Proto.Request);
+        check Alcotest.bool "b parks while round 0 is leased out" false
+          (answered_within fb 0.3);
+        (match
+           rpc ia oa
+             (Proto.Result
+                {
+                  lease = b0.Proto.b_lease;
+                  report = forged_report ~deferred:b0.Proto.b_items b0;
+                })
+         with
+        | Proto.Accepted -> ()
+        | _ -> Alcotest.fail "expected the first result accepted");
+        (match
+           rpc ia oa
+             (Proto.Result
+                { lease = b1.Proto.b_lease; report = forged_report b1 })
+         with
+        | Proto.Accepted -> ()
+        | _ -> Alcotest.fail "expected the second result accepted");
+        check Alcotest.bool "round 1 wakes b" true (answered_within fb 5.0);
+        let nb = expect_batch "b: parked request" (recv_reply ib) in
+        check Alcotest.bool "the batch belongs to the next round" true
+          (nb.Proto.b_round > b0.Proto.b_round);
+        Proto.send oa (Proto.c2s_to_json Proto.Request);
+        check Alcotest.bool "a parks while round 1 is leased out" false
+          (answered_within fa 0.3);
+        (match
+           rpc ib ob
+             (Proto.Result
+                { lease = nb.Proto.b_lease; report = forged_report nb })
+         with
+        | Proto.Accepted -> ()
+        | _ -> Alcotest.fail "expected round 1's result accepted");
+        check Alcotest.bool "the end of the run wakes a" true
+          (answered_within fa 5.0);
+        (match recv_reply ia with
+        | Proto.Done -> ()
+        | _ -> Alcotest.fail "expected done for the parked request");
+        Unix.close fa;
+        Unix.close fb;
+        ignore (finish ());
+        Coord.shutdown coord);
+    Alcotest.test_case "a killed worker's two leases are both re-issued"
+      `Quick (fun () ->
+        let reference, coord, finish = two_batch_coord () in
+        let s = reference () in
+        let fd, ic, oc = raw_connect (Coord.port coord) in
+        let _job = wait_for_job ic oc in
+        ignore (expect_batch "first" (rpc ic oc Proto.Request));
+        ignore (expect_batch "second" (rpc ic oc Proto.Request));
+        (* die holding both *)
+        Unix.close fd;
+        let w = spawn_worker ~port:(Coord.port coord) (prog ()) in
+        let d = finish () in
+        Thread.join w;
+        check Alcotest.bool "both leases were re-issued" true
+          (dist_metric coord "icb_dist_leases_reissued" >= 2.0);
+        Coord.shutdown coord;
+        assert_equivalent "after killing a two-lease worker" s d);
+    (* The first result trips the execution cap; the second, on a lease
+       still held, must not be absorbed past the stop. *)
+    Alcotest.test_case "a result sent after a stop is stale" `Quick (fun () ->
+        let options =
+          {
+            Collector.default_options with
+            Collector.max_executions = Some (resumed_executions + 1);
+          }
+        in
+        let _, coord, finish = two_batch_coord ~options () in
+        let fd, ic, oc = raw_connect (Coord.port coord) in
+        let _job = wait_for_job ic oc in
+        let b0 = expect_batch "first" (rpc ic oc Proto.Request) in
+        let b1 = expect_batch "second" (rpc ic oc Proto.Request) in
+        let report b = forged_report ~executions:5 b in
+        (match
+           rpc ic oc
+             (Proto.Result { lease = b0.Proto.b_lease; report = report b0 })
+         with
+        | Proto.Accepted -> ()
+        | _ -> Alcotest.fail "expected the capping result accepted");
+        (match
+           rpc ic oc
+             (Proto.Result { lease = b1.Proto.b_lease; report = report b1 })
+         with
+        | Proto.Stale -> ()
+        | _ -> Alcotest.fail "expected stale after the stop");
+        Unix.close fd;
+        let d = finish () in
+        Coord.shutdown coord;
+        check Alcotest.bool "stopped by the cap" true
+          (d.Sresult.stop_reason = Some Sresult.Execution_limit);
+        check Alcotest.int "only the first batch was absorbed"
+          (resumed_executions + 5) d.Sresult.executions);
+  ]
+
+(* --- telemetry over the wire ---------------------------------------------- *)
+
+(* The series a metrics projection must reproduce exactly, as Prometheus
+   sample lines. *)
+let projected_lines tel =
+  let text =
+    Telemetry.locked tel (fun () ->
+        Metrics.to_prometheus (Telemetry.metrics tel))
+  in
+  List.filter
+    (fun line ->
+      List.exists
+        (fun prefix -> String.starts_with ~prefix line)
+        [
+          "icb_executions_total ";
+          "icb_steps_total ";
+          "icb_items_total ";
+          "icb_bugs_total ";
+          "icb_steps_per_execution_";
+          "icb_preemptions_per_execution_";
+        ])
+    (String.split_on_char '\n' text)
+
+let serial_metrics p strategy =
+  let tel = Telemetry.create () in
+  Telemetry.track_metrics tel;
+  let r = Icb.run ~telemetry:tel ~strategy p in
+  Telemetry.close tel;
+  (r, projected_lines tel)
+
+let traced_summary run =
+  let path = Filename.temp_file "icb-dist" ".jsonl" in
+  let tel = Telemetry.create () in
+  Telemetry.add_trace tel path;
+  let r = run tel in
+  Telemetry.close tel;
+  let s = Trace.summarize (Trace.read path) in
+  Sys.remove path;
+  (r, s)
+
+let bug_keys (s : Trace.summary) =
+  List.sort compare
+    (List.map
+       (fun (b : Trace.bug) -> (b.Trace.bg_key, b.Trace.bg_preemptions))
+       s.Trace.bugs)
+
+let telemetry_tests =
+  [
+    Alcotest.test_case "an untraced run's /metrics equals a serial run's"
+      `Quick (fun () ->
+        List.iter
+          (fun (what, p, strategy) ->
+            let s, expected = serial_metrics p strategy in
+            let d, coord = distributed p strategy in
+            let tel = Coord.telemetry coord in
+            check Alcotest.bool (what ^ ": workers shipped no events") false
+              (Telemetry.streams_events tel);
+            assert_equivalent what s d;
+            check Alcotest.bool (what ^ ": executions were counted") true
+              (s.Sresult.executions > 0 && List.length expected >= 6);
+            check (Alcotest.list Alcotest.string) (what ^ ": projected series")
+              expected (projected_lines tel))
+          [
+            ( "peterson",
+              prog (),
+              Explore.Icb { max_bound = Some 3; cache = false } );
+            ( "transaction manager",
+              Icb_models.Transaction.program
+                Icb_models.Transaction.Bug_stale_entry,
+              Explore.Icb { max_bound = Some 2; cache = false } );
+          ]);
+    Alcotest.test_case "a traced run's per-bound table equals a serial one"
+      `Quick (fun () ->
+        let p = prog () in
+        let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
+        let s, ts =
+          traced_summary (fun tel -> Icb.run ~telemetry:tel ~strategy p)
+        in
+        let d, td =
+          traced_summary (fun tel ->
+              fst (distributed ~telemetry:tel p strategy))
+        in
+        assert_equivalent "traced" s d;
+        check
+          (Alcotest.list
+             (Alcotest.pair (Alcotest.option Alcotest.int) Alcotest.int))
+          "executions per bound" ts.Trace.bounds td.Trace.bounds;
+        check Alcotest.int "executions" ts.Trace.executions td.Trace.executions;
+        check (Alcotest.option Alcotest.int) "states" ts.Trace.states
+          td.Trace.states;
+        check
+          (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+          "bugs" (bug_keys ts) (bug_keys td);
+        check Alcotest.bool "complete" ts.Trace.complete td.Trace.complete);
+    Alcotest.test_case "one checkpoint per trigger" `Quick (fun () ->
+        let p =
+          Icb_models.Transaction.program Icb_models.Transaction.Bug_stale_entry
+        in
+        let every = 40 in
+        let tel = Telemetry.create () in
+        let saves = ref 0 in
+        Telemetry.add_consumer tel (fun env ->
+            match env.Event.ev with
+            | Event.Checkpoint_written _ -> incr saves
+            | _ -> ());
+        let path = Filename.temp_file "icb-dist" ".ckpt" in
+        let d, _ =
+          distributed ~batch_size:2 ~telemetry:tel ~checkpoint_out:path
+            ~checkpoint_every:every p
+            (Explore.Icb { max_bound = Some 2; cache = false })
+        in
+        Sys.remove path;
+        check Alcotest.bool "mid-round saves happened" true (!saves >= 2);
+        check Alcotest.bool
+          (Printf.sprintf "%d saves for %d executions every %d" !saves
+             d.Sresult.executions every)
+          true
+          (!saves <= (d.Sresult.executions / every) + 1));
   ]
 
 (* --- coordinator interrupt/resume ------------------------------------------ *)
@@ -399,6 +746,7 @@ let proto_tests =
                     r_snapshot = Json.Obj [ ("x", Json.Int 1) ];
                     r_deferred = [ ([ 0; 1; 2 ], 1); ([], 0) ];
                     r_events = [ Json.String "e" ];
+                    r_metrics = None;
                   };
               };
           ]
@@ -421,6 +769,7 @@ let proto_tests =
                 j_deadlock_is_error = true;
                 j_terminal_states_only = false;
                 j_cache = true;
+                j_events = false;
                 j_worker = 4;
               };
             Proto.Batch
@@ -431,6 +780,7 @@ let proto_tests =
                 b_params = [ ("cache", "false") ];
                 b_round = 1;
                 b_items = [ ([ 1; 2 ], 0); ([], -1) ];
+                b_pending = 3;
               };
             Proto.Wait { ms = 50 };
             Proto.Done;
@@ -468,6 +818,8 @@ let () =
       ("equivalence", equivalence_tests);
       ("transaction", transaction_tests);
       ("leases", lease_tests);
+      ("pipeline", pipeline_tests);
+      ("telemetry", telemetry_tests);
       ("resume", resume_tests);
       ("http", http_tests);
       ("proto", proto_tests);

@@ -259,6 +259,46 @@ let metrics_tests =
         match Metrics.counter m ~help:"" "dup" with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
+    Alcotest.test_case "value images add into another registry" `Quick
+      (fun () ->
+        let registry () =
+          let m = Metrics.create () in
+          let c = Metrics.counter m ~help:"" "t_total" in
+          let g = Metrics.gauge m ~help:"" "t_level" in
+          let h = Metrics.histogram m ~help:"" ~buckets:[ 1.0; 10.0 ] "t_h" in
+          (m, c, g, h)
+        in
+        let src, c, g, h = registry () in
+        Metrics.inc c 4.0;
+        Metrics.set g 9.0;
+        List.iter (Metrics.observe h) [ 0.5; 50.0 ];
+        let image = Json.parse (Json.to_string (Metrics.values_to_json src)) in
+        let dst, _, _, h' = registry () in
+        let merge () =
+          match Metrics.merge_values dst image with
+          | Ok () -> ()
+          | Error e -> Alcotest.fail e
+        in
+        merge ();
+        merge ();
+        check (Alcotest.option (Alcotest.float 0.0)) "counters add" (Some 8.0)
+          (Metrics.find dst "t_total");
+        check (Alcotest.option (Alcotest.float 0.0)) "gauges stay home"
+          (Some 0.0) (Metrics.find dst "t_level");
+        check Alcotest.int "histogram totals add" 4
+          (Metrics.histogram_count h');
+        check Alcotest.bool "buckets add" true
+          (contains ~needle:{|t_h_bucket{le="1"} 2|}
+             (Metrics.to_prometheus dst));
+        (* an image naming an instrument this registry lacks applies
+           nothing at all *)
+        let other = Metrics.create () in
+        ignore (Metrics.counter other ~help:"" "t_total");
+        match Metrics.merge_values other image with
+        | Ok () -> Alcotest.fail "expected an error for the unknown histogram"
+        | Error _ ->
+          check (Alcotest.option (Alcotest.float 0.0)) "untouched" (Some 0.0)
+            (Metrics.find other "t_total"));
   ]
 
 (* --- trace round-trip against the collector's own numbers ------------------ *)

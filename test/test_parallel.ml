@@ -130,13 +130,17 @@ let determinism_tests =
 (* --- interrupt mid-search, resume without re-exploring -------------------- *)
 
 (* The machine engine wrapped so that every completed execution's schedule
-   lands on a shared tape; the wrapper is shared by all workers, so the
-   tape is the exact multiset of executions the whole pool explored. *)
+   lands on a shared tape.  The tape carries its own lock: the pool builds
+   one engine per worker, and all of them append to the same tape, so it
+   is the exact multiset of executions the whole pool explored. *)
+type tape = { lock : Mutex.t; mutable runs : int list list }
+
+let new_tape () = { lock = Mutex.create (); runs = [] }
+
 let recording_engine prog tape :
     (module Engine.S
        with type state = Icb_search.Mach_engine.state * int list) =
   let module Base = (val Icb.engine prog) in
-  let m = Mutex.create () in
   (module struct
     type state = Base.state * int list (* reversed schedule *)
 
@@ -161,15 +165,13 @@ let recording_engine prog tape :
     let step (s, sched) t =
       let s' = Base.step s t in
       let sched' = t :: sched in
-      (if Engine.is_terminal (Base.status s') then begin
-         Mutex.lock m;
-         tape := List.rev sched' :: !tape;
-         Mutex.unlock m
-       end);
+      (if Engine.is_terminal (Base.status s') then
+         Mutex.protect tape.lock (fun () ->
+             tape.runs <- List.rev sched' :: tape.runs));
       (s', sched')
   end)
 
-let sorted_tape tape = List.sort compare !tape
+let sorted_tape tape = List.sort compare tape.runs
 
 let assert_no_duplicates what schedules =
   let rec dup = function
@@ -191,7 +193,7 @@ let stress_tests =
         in
         let max_bound = 3 in
         (* uninterrupted reference: the full tape and final result *)
-        let full_tape = ref [] in
+        let full_tape = new_tape () in
         let full =
           Explore.run
             (recording_engine prog full_tape)
@@ -202,7 +204,7 @@ let stress_tests =
            backed by an execution limit so the interruption survives
            arbitrarily fast hardware *)
         let path = tmp_ckpt () in
-        let t1 = ref [] in
+        let t1 = new_tape () in
         let interrupted =
           Parallel.run
             (fun _ -> recording_engine prog t1)
@@ -220,14 +222,14 @@ let stress_tests =
         check Alcotest.bool "a stop reason is recorded" true
           (interrupted.Sresult.stop_reason <> None);
         (* resume the checkpoint to the end, serially... *)
-        let t_serial = ref [] in
+        let t_serial = new_tape () in
         let resumed_serial =
           Explore.resume
             (recording_engine prog t_serial)
             (Checkpoint.load path)
         in
         (* ...and in parallel, from the same checkpoint *)
-        let t_par = ref [] in
+        let t_par = new_tape () in
         let resumed_par =
           Explore.resume
             (recording_engine prog t_par)
@@ -235,8 +237,8 @@ let stress_tests =
         in
         Sys.remove path;
         (* no execution is explored twice across the kill... *)
-        let union_serial = List.sort compare (!t1 @ !t_serial) in
-        let union_par = List.sort compare (!t1 @ !t_par) in
+        let union_serial = List.sort compare (t1.runs @ t_serial.runs) in
+        let union_par = List.sort compare (t1.runs @ t_par.runs) in
         assert_no_duplicates "interrupted + serial resume" union_serial;
         assert_no_duplicates "interrupted + parallel resume" union_par;
         (* ...and nothing is missed either: both unions are exactly the
