@@ -44,11 +44,11 @@ let run_parallel ?config ?options ?checkpoint_out ?checkpoint_every
      are persistent plain data any instance can step, so deferred work
      items carry their live states across the barrier instead of being
      replayed. *)
-  Icb_search.Parallel.run
-    (fun _ -> engine ?config prog)
-    ?options ?checkpoint_out ?checkpoint_every ?checkpoint_meta ?resume_from
-    ?telemetry ~share_states:true ?replay_cache ?on_cache_stats ~domains
-    ~max_bound ~cache ()
+  let engines _ = engine ?config prog in
+  Icb_search.Driver.run engines ?options ?checkpoint_out ?checkpoint_every
+    ?checkpoint_meta ?resume_from ?telemetry ~share_states:true ?replay_cache
+    ?on_cache_stats ~domains
+    (Icb_search.Strategies.icb (engines 0) ~max_bound ~cache)
 
 let resume ?config ?options ?checkpoint_out ?checkpoint_every ?checkpoint_meta
     ?telemetry ?domains ?cache prog ckpt =
@@ -114,8 +114,8 @@ let explain ?(config = Icb_search.Mach_engine.default_config) prog (b : bug) =
     (fun tid ->
       let before = E.enabled !st in
       let preempting =
-        Engine_helpers.preempting_of_schedule ~enabled:before
-          ~last:(Icb_search.Mach_engine.machine_state !st).Icb_machine.State
+        Icb_search.Engine.preempting ~enabled:before
+          ~last_tid:(Icb_search.Mach_engine.machine_state !st).Icb_machine.State
            .last_tid ~chosen:tid
       in
       st := E.step !st tid;

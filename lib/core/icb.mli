@@ -88,8 +88,9 @@ val run_parallel :
     instance, and merge deterministically at a per-bound barrier — the
     result (bug set, per-bound execution counts, states, steps) matches a
     serial [run ~strategy:(Icb ...)] of the same program when
-    [cache = false] (the default; see {!Icb_search.Parallel} for the
-    cached caveat).  [cache] is the strategy's seen-state pruning cache;
+    [cache = false] (the default: the seen-state cache prunes per worker,
+    so a cached parallel run may explore more executions; see
+    docs/PARALLEL.md).  [cache] is the strategy's seen-state pruning cache;
     [replay_cache] (default [true]) is the orthogonal prefix-snapshot
     replay cache of docs/REPLAY_CACHE.md, which never changes what is
     explored.  Checkpoints written here are resumable both serially

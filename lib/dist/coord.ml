@@ -7,18 +7,7 @@ module Strategy = Icb_search.Strategy
 module Driver = Icb_search.Driver
 module Explore = Icb_search.Explore
 module Checkpoint = Icb_search.Checkpoint
-module Search_core = Icb_search.Search_core
 module Sresult = Icb_search.Sresult
-
-let with_lock m f =
-  Mutex.lock m;
-  match f () with
-  | v ->
-    Mutex.unlock m;
-    v
-  | exception e ->
-    Mutex.unlock m;
-    raise e
 
 (* --- state ---------------------------------------------------------------- *)
 
@@ -40,19 +29,14 @@ type round_state = {
   mutable rs_completed : int;
 }
 
-(* Limit accounting, batch-granular: counters absorbed this round stack
-   on the master's round-start baseline, mirroring the parallel driver's
-   per-execution hook at its coarser granularity. *)
-type limits = {
-  li_options : Collector.options;
-  mutable li_base_execs : int;
-  mutable li_base_states : int;
-  mutable li_base_steps : int;
-  mutable li_base_bugs : int;
-  mutable li_acc_execs : int;
-  mutable li_acc_states : int;
-  mutable li_acc_steps : int;
-  mutable li_acc_bugs : int;
+(* Run totals for the limit test and [/status], batch-granular: the
+   master's counters at the round's start plus every batch absorbed
+   since, mirroring the domain pool's per-execution hook. *)
+type totals = {
+  mutable executions : int;
+  mutable states : int;
+  mutable steps : int;
+  mutable bugs : int;
 }
 
 type phase = Starting | Serving | Finished
@@ -80,7 +64,8 @@ type t = {
   mutable strat_name : string;
   mutable job : Proto.job option; (* [j_worker] re-stamped per hello *)
   mutable round : round_state option;
-  mutable limits : limits option;
+  mutable limits : Collector.options; (* the run's, once published *)
+  totals : totals;
   mutable stop_requested : Sresult.stop_reason option;
   mutable ck_wanted : bool;
   mutable ck_every : int;
@@ -131,37 +116,25 @@ let reclaim_expired t rs =
 let request_stop t r =
   if t.stop_requested = None then t.stop_requested <- Some r
 
-(* Limit checks, in the parallel driver's order so the recorded
-   stop_reason matches when several limits trip in one batch. *)
+let reset_totals t master =
+  t.totals.executions <- Collector.executions master;
+  t.totals.states <- Collector.seen_states master;
+  t.totals.steps <- Collector.total_steps master;
+  t.totals.bugs <- Collector.bug_count master
+
 let check_limits t snap =
-  match t.limits with
-  | None -> ()
-  | Some li ->
-    li.li_acc_execs <- li.li_acc_execs + Collector.snapshot_executions snap;
-    li.li_acc_states <- li.li_acc_states + Collector.snapshot_states snap;
-    li.li_acc_steps <- li.li_acc_steps + Collector.snapshot_steps snap;
-    li.li_acc_bugs <-
-      li.li_acc_bugs + List.length (Collector.snapshot_bugs snap);
-    let o = li.li_options in
-    let execs = li.li_base_execs + li.li_acc_execs in
-    (match o.Collector.max_executions with
-    | Some l when execs >= l -> request_stop t Sresult.Execution_limit
-    | Some _ | None -> ());
-    (match o.Collector.max_states with
-    | Some l when li.li_base_states + li.li_acc_states >= l ->
-      request_stop t Sresult.State_limit
-    | Some _ | None -> ());
-    (match o.Collector.max_total_steps with
-    | Some l when li.li_base_steps + li.li_acc_steps >= l ->
-      request_stop t Sresult.Step_limit
-    | Some _ | None -> ());
-    (match o.Collector.deadline with
-    | Some d when Unix.gettimeofday () >= d ->
-      request_stop t Sresult.Deadline_exceeded
-    | Some _ | None -> ());
-    if o.Collector.stop_at_first_bug && li.li_base_bugs + li.li_acc_bugs > 0
-    then request_stop t Sresult.First_bug;
-    if execs - t.ck_last >= t.ck_every then t.ck_wanted <- true
+  let n = t.totals in
+  n.executions <- n.executions + Collector.snapshot_executions snap;
+  n.states <- n.states + Collector.snapshot_states snap;
+  n.steps <- n.steps + Collector.snapshot_steps snap;
+  n.bugs <- n.bugs + List.length (Collector.snapshot_bugs snap);
+  (match
+     Driver.limit_hit t.limits ~executions:n.executions ~states:n.states
+       ~steps:n.steps ~bugs:n.bugs
+   with
+  | Some r -> request_stop t r
+  | None -> ());
+  if n.executions - t.ck_last >= t.ck_every then t.ck_wanted <- true
 
 (* --- protocol handling ---------------------------------------------------- *)
 
@@ -273,7 +246,7 @@ let serve_protocol t fd =
   let oc = Unix.out_channel_of_descr fd in
   set_binary_mode_in ic true;
   set_binary_mode_out oc true;
-  let conn = with_lock t.m (fun () ->
+  let conn = Mutex.protect t.m (fun () ->
       let c = t.next_conn in
       t.next_conn <- t.next_conn + 1;
       c)
@@ -281,7 +254,7 @@ let serve_protocol t fd =
   let greeted = ref false in
   Fun.protect
     ~finally:(fun () ->
-      with_lock t.m (fun () ->
+      Mutex.protect t.m (fun () ->
           void_conn_leases t conn;
           if !greeted then begin
             t.workers <- t.workers - 1;
@@ -296,7 +269,9 @@ let serve_protocol t fd =
           match Proto.c2s_of_json j with
           | Error _ -> ()
           | Ok msg ->
-            let reply = with_lock t.m (fun () -> reply_to t ~conn ~greeted msg) in
+            let reply =
+              Mutex.protect t.m (fun () -> reply_to t ~conn ~greeted msg)
+            in
             (match Proto.send oc (Proto.s2c_to_json reply) with
             | () -> loop ()
             | exception Sys_error _ -> ()))
@@ -311,7 +286,7 @@ let phase_string = function
   | Finished -> "finished"
 
 let status_json t =
-  with_lock t.m (fun () ->
+  Mutex.protect t.m (fun () ->
       let batches =
         match t.round with
         | None -> []
@@ -329,13 +304,13 @@ let status_json t =
           ]
       in
       let counters =
-        match t.limits with
+        match t.job with
         | None -> []
-        | Some li ->
+        | Some _ ->
           [
-            ("executions", Json.Int (li.li_base_execs + li.li_acc_execs));
-            ("total_steps", Json.Int (li.li_base_steps + li.li_acc_steps));
-            ("bugs", Json.Int (li.li_base_bugs + li.li_acc_bugs));
+            ("executions", Json.Int t.totals.executions);
+            ("total_steps", Json.Int t.totals.steps);
+            ("bugs", Json.Int t.totals.bugs);
           ]
       in
       Json.Obj
@@ -359,30 +334,63 @@ let serve_http t fd =
   match Http.read_request ic with
   | Error _ -> ()
   | Ok { Http.meth; path } -> (
+    let head = meth = "HEAD" in
     match (meth, path) with
     | ("GET" | "HEAD"), "/metrics" ->
       let body =
         Telemetry.locked t.tel (fun () ->
             Metrics.to_prometheus (Telemetry.metrics t.tel))
       in
-      Http.respond oc ~content_type:"text/plain; version=0.0.4" body
+      Http.respond oc ~head ~content_type:"text/plain; version=0.0.4" body
     | ("GET" | "HEAD"), "/status" ->
-      Http.respond oc ~content_type:"application/json"
+      Http.respond oc ~head ~content_type:"application/json"
         (Json.to_string (status_json t))
-    | ("GET" | "HEAD"), _ -> Http.not_found oc
+    | ("GET" | "HEAD"), _ -> Http.not_found ~head oc
     | _ -> Http.method_not_allowed oc)
 
 (* --- accept loop ---------------------------------------------------------- *)
 
-(* The two protocols share the port; the first eight bytes distinguish
-   them ({!Proto.magic} vs an HTTP request line) without consuming
-   anything either parser needs. *)
-let peek8 fd =
-  let buf = Bytes.create 8 in
+(* The two protocols share the port.  Within [sniff_deadline] of being
+   accepted, a connection must show either {!Proto.magic} or a whole
+   HTTP request head of at most [max_head] bytes; otherwise it is
+   closed, so a peer that sends little or nothing holds neither a thread
+   nor memory.  Both checks peek, so the chosen reader still sees every
+   byte.  A protocol connection has no read deadline after this: a
+   worker is legitimately silent for as long as a batch runs. *)
+let sniff_deadline = 3.0
+let max_head = 8192
+
+(* whether the first [n] bytes of [buf] hold a blank line *)
+let head_complete buf n =
+  let s = Bytes.sub_string buf 0 n in
+  let rec from i =
+    match String.index_from_opt s i '\n' with
+    | None -> false
+    | Some j ->
+      (j + 1 < n && s.[j + 1] = '\n')
+      || (j + 2 < n && s.[j + 1] = '\r' && s.[j + 2] = '\n')
+      || from (j + 1)
+  in
+  from 0
+
+let sniff fd =
+  let buf = Bytes.create max_head in
+  let until = Unix.gettimeofday () +. sniff_deadline in
+  let magic = String.length Proto.magic in
   let rec go () =
-    match Unix.recv fd buf 0 8 [ Unix.MSG_PEEK ] with
+    let left = until -. Unix.gettimeofday () in
+    match
+      if left <= 0. then 0
+      else
+        match Unix.select [ fd ] [] [] left with
+        | [], _, _ -> 0
+        | _ -> Unix.recv fd buf 0 max_head [ Unix.MSG_PEEK ]
+    with
     | 0 -> None
-    | n when n >= 8 -> Some (Bytes.sub_string buf 0 8)
+    | n when n >= magic && Bytes.sub_string buf 0 magic = Proto.magic ->
+      Some `Protocol
+    | n when head_complete buf n -> Some `Http
+    | n when n >= max_head -> None
     | _ ->
       Unix.sleepf 0.002;
       go ()
@@ -392,19 +400,19 @@ let peek8 fd =
   go ()
 
 let handle_conn t fd =
-  let close () = try Unix.close fd with Unix.Unix_error _ -> () in
-  match peek8 fd with
-  | None -> close ()
-  | Some prefix ->
-    Fun.protect ~finally:close (fun () ->
-        if String.equal prefix Proto.magic then serve_protocol t fd
-        else serve_http t fd)
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      match sniff fd with
+      | Some `Protocol -> serve_protocol t fd
+      | Some `Http -> serve_http t fd
+      | None -> ())
 
 let acceptor t () =
   let rec loop () =
     match Unix.accept t.sock with
     | fd, _ ->
-      if with_lock t.m (fun () -> t.closed) then begin
+      if Mutex.protect t.m (fun () -> t.closed) then begin
         (try Unix.close fd with Unix.Unix_error _ -> ());
         try Unix.close t.sock with Unix.Unix_error _ -> ()
       end
@@ -500,7 +508,8 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(lease_timeout = 30.)
       strat_name = "";
       job = None;
       round = None;
-      limits = None;
+      limits = Collector.default_options;
+      totals = { executions = 0; states = 0; steps = 0; bugs = 0 };
       stop_requested = None;
       ck_wanted = false;
       ck_every = max_int;
@@ -517,7 +526,7 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(lease_timeout = 30.)
   t
 
 let shutdown t =
-  let was_closed = with_lock t.m (fun () ->
+  let was_closed = Mutex.protect t.m (fun () ->
       let c = t.closed in
       t.closed <- true;
       if t.phase <> Serving then t.phase <- Finished;
@@ -535,26 +544,15 @@ let shutdown t =
     match t.acceptor with None -> () | Some th -> Thread.join th
   end
 
-(* --- reading a round's reports -------------------------------------------- *)
+(* --- the lease server: a round runner ------------------------------------- *)
 
 (* The barrier and the mid-round save both read a round's reports in
    batch-id order, like the in-process barrier, and both stay linear in
    the round's batch count: the coordinator's threads share one runtime
    lock, so every connection waits while the round loop computes. *)
 
-(* Fold the absorbed batches' statistics and candidate bugs into [col]. *)
-let merge_reports col reports =
-  let candidates = ref [] in
-  Array.iter
-    (function
-      | None -> ()
-      | Some (_, sn) ->
-        Collector.merge_stats col sn;
-        candidates := Collector.snapshot_bugs sn @ !candidates)
-    reports;
-  Driver.absorb_bugs col !candidates
-
 let absorbed reports = List.filter_map (Option.map fst) (Array.to_list reports)
+let snapshots reports = List.filter_map (Option.map snd) (Array.to_list reports)
 
 let reported_params completed =
   List.map (fun (r : Proto.report) -> r.Proto.r_params) completed
@@ -576,27 +574,135 @@ let unabsorbed batches reports =
        (fun b _ -> Option.is_none reports.(b))
        (Array.to_list batches))
 
-(* --- the search loop ------------------------------------------------------ *)
+(* [l] cut into consecutive slices of at most [n] *)
+let chunk n l =
+  let a = Array.of_list l in
+  let len = Array.length a in
+  Array.init
+    ((len + n - 1) / n)
+    (fun b -> Array.to_list (Array.sub a (b * n) (min n (len - (b * n)))))
 
-let rec chunk n acc l =
-  match l with
-  | [] -> List.rev acc
-  | _ ->
-    let rec take k xs =
-      match (k, xs) with
-      | 0, _ | _, [] -> ([], xs)
-      | k, x :: rest ->
-        let b, r = take (k - 1) rest in
-        (x :: b, r)
+(* One round over the network: cut the sorted frontier into contiguous
+   batches (so a worker's consecutive batches share schedule prefixes
+   and hit its replay cache), lease them out, write mid-round
+   checkpoints when due, and at the barrier merge the reports in batch-id
+   order. *)
+let serve_round (type s w) t ses
+    (module S : Strategy.S with type state = s and type wstate = w)
+    ~(wstates : w array) work ~carry =
+  let master = ses.Driver.master in
+  let work = Driver.sorted_items work in
+  let prefixes = Driver.strip_items work in
+  let f0 = S.to_prefixes ~wstates ~work:prefixes ~next:[] in
+  let sent = f0.Checkpoint.v3_params in
+  let round_no = f0.Checkpoint.v3_round in
+  let arr = chunk t.batch_size prefixes in
+  let nb = Array.length arr in
+  let round_start = Collector.snapshot master in
+  Mutex.protect t.m (fun () ->
+      reset_totals t master;
+      t.ck_wanted <- false;
+      t.round <-
+        Some
+          {
+            rs_round = round_no;
+            rs_tag = S.tag;
+            rs_params = sent;
+            rs_items = arr;
+            rs_reports = Array.make nb None;
+            rs_pending = List.init nb Fun.id;
+            rs_leases = [];
+            rs_completed = 0;
+          };
+      t.phase <- Serving;
+      Condition.broadcast t.cv);
+  (* fold the workers' round-local params (truncation counts, sealing
+     counts, PCT's step estimate) as if one [to_prefixes] had seen the
+     union of their worker states *)
+  let params completed =
+    Strategy.merge_params ~sent ~reported:(reported_params completed)
+  in
+  (* Mid-round checkpoint, over [reports], a capture taken under the
+     lock; it runs in this thread with [t.m] released. *)
+  let mid_save reports =
+    let completed = absorbed reports in
+    Driver.save_partial ses ~round_start (snapshots reports) (fun () ->
+        {
+          Checkpoint.v3_tag = S.tag;
+          v3_params = params completed;
+          v3_round = round_no;
+          v3_work = unabsorbed arr reports;
+          v3_next = Driver.strip_items (next_round carry completed);
+        })
+  in
+  (* A checkpoint's capture moves [ck_last] at once: reports absorbed
+     while the save runs count toward the next one, not this one. *)
+  let rec wait () =
+    let what = Mutex.protect t.m (fun () ->
+        let rs = Option.get t.round in
+        if rs.rs_completed >= nb || t.stop_requested <> None then `Barrier
+        else if t.ck_wanted then begin
+          t.ck_wanted <- false;
+          t.ck_last <- t.totals.executions;
+          `Ckpt (Array.copy rs.rs_reports)
+        end
+        else begin
+          Condition.wait t.cv t.m;
+          `Again
+        end)
     in
-    let b, rest = take n l in
-    chunk n (b :: acc) rest
+    match what with
+    | `Barrier -> ()
+    | `Ckpt reports ->
+      mid_save reports;
+      wait ()
+    | `Again -> wait ()
+  in
+  wait ();
+  (* retire the round before merging: late reports turn stale *)
+  let rs, stop = Mutex.protect t.m (fun () ->
+      let rs = Option.get t.round in
+      t.round <- None;
+      t.phase <- Starting;
+      (rs, t.stop_requested))
+  in
+  Driver.merge master (snapshots rs.rs_reports);
+  (* telemetry: replay each batch's buffered events in batch-id order —
+     the merged trace is deterministic up to timestamps — then stamp the
+     batch totals *)
+  Array.iteri
+    (fun b r ->
+      match r with
+      | None -> ()
+      | Some ((rep : Proto.report), sn) ->
+        Telemetry.inject t.tel
+          (List.filter_map
+             (fun ej -> Result.to_option (Icb_obs.Event.of_json ej))
+             rep.Proto.r_events);
+        Driver.worker_stats ses.Driver.emit b sn)
+    rs.rs_reports;
+  let completed = absorbed rs.rs_reports in
+  let next = next_round carry completed in
+  (* the non-empty work list keeps the randomized strategies from
+     minting *)
+  if completed <> [] then
+    ignore
+      (S.of_prefixes master
+         {
+           Checkpoint.v3_tag = S.tag;
+           v3_params = params completed;
+           v3_round = round_no;
+           v3_work = prefixes;
+           v3_next = [];
+         });
+  m_inc t t.mx.mx_rounds;
+  Driver.merged master stop
+    ~work:(fun () -> unabsorbed arr rs.rs_reports)
+    ~next
 
 let run (type s) t (module E : Icb_search.Engine.S with type state = s)
-    ?(options = Collector.default_options) ?checkpoint_out
-    ?(checkpoint_every = Search_core.default_checkpoint_every)
-    ?(checkpoint_meta = []) ?resume_from ?env ?(cache = true) strategy :
-    Sresult.t =
+    ?options ?checkpoint_out ?checkpoint_every ?(checkpoint_meta = [])
+    ?resume_from ?env ?(cache = true) strategy : Sresult.t =
   let (module S : Strategy.S with type state = s) =
     Explore.instantiate ?env (module E) strategy
   in
@@ -607,107 +713,14 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
           and serialize; strategies that do: icb, dfs, db:N, idfs:N, \
           random, pct:N, vb:N, tb:N, icb-vb:N)"
          S.name);
-  let emit = Telemetry.emitter t.tel ~worker:0 in
-  let options = { options with Collector.events = emit } in
-  let fp = Driver.fingerprint (module E) in
-  let resume_v3 =
-    Option.map
-      (fun (c : Checkpoint.t) ->
-        let f = Checkpoint.to_v3 c in
-        if f.Checkpoint.v3_tag <> S.tag then
-          invalid_arg
-            (Printf.sprintf
-               "Coord.run: checkpoint was written by a %s search, not %s"
-               f.Checkpoint.v3_tag S.tag);
-        (match List.assoc_opt Driver.fingerprint_key f.Checkpoint.v3_params with
-        | Some s when s <> fp ->
-          invalid_arg
-            "Coord.run: the checkpoint belongs to a different program \
-             (initial-state fingerprint mismatch)"
-        | Some _ | None -> ());
-        f)
-      resume_from
+  let ses =
+    Driver.session (module E) (module S) ?options ?checkpoint_out
+      ?checkpoint_every ~checkpoint_meta ?resume_from ~telemetry:t.tel
+      ~domains:0 ()
   in
-  let master =
-    match resume_from with
-    | None -> Collector.create options
-    | Some (c : Checkpoint.t) -> Collector.restore options c.Checkpoint.collector
-  in
-  (* wall-clock accounting across interruptions, exactly as in
-     [Driver.run]: seed from the resumed params, charge each completed
-     round, stamp fingerprint + timing into every save *)
-  let run_started_at = Unix.gettimeofday () in
-  let param key =
-    Option.bind resume_v3 (fun (f : Checkpoint.v3) ->
-        List.assoc_opt key f.Checkpoint.v3_params)
-  in
-  let base_elapsed =
-    Option.value
-      (Option.bind (param Checkpoint.elapsed_key) float_of_string_opt)
-      ~default:0.0
-  in
-  let bound_times =
-    ref
-      (match param Checkpoint.bound_times_key with
-      | Some s -> Checkpoint.decode_bound_times s
-      | None -> [])
-  in
-  let round_started = ref run_started_at in
-  let add_bound_time bt (b, d) =
-    if List.mem_assoc b bt then
-      List.map (fun (b', s) -> if b' = b then (b', s +. d) else (b', s)) bt
-    else if d < 0.0005 then bt
-    else bt @ [ (b, d) ]
-  in
-  let note_round_done r =
-    let now = Unix.gettimeofday () in
-    bound_times := add_bound_time !bound_times (r, now -. !round_started);
-    round_started := now
-  in
-  let stamp (f : Checkpoint.v3) =
-    let now = Unix.gettimeofday () in
-    let bt =
-      add_bound_time !bound_times (S.round (), now -. !round_started)
-    in
-    {
-      f with
-      Checkpoint.v3_params =
-        f.Checkpoint.v3_params
-        @ [
-            (Driver.fingerprint_key, fp);
-            ( Checkpoint.elapsed_key,
-              Printf.sprintf "%.3f" (base_elapsed +. now -. run_started_at) );
-            (Checkpoint.bound_times_key, Checkpoint.encode_bound_times bt);
-          ];
-    }
-  in
-  let ckpt =
-    Option.map
-      (fun path ->
-        {
-          Search_core.ck_path = path;
-          ck_every = max 1 checkpoint_every;
-          ck_meta = checkpoint_meta;
-          ck_last = Collector.executions master;
-          ck_events = emit;
-        })
-      checkpoint_out
-  in
-  let stripped =
-    {
-      options with
-      Collector.max_executions = None;
-      max_states = None;
-      max_total_steps = None;
-      deadline = None;
-      stop_at_first_bug = false;
-      on_progress = None;
-      events = Icb_obs.Emit.null;
-    }
-  in
-  let wstates = [| S.wstate () |] in
+  let options = ses.Driver.options in
   (* publish the job: from here on, hellos are answered *)
-  with_lock t.m (fun () ->
+  Mutex.protect t.m (fun () ->
       if t.closed then invalid_arg "Coord.run: the coordinator was shut down";
       if t.job <> None then
         invalid_arg "Coord.run: the coordinator already ran a search";
@@ -716,42 +729,31 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
         Some
           {
             Proto.j_meta = checkpoint_meta;
-            j_root_sig = fp;
+            j_root_sig = Lazy.force ses.Driver.fingerprint;
             j_deadlock_is_error = options.Collector.deadlock_is_error;
             j_terminal_states_only = options.Collector.terminal_states_only;
             j_cache = cache;
             j_events = Telemetry.streams_events t.tel;
             j_worker = 0;
           };
-      t.limits <-
-        Some
-          {
-            li_options = options;
-            li_base_execs = Collector.executions master;
-            li_base_states = Collector.seen_states master;
-            li_base_steps = Collector.total_steps master;
-            li_base_bugs = Collector.bug_count master;
-            li_acc_execs = 0;
-            li_acc_states = 0;
-            li_acc_steps = 0;
-            li_acc_bugs = 0;
-          };
-      t.ck_every <- (match ckpt with Some c -> c.Search_core.ck_every | None -> max_int);
-      t.ck_last <- Collector.executions master);
+      t.limits <- options;
+      reset_totals t ses.Driver.master;
+      t.ck_every <-
+        (match ses.Driver.ckpt with
+        | Some c -> c.Icb_search.Search_core.ck_every
+        | None -> max_int);
+      t.ck_last <- Collector.executions ses.Driver.master);
   (* a ticker so a deadline fires and leases expire even while no worker
-     is talking to us; it also wakes the round loop below *)
+     is talking to us; it also wakes the round loop *)
   let ticker =
     Thread.create
       (fun () ->
         let rec tick () =
           Unix.sleepf 0.05;
-          let live = with_lock t.m (fun () ->
-              (match (t.limits, t.stop_requested) with
-              | Some li, None -> (
-                match li.li_options.Collector.deadline with
-                | Some d when Unix.gettimeofday () >= d ->
-                  request_stop t Sresult.Deadline_exceeded
-                | Some _ | None -> ())
+          let live = Mutex.protect t.m (fun () ->
+              (match (options.Collector.deadline, t.stop_requested) with
+              | Some d, None when Unix.gettimeofday () >= d ->
+                request_stop t Sresult.Deadline_exceeded
               | _ -> ());
               (match t.round with
               | Some rs when t.phase = Serving -> reclaim_expired t rs
@@ -764,183 +766,10 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
         tick ())
       ()
   in
-  Icb_obs.Emit.emit emit
-    (Icb_obs.Event.Run_started
-       { strategy = S.name; domains = 0; resumed = resume_from <> None });
-  let save_with col ~work ~next =
-    match ckpt with
-    | None -> ()
-    | Some ctl ->
-      Search_core.save_checkpoint col ctl ~strategy:S.name
-        ~frontier:(Checkpoint.V3 (stamp (S.to_prefixes ~wstates ~work ~next)))
-  in
-  (* Mid-round checkpoint: a scratch collector over the round-start
-     snapshot plus every batch absorbed so far, unabsorbed batches as the
-     work list.  Runs in this thread with [t.m] released, over
-     [reports], a capture taken under the lock. *)
-  let mid_save ~master_snap ~sent_params ~round_no ~arr ~carry reports =
-    match ckpt with
-    | None -> ()
-    | Some ctl ->
-      let scratch = Collector.restore stripped master_snap in
-      merge_reports scratch reports;
-      let completed = absorbed reports in
-      Search_core.save_checkpoint scratch ctl ~strategy:S.name
-        ~frontier:
-          (Checkpoint.V3
-             (stamp
-                {
-                  Checkpoint.v3_tag = S.tag;
-                  v3_params =
-                    Strategy.merge_params ~sent:sent_params
-                      ~reported:(reported_params completed);
-                  v3_round = round_no;
-                  v3_work = unabsorbed arr reports;
-                  v3_next = Driver.strip_items (next_round carry completed);
-                }))
-  in
-  let rec drive work carry =
-    let work = Driver.sorted_items work in
-    let prefixes = Driver.strip_items work in
-    let f0 = S.to_prefixes ~wstates ~work:prefixes ~next:[] in
-    let sent_params = f0.Checkpoint.v3_params in
-    let round_no = f0.Checkpoint.v3_round in
-    let n_work = List.length prefixes in
-    let arr = Array.of_list (chunk t.batch_size [] prefixes) in
-    let nb = Array.length arr in
-    Collector.note_frontier master n_work;
-    Icb_obs.Emit.emit emit
-      (Icb_obs.Event.Bound_started { bound = S.round (); items = n_work });
-    let master_snap = Collector.snapshot master in
-    with_lock t.m (fun () ->
-        (match t.limits with
-        | Some li ->
-          li.li_base_execs <- Collector.executions master;
-          li.li_base_states <- Collector.seen_states master;
-          li.li_base_steps <- Collector.total_steps master;
-          li.li_base_bugs <- Collector.bug_count master;
-          li.li_acc_execs <- 0;
-          li.li_acc_states <- 0;
-          li.li_acc_steps <- 0;
-          li.li_acc_bugs <- 0
-        | None -> ());
-        t.ck_wanted <- false;
-        t.round <-
-          Some
-            {
-              rs_round = round_no;
-              rs_tag = S.tag;
-              rs_params = sent_params;
-              rs_items = arr;
-              rs_reports = Array.make nb None;
-              rs_pending = List.init nb Fun.id;
-              rs_leases = [];
-              rs_completed = 0;
-            };
-        t.phase <- Serving;
-        Condition.broadcast t.cv);
-    (* A checkpoint's capture moves [ck_last] at once: reports absorbed
-       while the save runs count toward the next one, not this one. *)
-    let rec wait () =
-      let what = with_lock t.m (fun () ->
-          let rs = Option.get t.round in
-          if rs.rs_completed >= nb || t.stop_requested <> None then `Barrier
-          else if t.ck_wanted then begin
-            t.ck_wanted <- false;
-            (match t.limits with
-            | Some li -> t.ck_last <- li.li_base_execs + li.li_acc_execs
-            | None -> ());
-            `Ckpt (Array.copy rs.rs_reports)
-          end
-          else begin
-            Condition.wait t.cv t.m;
-            `Again
-          end)
-      in
-      match what with
-      | `Barrier -> ()
-      | `Ckpt reports ->
-        mid_save ~master_snap ~sent_params ~round_no ~arr ~carry reports;
-        wait ()
-      | `Again -> wait ()
-    in
-    wait ();
-    (* retire the round before merging: late reports turn stale *)
-    let rs, stop = with_lock t.m (fun () ->
-        let rs = Option.get t.round in
-        t.round <- None;
-        t.phase <- Starting;
-        (rs, t.stop_requested))
-    in
-    (* the deterministic barrier merge, in batch-id order *)
-    merge_reports master rs.rs_reports;
-    (* telemetry: replay each batch's buffered events in batch-id order —
-       the merged trace is deterministic up to timestamps — then stamp
-       the batch totals *)
-    Array.iteri
-      (fun b r ->
-        match r with
-        | None -> ()
-        | Some ((rep : Proto.report), sn) ->
-          Telemetry.inject t.tel
-            (List.filter_map
-               (fun ej -> Result.to_option (Icb_obs.Event.of_json ej))
-               rep.Proto.r_events);
-          Icb_obs.Emit.emit emit
-            (Icb_obs.Event.Worker_stats
-               {
-                 stats_for = b;
-                 executions = Collector.snapshot_executions sn;
-                 steps = Collector.snapshot_steps sn;
-                 bugs = List.length (Collector.snapshot_bugs sn);
-               }))
-      rs.rs_reports;
-    let completed = absorbed rs.rs_reports in
-    let next_items = next_round carry completed in
-    (* fold the workers' round-local params (truncation counts, sealing
-       counts, PCT's step estimate) back into this instance, as if one
-       [to_prefixes] had seen the union of their worker states; the
-       non-empty work list keeps the randomized strategies from minting *)
-    if completed <> [] then
-      ignore
-        (S.of_prefixes master
-           {
-             Checkpoint.v3_tag = S.tag;
-             v3_params =
-               Strategy.merge_params ~sent:sent_params
-                 ~reported:(reported_params completed);
-             v3_round = round_no;
-             v3_work = prefixes;
-             v3_next = [];
-           });
-    m_inc t t.mx.mx_rounds;
-    note_round_done (S.round ());
-    match stop with
-    | Some r ->
-      Collector.note_stop master r;
-      save_with master ~work:(unabsorbed arr rs.rs_reports)
-        ~next:(Driver.strip_items next_items)
-    | None -> (
-      Collector.mark_growth master;
-      match S.after_round master ~wstates ~deferred:next_items with
-      | `Complete ->
-        Collector.set_complete master;
-        save_with master ~work:[] ~next:[]
-      | `Bounded -> save_with master ~work:[] ~next:(Driver.strip_items next_items)
-      | `Round items -> drive items [])
-  in
-  (try
-     match resume_v3 with
-     | Some f ->
-       let work, carry = S.of_prefixes master f in
-       drive
-         (List.map Driver.of_prefix work)
-         (List.map Driver.of_prefix carry)
-     | None ->
-       let items = S.roots (module E) wstates.(0) master in
-       if items = [] then Collector.set_complete master else drive items []
-   with Collector.Stop -> ());
-  with_lock t.m (fun () ->
+  let wstates = [| S.wstate () |] in
+  Driver.rounds ses (module E) (module S) ~wstates
+    (serve_round t ses (module S) ~wstates);
+  Mutex.protect t.m (fun () ->
       t.phase <- Finished;
       t.round <- None;
       Condition.broadcast t.cv);
@@ -950,7 +779,7 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
      port down; a worker that lingers past the grace is simply dropped. *)
   let grace = Unix.gettimeofday () +. 5.0 in
   let rec drain () =
-    if with_lock t.m (fun () -> t.workers) > 0
+    if Mutex.protect t.m (fun () -> t.workers) > 0
        && Unix.gettimeofday () < grace
     then begin
       Unix.sleepf 0.02;
@@ -958,15 +787,4 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
     end
   in
   drain ();
-  let res = Collector.result master ~strategy:S.name in
-  Icb_obs.Emit.emit emit
-    (Icb_obs.Event.Run_finished
-       {
-         executions = res.Sresult.executions;
-         states = res.Sresult.distinct_states;
-         bugs = List.length res.Sresult.bugs;
-         complete = res.Sresult.complete;
-         stop_reason =
-           Option.map Sresult.stop_reason_string res.Sresult.stop_reason;
-       });
-  res
+  Driver.finish ses

@@ -83,28 +83,13 @@ let process_batch (type s) (module E : Icb_search.Engine.S with type state = s)
         c_materialize = materialize;
       }
     in
+    let expand = S.expand (module E) w in
     let rec loop () =
       match !queue with
       | [] -> ()
       | it :: rest ->
         queue := rest;
-        let execs0 = Collector.executions lcol in
-        let steps0 = Collector.total_steps lcol in
-        let item_t0 = Unix.gettimeofday () in
-        Icb_obs.Emit.emit emit
-          (Icb_obs.Event.Item_started
-             {
-               prefix = List.length it.Strategy.i_sched;
-               payload = it.Strategy.i_payload;
-             });
-        S.expand (module E) w ctx it;
-        Icb_obs.Emit.emit emit
-          (Icb_obs.Event.Item_finished
-             {
-               seconds = Unix.gettimeofday () -. item_t0;
-               executions = Collector.executions lcol - execs0;
-               steps = Collector.total_steps lcol - steps0;
-             });
+        Driver.expand_item emit expand ctx it;
         loop ()
     in
     (match loop () with

@@ -441,48 +441,29 @@ let enabled_raw (st : State.t) =
     done;
     !r
 
-(* Per-domain scratch holding one enabledness byte per thread, so the
-   search hot path allocates exactly the list it returns: enabledness is
-   decided in one forward pass over the scratch (which also learns
-   whether any enabled thread is awake), then the list is built backward
-   without re-running [instr_enabled] or filtering a copy.  Domain-local,
-   so parallel workers never contend. *)
-let enabled_scratch : Bytes.t ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref (Bytes.create 16))
-
+(* One backward pass decides enabledness once per thread and builds the
+   list in tid order; the search hot path allocates exactly the list it
+   returns unless a yielded thread must be hidden.  No scratch shared
+   across calls: workers may be threads of one domain. *)
 let enabled (st : State.t) =
   match st.error with
   | Some _ -> []
   | None ->
-    let n = Array.length st.threads in
-    let cell = Domain.DLS.get enabled_scratch in
-    if Bytes.length !cell < n then cell := Bytes.create (max n (2 * Bytes.length !cell));
-    let bits = !cell in
-    let any = ref false in
+    let r = ref [] in
     let any_awake = ref false in
-    for tid = 0 to n - 1 do
+    let any_yielded = ref false in
+    for tid = Array.length st.threads - 1 downto 0 do
       let th = Array.unsafe_get st.threads tid in
-      let on = (not th.finished) && instr_enabled st th in
-      Bytes.unsafe_set bits tid (if on then '\001' else '\000');
-      if on then begin
-        any := true;
-        if not th.yielded then any_awake := true
+      if (not th.finished) && instr_enabled st th then begin
+        r := tid :: !r;
+        if th.yielded then any_yielded := true else any_awake := true
       end
     done;
-    if not !any then []
-    else begin
-      (* yield flags hide a thread only while some awake thread remains:
-         a yielding thread cannot disable the whole program *)
-      let keep_yielded = not !any_awake in
-      let r = ref [] in
-      for tid = n - 1 downto 0 do
-        if
-          Bytes.unsafe_get bits tid = '\001'
-          && (keep_yielded || not (Array.unsafe_get st.threads tid).yielded)
-        then r := tid :: !r
-      done;
-      !r
-    end
+    (* yield flags hide a thread only while some awake thread remains:
+       a yielding thread cannot disable the whole program *)
+    if !any_yielded && !any_awake then
+      List.filter (fun tid -> not (Array.unsafe_get st.threads tid).yielded) !r
+    else !r
 
 type status =
   | Running
@@ -526,6 +507,16 @@ let clear_yields (st : State.t) =
     }
   else st
 
+(* Where no thread can run, yield flags are residue no scheduling
+   decision will read; clear them so equivalent executions that end
+   blocked reach identical states. *)
+let settle_yields (st : State.t) =
+  if
+    Array.exists (fun (th : State.thread) -> th.yielded) st.threads
+    && not (has_enabled st)
+  then clear_yields st
+  else st
+
 let step gran (st : State.t) tid =
   (match st.error with
   | Some _ -> invalid_arg "Interp.step: error state"
@@ -533,20 +524,30 @@ let step gran (st : State.t) tid =
   let th = State.thread_get st tid in
   if th.finished then invalid_arg "Interp.step: finished thread";
   if not (instr_enabled st th) then invalid_arg "Interp.step: blocked thread";
-  let st = clear_yields st in
+  let code = st.prog.procs.(th.proc).code in
+  let at_end = th.pc >= Array.length code in
+  (* A yield hides its thread until another thread performs a
+     synchronization access.  Plain data accesses do not release it:
+     under sync-only granularity they run inside the surrounding steps,
+     so letting them count would make the two granularities reach
+     different states (the Section 3.1 reduction).  Every sync-only step
+     starts at a synchronization access. *)
+  let releases =
+    match gran with
+    | Sync_only -> true
+    | Every_access -> at_end || classify_here st code.(th.pc) = Instr.Class_sync
+  in
+  let st = if releases then clear_yields st else st in
   let st = { st with last_tid = tid } in
   let ctx = { st; evs = []; gran } in
   let th = State.thread_get st tid in
-  let code = st.prog.procs.(th.proc).code in
-  let blocking_op =
-    th.pc < Array.length code && Instr.is_potentially_blocking code.(th.pc)
-  in
+  let blocking_op = (not at_end) && Instr.is_potentially_blocking code.(th.pc) in
   try
-    (if th.pc >= Array.length code then
+    (if at_end then
        ctx.st <-
          State.thread_set ctx.st tid { th with finished = true; yielded = false }
      else exec_instr ctx tid);
     park ctx tid;
-    { state = ctx.st; events = List.rev ctx.evs; blocking_op }
+    { state = settle_yields ctx.st; events = List.rev ctx.evs; blocking_op }
   with Model_error e ->
     { state = with_error ctx e; events = List.rev ctx.evs; blocking_op }

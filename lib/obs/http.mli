@@ -10,17 +10,23 @@ type request = {
 
 val read_request : in_channel -> (request, string) result
 (** Parse the request line and consume the header block.  [Error] on
-    malformed or truncated input. *)
+    malformed or truncated input, or on a request line longer than 8 KiB;
+    a longer header line ends the block.  Reading is bounded in memory,
+    not in time: a caller facing untrusted peers waits for the whole head
+    first. *)
 
 val respond :
   out_channel ->
   ?status:int * string ->
+  ?head:bool ->
   content_type:string ->
   string ->
   unit
 (** Write a complete response (default status [200 OK]) with
-    [Content-Length] and [Connection: close], then flush.  The caller
+    [Content-Length] and [Connection: close], then flush.  With
+    [~head:true] (the answer to a [HEAD] request) the headers, including
+    the body's [Content-Length], are sent without the body.  The caller
     closes the socket. *)
 
-val not_found : out_channel -> unit
+val not_found : ?head:bool -> out_channel -> unit
 val method_not_allowed : out_channel -> unit

@@ -1,11 +1,11 @@
-(* Machinery shared by the serial search strategies ([Explore]) and the
-   parallel ICB executor ([Parallel]): execution accounting, crash
-   containment, checkpoint write control and — most importantly — the
-   per-work-item ICB exploration.
+(* Machinery shared by the strategies and every round runner of
+   [Driver] (serial queue, domain pool, distributed lease server):
+   execution accounting, crash containment, checkpoint write control and
+   — most importantly — the per-work-item ICB exploration.
 
-   The parallel executor replays the very same code path per work item as
-   the serial driver, so the two provably explore identical subtrees; the
-   equivalence test suite (test/test_parallel.ml) checks exactly that. *)
+   Every runner replays the very same code path per work item, so they
+   provably explore identical subtrees; the equivalence test suites
+   (test/test_parallel.ml, test/test_dist.ml) check exactly that. *)
 
 let finish (type s) (module E : Engine.S with type state = s) col (st : s)
     status =

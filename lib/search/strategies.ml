@@ -21,16 +21,9 @@
 let item ~sched ~payload ~state =
   { Strategy.i_sched = sched; i_payload = payload; i_state = state }
 
-let of_prefix (sched, payload) = item ~sched ~payload ~state:None
-
 let int_param params key ~default =
   match List.assoc_opt key params with
   | Some s -> ( try int_of_string s with Failure _ -> default)
-  | None -> default
-
-let bool_param params key ~default =
-  match List.assoc_opt key params with
-  | Some s -> ( try bool_of_string s with Invalid_argument _ -> default)
   | None -> default
 
 (* One independent, reproducible stream per walk index: SplitMix64 seeded
@@ -939,5 +932,3 @@ let icb_vb (type s) (module _ : Engine.S with type state = s) ~n ~max_bound
       sealed_base := int_param f.Checkpoint.v3_params "sealed" ~default:0;
       (f.Checkpoint.v3_work, f.Checkpoint.v3_next)
   end)
-
-let _ = bool_param

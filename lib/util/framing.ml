@@ -15,12 +15,23 @@ let write_frame oc ~magic ~version ~payload =
   output_binary_int oc (String.length payload);
   output_string oc payload
 
+(* Payloads are read in chunks of this size, so memory follows the bytes
+   actually received rather than the length a peer declares. *)
+let chunk = 65536
+
 let read_frame ?(check_version = fun _ -> true) ic ~magic =
   let ( let* ) = Result.bind in
   let read_exactly n section =
-    match really_input_string ic n with
-    | s -> Ok s
-    | exception End_of_file -> Error (Truncated section)
+    let b = Buffer.create (min n chunk) in
+    let rec go left =
+      if left = 0 then Ok (Buffer.contents b)
+      else
+        let k = min left chunk in
+        match Buffer.add_channel b ic k with
+        | () -> go (left - k)
+        | exception End_of_file -> Error (Truncated section)
+    in
+    go n
   in
   let read_int section =
     match input_binary_int ic with

@@ -674,23 +674,103 @@ let resume_tests =
         Sys.remove path;
         assert_equivalent "kill + serial resume vs uninterrupted serial" full
           resumed);
+    (* The coordinator validates a resumed checkpoint like the serial
+       driver: another program's, or another strategy's, is refused up
+       front, before any job is published. *)
+    Alcotest.test_case "a foreign checkpoint is refused" `Quick (fun () ->
+        let stopped p strategy =
+          let path = Filename.temp_file "icb-dist" ".ckpt" in
+          ignore
+            (Icb.run
+               ~options:
+                 {
+                   Collector.default_options with
+                   Collector.max_executions = Some 5;
+                 }
+               ~checkpoint_out:path ~strategy p);
+          let c = Checkpoint.load path in
+          Sys.remove path;
+          c
+        in
+        let icb = Explore.Icb { max_bound = Some 3; cache = false } in
+        (* no workers: an accepted checkpoint ends at the deadline *)
+        let refused what ckpt =
+          let coord = Coord.create () in
+          let p = prog () in
+          match
+            Coord.run coord (Icb.engine p) ~resume_from:ckpt
+              ~options:
+                {
+                  Collector.default_options with
+                  Collector.deadline = Some (Collector.deadline_in 1.0);
+                }
+              ~env:(Strategy.env_of_prog p) icb
+          with
+          | exception Invalid_argument _ -> Coord.shutdown coord
+          | _ ->
+            Coord.shutdown coord;
+            Alcotest.failf "%s: the coordinator resumed it" what
+        in
+        refused "another program's checkpoint"
+          (stopped (Icb_models.Dryad.program Icb_models.Dryad.Correct) icb);
+        refused "another strategy's checkpoint"
+          (stopped (prog ()) (Explore.Dfs { cache = false })));
   ]
 
 (* --- HTTP endpoints on the protocol port ----------------------------------- *)
 
-let http_get port path =
+(* Send [request] and read until the coordinator closes (a reset, when
+   it closes with our bytes unread, counts as a close). *)
+let http_raw port request =
   let fd, ic, oc = raw_connect port in
-  output_string oc
-    (Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" path);
+  output_string oc request;
   flush oc;
   let buf = Buffer.create 1024 in
   (try
      while true do
        Buffer.add_channel buf ic 1
      done
-   with End_of_file -> ());
+   with End_of_file | Sys_error _ -> ());
   (try Unix.close fd with Unix.Unix_error _ -> ());
   Buffer.contents buf
+
+let http_get ?(meth = "GET") port path =
+  http_raw port
+    (Printf.sprintf "%s %s HTTP/1.1\r\nHost: localhost\r\n\r\n" meth path)
+
+(* A response's head and body. *)
+let split_response r =
+  let n = String.length r in
+  let rec go i =
+    if i + 4 > n then (r, "")
+    else if String.sub r i 4 = "\r\n\r\n" then
+      (String.sub r 0 i, String.sub r (i + 4) (n - i - 4))
+    else go (i + 1)
+  in
+  go 0
+
+(* The coordinator's sniff deadline (a constant in coord.ml): a
+   connection that shows neither the protocol magic nor a whole HTTP
+   request head by then is closed. *)
+let sniff_deadline = 3.0
+
+(* Whether the coordinator closes [fd] within [secs]. *)
+let closed_within fd secs =
+  let until = Unix.gettimeofday () +. secs in
+  let buf = Bytes.create 64 in
+  let rec go () =
+    let left = until -. Unix.gettimeofday () in
+    left > 0.
+    &&
+    match Unix.select [ fd ] [] [] left with
+    | [], _, _ -> false
+    | _ -> (
+      match Unix.read fd buf 0 64 with
+      | 0 -> true
+      | _ -> go ()
+      | exception Unix.Unix_error _ -> true)
+  in
+  go ()
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -724,6 +804,61 @@ let http_tests =
           (contains missing "404");
         check Alcotest.bool "the served run still found the bug" true
           (d.Sresult.bugs <> []));
+    (* RFC 9110 9.3.2: a HEAD response carries GET's headers, including
+       its Content-Length, and no body. *)
+    Alcotest.test_case "HEAD answers with GET's headers and no body" `Quick
+      (fun () ->
+        let coord = Coord.create () in
+        let port = Coord.port coord in
+        let get_head, get_body = split_response (http_get port "/status") in
+        let head_head, head_body =
+          split_response (http_get ~meth:"HEAD" port "/status")
+        in
+        let _, missing_body =
+          split_response (http_get ~meth:"HEAD" port "/nope")
+        in
+        Coord.shutdown coord;
+        check Alcotest.bool "GET has a body" true (get_body <> "");
+        check Alcotest.string "same headers as GET" get_head head_head;
+        check Alcotest.int "HEAD body bytes" 0 (String.length head_body);
+        check Alcotest.int "HEAD 404 body bytes" 0
+          (String.length missing_body));
+    Alcotest.test_case "silent and partial peers are disconnected" `Quick
+      (fun () ->
+        let coord = Coord.create () in
+        let port = Coord.port coord in
+        let started = Unix.gettimeofday () in
+        let silent, _, _ = raw_connect port in
+        let partial, _, oc = raw_connect port in
+        output_string oc "ICB";
+        flush oc;
+        let within () =
+          sniff_deadline +. 1. -. (Unix.gettimeofday () -. started)
+        in
+        let silent_closed = closed_within silent (within ()) in
+        let partial_closed = closed_within partial (within ()) in
+        Coord.shutdown coord;
+        Unix.close silent;
+        Unix.close partial;
+        check Alcotest.bool "a silent peer is disconnected" true silent_closed;
+        check Alcotest.bool "a 3-byte peer is disconnected" true
+          partial_closed);
+    (* refused by the head cap as soon as the bytes arrive, not by the
+       deadline *)
+    Alcotest.test_case "an over-long request line gets no 200" `Quick
+      (fun () ->
+        let coord = Coord.create () in
+        let started = Unix.gettimeofday () in
+        let reply =
+          http_raw (Coord.port coord) ("GET /" ^ String.make 9000 'a')
+        in
+        let took = Unix.gettimeofday () -. started in
+        Coord.shutdown coord;
+        check Alcotest.bool "no 200" false (contains reply "200");
+        check Alcotest.bool
+          (Printf.sprintf "closed after %.2f s" took)
+          true
+          (took < sniff_deadline /. 2.));
   ]
 
 (* --- wire encoding --------------------------------------------------------- *)

@@ -164,6 +164,37 @@ main { lock(m); spawn other(); r = 1; unlock(m); }
         step 0 (* unlock *);
         check (Alcotest.list Alcotest.int) "thread 1 released" [ 1 ]
           (Interp.enabled !st));
+    (* Distributed workers can be threads of one domain (test_dist runs
+       them so): enabledness must not depend on state shared across
+       calls. *)
+    Alcotest.test_case "enabled is safe across threads of one domain" `Quick
+      (fun () ->
+        let prog =
+          compile
+            {|
+mutex m;
+var r: int;
+proc other() { lock(m); r = 2; unlock(m); }
+main { lock(m); spawn other(); r = 1; unlock(m); }
+|}
+        in
+        let after n =
+          run_schedule prog (List.init n (fun _ -> 0))
+        in
+        let wrong = Atomic.make 0 in
+        let hammer st expected () =
+          let until = Unix.gettimeofday () +. 1.0 in
+          while Unix.gettimeofday () < until do
+            for _ = 1 to 1000 do
+              if Interp.enabled st <> expected then Atomic.incr wrong
+            done
+          done
+        in
+        let a = Thread.create (hammer (after 2) [ 0 ]) () in
+        let b = Thread.create (hammer (after 4) [ 1 ]) () in
+        Thread.join a;
+        Thread.join b;
+        check Alcotest.int "wrong answers" 0 (Atomic.get wrong));
     Alcotest.test_case "unlock not held is an error" `Quick (fun () ->
         let st = run_round_robin (compile {|
 mutex m;

@@ -7,7 +7,6 @@ module Collector = Icb_search.Collector
 module Checkpoint = Icb_search.Checkpoint
 module Sresult = Icb_search.Sresult
 module Engine = Icb_search.Engine
-module Parallel = Icb_search.Parallel
 
 let check = Alcotest.check
 
@@ -206,7 +205,7 @@ let stress_tests =
         let path = tmp_ckpt () in
         let t1 = new_tape () in
         let interrupted =
-          Parallel.run
+          Icb_search.Driver.run
             (fun _ -> recording_engine prog t1)
             ~options:
               {
@@ -215,7 +214,9 @@ let stress_tests =
                 max_executions = Some (full.Sresult.executions / 4);
               }
             ~checkpoint_out:path ~checkpoint_every:max_int ~domains:4
-            ~max_bound:(Some max_bound) ~cache:false ()
+            (Icb_search.Strategies.icb
+               (recording_engine prog t1)
+               ~max_bound:(Some max_bound) ~cache:false)
         in
         check Alcotest.bool "was interrupted" false
           interrupted.Sresult.complete;

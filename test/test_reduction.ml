@@ -164,8 +164,43 @@ let coarse_config = Mach_engine.default_config
 let pp_table fmt t =
   Hashtbl.iter (fun k v -> Format.fprintf fmt "%s->%d " k v) t
 
+(* Both granularities reach the same terminal states on [src]. *)
+let same_terminals src () =
+  let prog = Icb.compile src in
+  let fine = explore fine_config prog in
+  let coarse = explore coarse_config prog in
+  Alcotest.(check bool) "no race" false (fine.raced || coarse.raced);
+  Alcotest.(check int) "terminal states"
+    (Hashtbl.length coarse.terminals) (Hashtbl.length fine.terminals);
+  Alcotest.(check bool) "same terminal states" true
+    (sets_equal fine.terminals coarse.terminals)
+
 let reduction_tests =
   [
+    (* w1's plain accesses run inside its steps under sync-only
+       granularity, so they must not release w2's yield under
+       every-access granularity either: w1 always takes m first *)
+    Alcotest.test_case "a data access does not release a yield" `Quick
+      (same_terminals
+         {|
+var d: int;
+var r: int;
+mutex m;
+proc w1() { d = d + 1; lock(m); r = r * 2; unlock(m); }
+proc w2() { yield; lock(m); r = r + 1; unlock(m); }
+main { spawn w1(); spawn w2(); }
+|});
+    (* whichever thread yields last before blocking, the deadlock is
+       one state *)
+    Alcotest.test_case "a yield flag is residue in a deadlock" `Quick
+      (same_terminals
+         {|
+var d: int;
+event manual ev;
+proc w1() { yield; wait(ev); }
+proc w2() { yield; d = d + 2; }
+main { spawn w1(); spawn w2(); }
+|});
     qtest
       (QCheck.Test.make
          ~name:"sync-only reduction preserves terminal states and bug bounds"

@@ -351,6 +351,39 @@ let format_tests =
              reaching here silently would be the dangerous outcome *)
           Alcotest.fail "resume against the wrong program must not succeed");
         Sys.remove path);
+    (* The domain pool shares the serial path's resume validation:
+       another program's checkpoint, or another strategy's, is refused
+       before anything runs. *)
+    Alcotest.test_case "the domain pool refuses a foreign checkpoint" `Quick
+      (fun () ->
+        let stopped strategy prog =
+          let path = tmp_ckpt () in
+          ignore
+            (Icb.run
+               ~options:
+                 { Collector.default_options with max_executions = Some 50 }
+               ~checkpoint_out:path ~strategy prog);
+          let c = Checkpoint.load path in
+          Sys.remove path;
+          c
+        in
+        let bluetooth = Icb_models.Bluetooth.program ~bug:false in
+        let refused what ckpt =
+          match
+            Icb_search.Driver.run
+              (fun _ -> Icb.engine bluetooth)
+              ~resume_from:ckpt ~domains:2
+              (Icb_search.Strategies.icb (Icb.engine bluetooth)
+                 ~max_bound:None ~cache:false)
+          with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "%s: the pool resumed it" what
+        in
+        refused "another program's checkpoint"
+          (stopped icb_unbounded
+             (Icb_models.Dryad.program Icb_models.Dryad.Correct));
+        refused "another strategy's checkpoint"
+          (stopped (Explore.Dfs { cache = false }) bluetooth));
   ]
 
 (* --- crash containment ---------------------------------------------------- *)

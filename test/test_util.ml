@@ -2,6 +2,7 @@ module Bignat = Icb_util.Bignat
 module Combin = Icb_util.Combin
 module Fnv = Icb_util.Fnv
 module Rng = Icb_util.Rng
+module Framing = Icb_util.Framing
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -217,6 +218,43 @@ let rng_tests =
           (Rng.next_int64 a <> Rng.next_int64 b));
   ]
 
+(* --- Framing -------------------------------------------------------------- *)
+
+let framing_tests =
+  [
+    (* A frame header that declares a 2 GiB payload, followed by nothing:
+       the reader must allocate what arrives, not what is declared. *)
+    Alcotest.test_case "a declared length allocates only what arrives" `Quick
+      (fun () ->
+        let magic = "ICBDIST\x01" in
+        let path = Filename.temp_file "icb-frame" ".bin" in
+        let oc = open_out_bin path in
+        output_string oc magic;
+        output_binary_int oc 2;
+        output_string oc (String.make 16 '\000');
+        output_binary_int oc 0x7fffffff;
+        close_out oc;
+        let ic = open_in_bin path in
+        let before = Gc.allocated_bytes () in
+        let r = Framing.read_frame ic ~magic in
+        let grown = Gc.allocated_bytes () -. before in
+        close_in ic;
+        Sys.remove path;
+        check Alcotest.bool "truncated payload" true
+          (r = Error (Framing.Truncated Framing.Payload));
+        check Alcotest.bool
+          (Printf.sprintf "%.0f bytes allocated" grown)
+          true (grown < 1048576.));
+    Alcotest.test_case "a payload larger than one read chunk round-trips"
+      `Quick (fun () ->
+        let path = Filename.temp_file "icb-frame" ".bin" in
+        let payload = String.init 200_000 (fun i -> Char.chr (i land 0xff)) in
+        Framing.write_file ~path ~magic:"TEST" ~version:1 ~payload;
+        let r = Framing.read_file ~path ~magic:"TEST" () in
+        Sys.remove path;
+        check Alcotest.bool "same payload" true (r = Ok (1, payload)));
+  ]
+
 let () =
   Alcotest.run "util"
     [
@@ -224,4 +262,5 @@ let () =
       ("combin", combin_tests);
       ("fnv", fnv_tests);
       ("rng", rng_tests);
+      ("frame", framing_tests);
     ]
