@@ -129,100 +129,160 @@ let all_finished t = Array.for_all (fun th -> th.finished) t.threads
    then a breadth-first walk through the cells discovered so far.  Values in
    freed cells are not traversed (dangling handles serialize as the special
    marker below).  Unreachable live cells are leaked memory; they are
-   appended in address order so that a leak still distinguishes states. *)
+   appended in address order so that a leak still distinguishes states.
 
-let canonical_buf t buf =
-  let rename = Hashtbl.create 16 in
-  let queue = Queue.create () in
-  let canon_of addr =
-    if addr < 0 then -1
-    else
-      match Hashtbl.find_opt rename addr with
-      | Some c -> c
+   There is one walk, written against a byte sink: [canonical_repr]
+   collects the bytes in a buffer, [signature] hashes them as they are
+   produced, so fingerprinting a state builds no string and allocates
+   nothing per byte. *)
+
+type sink =
+  | Buf of Buffer.t
+  | Hash of Icb_util.Fnv.acc
+
+(* Heap renaming of one walk: each reached address's canonical number, and
+   the reached cells not yet written, in discovery order. *)
+type renaming = {
+  canon : (int, int) Hashtbl.t;
+  pending : int Queue.t;
+}
+
+type walk = {
+  sink : sink;
+  cells : heap_cell Heap_map.t;
+  mutable ren : renaming option;  (* created at the first handle reached *)
+}
+
+let put w c =
+  match w.sink with
+  | Buf b -> Buffer.add_char b c
+  | Hash h -> Icb_util.Fnv.add_char h c
+
+(* the decimal digits of [-m], for [m <= 0]: every int, [min_int]
+   included, has a non-positive negation *)
+let rec put_digits w m =
+  if m <= -10 then put_digits w (m / 10);
+  put w (Char.unsafe_chr (Char.code '0' - (m mod 10)))
+
+(* [n] as [string_of_int] prints it, without building the string *)
+let put_int w n =
+  if n < 0 then begin
+    put w '-';
+    put_digits w n
+  end
+  else put_digits w (-n)
+
+let canon_of w addr =
+  if addr < 0 then -1
+  else
+    let r =
+      match w.ren with
+      | Some r -> r
       | None ->
-        let c = Hashtbl.length rename in
-        Hashtbl.add rename addr c;
-        Queue.push addr queue;
-        c
-  in
-  let add_value v =
-    match v with
-    | Value.Int n ->
-      Buffer.add_char buf 'i';
-      Buffer.add_string buf (string_of_int n)
-    | Value.Bool b -> Buffer.add_char buf (if b then 'T' else 'F')
-    | Value.Handle h ->
-      Buffer.add_char buf 'h';
-      Buffer.add_string buf (string_of_int (canon_of h))
-  in
-  let add_sep () = Buffer.add_char buf ';' in
-  Array.iter (fun v -> add_value v; add_sep ()) t.globals;
-  Buffer.add_char buf '|';
-  Array.iter
-    (fun c ->
-      (match c with
-      | Mutex_cell owner ->
-        Buffer.add_char buf 'm';
-        Buffer.add_string buf (string_of_int owner)
-      | Event_cell s -> Buffer.add_char buf (if s then 'E' else 'e')
-      | Sem_cell n ->
-        Buffer.add_char buf 's';
-        Buffer.add_string buf (string_of_int n));
-      add_sep ())
-    t.syncs;
-  Buffer.add_char buf '|';
-  Array.iter
-    (fun th ->
-      Buffer.add_string buf (string_of_int th.proc);
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (string_of_int th.pc);
-      Buffer.add_char buf (if th.finished then 'X' else 'R');
-      Buffer.add_char buf (if th.yielded then 'Y' else 'N');
-      Buffer.add_string buf (string_of_int th.atomic);
-      Buffer.add_char buf ',';
-      Array.iter (fun v -> add_value v; add_sep ()) th.regs;
-      Buffer.add_char buf '/')
-    t.threads;
-  Buffer.add_char buf '|';
-  (* walk the heap in canonical discovery order *)
-  let emitted = ref 0 in
-  let emit_cell addr =
-    incr emitted;
-    match Heap_map.find_opt addr t.heap with
-    | None | Some { freed = true; _ } -> Buffer.add_char buf '!'
-    | Some { data; freed = false } ->
-      Buffer.add_char buf '[';
-      Array.iter (fun v -> add_value v; add_sep ()) data;
-      Buffer.add_char buf ']'
-  in
-  let rec drain () =
-    if not (Queue.is_empty queue) then begin
-      emit_cell (Queue.pop queue);
-      drain ()
-    end
-  in
-  drain ();
-  (* leaked live cells, in address order, each traversed too *)
-  Heap_map.iter
-    (fun addr cell ->
-      if (not cell.freed) && not (Hashtbl.mem rename addr) then begin
-        Buffer.add_char buf 'L';
-        ignore (canon_of addr);
-        drain ()
-      end)
-    t.heap;
-  Buffer.add_char buf '|';
-  (match t.error with
+        let r = { canon = Hashtbl.create 16; pending = Queue.create () } in
+        w.ren <- Some r;
+        r
+    in
+    match Hashtbl.find_opt r.canon addr with
+    | Some c -> c
+    | None ->
+      let c = Hashtbl.length r.canon in
+      Hashtbl.add r.canon addr c;
+      Queue.push addr r.pending;
+      c
+
+let put_value w v =
+  match v with
+  | Value.Int n ->
+    put w 'i';
+    put_int w n
+  | Value.Bool b -> put w (if b then 'T' else 'F')
+  | Value.Handle h ->
+    put w 'h';
+    put_int w (canon_of w h)
+
+let put_values w vs =
+  for i = 0 to Array.length vs - 1 do
+    put_value w vs.(i);
+    put w ';'
+  done
+
+let put_cell w addr =
+  match Heap_map.find_opt addr w.cells with
+  | None | Some { freed = true; _ } -> put w '!'
+  | Some { data; freed = false } ->
+    put w '[';
+    put_values w data;
+    put w ']'
+
+(* write the reached cells in canonical discovery order *)
+let rec drain w =
+  match w.ren with
+  | Some { pending; _ } when not (Queue.is_empty pending) ->
+    put_cell w (Queue.pop pending);
+    drain w
+  | Some _ | None -> ()
+
+let renamed w addr =
+  match w.ren with
+  | None -> false
+  | Some r -> Hashtbl.mem r.canon addr
+
+let canonical_walk sink t =
+  let w = { sink; cells = t.heap; ren = None } in
+  put_values w t.globals;
+  put w '|';
+  for i = 0 to Array.length t.syncs - 1 do
+    (match t.syncs.(i) with
+    | Mutex_cell owner ->
+      put w 'm';
+      put_int w owner
+    | Event_cell s -> put w (if s then 'E' else 'e')
+    | Sem_cell n ->
+      put w 's';
+      put_int w n);
+    put w ';'
+  done;
+  put w '|';
+  for i = 0 to Array.length t.threads - 1 do
+    let th = t.threads.(i) in
+    put_int w th.proc;
+    put w ':';
+    put_int w th.pc;
+    put w (if th.finished then 'X' else 'R');
+    put w (if th.yielded then 'Y' else 'N');
+    put_int w th.atomic;
+    put w ',';
+    put_values w th.regs;
+    put w '/'
+  done;
+  put w '|';
+  drain w;
+  (* leaked live cells, in address order, each traversed too; a state
+     without a heap skips building the closure *)
+  if not (Heap_map.is_empty t.heap) then
+    Heap_map.iter
+      (fun addr cell ->
+        if (not cell.freed) && not (renamed w addr) then begin
+          put w 'L';
+          ignore (canon_of w addr);
+          drain w
+        end)
+      t.heap;
+  put w '|';
+  match t.error with
   | None -> ()
-  | Some e -> Buffer.add_string buf (Merr.key e));
-  ignore !emitted
+  | Some e -> String.iter (put w) (Merr.key e)
 
 let canonical_repr t =
   let buf = Buffer.create 256 in
-  canonical_buf t buf;
+  canonical_walk (Buf buf) t;
   Buffer.contents buf
 
-let signature t = Icb_util.Fnv.hash_string (canonical_repr t)
+let signature t =
+  let h = Icb_util.Fnv.acc () in
+  canonical_walk (Hash h) t;
+  Icb_util.Fnv.value h
 
 let pp fmt t =
   let f x = Format.fprintf fmt x in

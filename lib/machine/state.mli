@@ -67,11 +67,20 @@ val add_thread : t -> thread -> t * int
 val all_finished : t -> bool
 
 val signature : t -> int64
-(** 64-bit FNV fingerprint of the canonical representation. *)
+(** 64-bit FNV-1a fingerprint of the canonical representation:
+    [signature t = Icb_util.Fnv.hash_string (canonical_repr t)].  It hashes
+    the canonical bytes in one pass as the walk produces them, without
+    building the string, and allocates nothing per byte.
+
+    The format is persistent: checkpoints stamp the initial state's
+    signature and carry visited-state signatures, as do collector
+    snapshots on the distributed wire, so changing a single byte of
+    [canonical_repr] orphans every saved checkpoint. *)
 
 val canonical_repr : t -> string
 (** The full canonical serialization (exact, collision-free); used by tests
-    and available for exact state caching. *)
+    and available for exact state caching.  It and {!signature} come from
+    the same walk. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable dump for trace reports. *)

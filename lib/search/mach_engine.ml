@@ -66,6 +66,13 @@ end) : Engine.S with type state = state = struct
 
   let cfg = Cfg.config
 
+  (* [signature] is the happens-before signature's only reader: outside
+     [Hb_signature] mode every state keeps [Hbsig.empty] *)
+  let observe_hb hbs events =
+    match cfg.signature_mode with
+    | Hb_signature -> Icb_race.Hbsig.observe hbs events
+    | Canonical_state -> hbs
+
   let init_detector () =
     if not cfg.check_races then Det_none
     else
@@ -90,7 +97,7 @@ end) : Engine.S with type state = state = struct
     let det, race = run_detector (init_detector ()) r.events in
     {
       mstate = r.state;
-      hbs = Icb_race.Hbsig.observe Icb_race.Hbsig.empty r.events;
+      hbs = observe_hb Icb_race.Hbsig.empty r.events;
       det;
       race;
       depth = 0;
@@ -125,7 +132,7 @@ end) : Engine.S with type state = state = struct
     let det, race = run_detector s.det r.events in
     {
       mstate = r.state;
-      hbs = Icb_race.Hbsig.observe s.hbs r.events;
+      hbs = observe_hb s.hbs r.events;
       det;
       race;
       depth = s.depth + 1;

@@ -4,7 +4,11 @@
 
 type signature_mode =
   | Canonical_state  (** ZING-style: fingerprint of the canonical state *)
-  | Hb_signature     (** CHESS-style: happens-before signature of the run *)
+  | Hb_signature
+      (** CHESS-style: happens-before signature of the run.  Only this
+          mode folds each step's events into a happens-before signature;
+          the other keeps none, so its steps skip that work and its
+          states retain no happens-before maps. *)
 
 type config = {
   granularity : Icb_machine.Interp.granularity;

@@ -7,8 +7,10 @@
    provably explore identical subtrees; the equivalence test suites
    (test/test_parallel.ml, test/test_dist.ml) check exactly that. *)
 
+(* [signature] is [st]'s: every caller has just computed it to touch the
+   state, so it is passed in rather than computed twice. *)
 let finish (type s) (module E : Engine.S with type state = s) col (st : s)
-    status =
+    ~signature status =
   Collector.end_execution col
     {
       Collector.depth = E.depth st;
@@ -16,7 +18,7 @@ let finish (type s) (module E : Engine.S with type state = s) col (st : s)
       preemptions = E.preemptions st;
       threads = E.thread_count st;
       schedule = E.schedule st;
-      signature = E.signature st;
+      signature;
       status;
     }
 
@@ -73,7 +75,9 @@ let step_guarded (type s) (module E : Engine.S with type state = s) col
    every continuation that costs no preemption; a switch away from a
    still-enabled running thread costs one preemption, so those branches are
    handed to [defer] for the next context bound.  [seen] is the optional
-   state cache keyed on (signature, tid).
+   state cache keyed on (signature, tid); each reached state is
+   fingerprinted once, and that one signature is touched, checked against
+   the cache and stamped on the execution it ends.
 
    [admit st' tid] decides whether the preemption point reached at [st']
    (the running thread [tid] still enabled, about to be switched away
@@ -87,35 +91,49 @@ let step_guarded (type s) (module E : Engine.S with type state = s) col
    parallel executor: its subtree is fully determined by (schedule prefix,
    tid) plus the strategy's deterministic [admit], independent of who runs
    it or when. *)
-let icb_item (type s) (module E : Engine.S with type state = s) col ~seen
+let icb_item (type s) (module E : Engine.S with type state = s) col ?seen
     ?(admit = fun _ _ -> true) ?(seal = fun () -> ()) ~defer (st0, tid0) =
-  let rec search (st, tid) =
-    if not (seen st tid) then begin
-      match step_guarded (module E) col st tid with
-      | None -> ()
-      | Some st' -> (
-        Collector.touch col (E.signature st');
-        match E.status st' with
-        | Engine.Running ->
-          let en = E.enabled st' in
-          if List.mem tid en then begin
-            (* running thread still enabled: continue it without a context
-               switch; scheduling anyone else here costs a preemption, so
-               defer those work items to the next bound — unless the
-               bounding discipline seals this preemption point *)
-            search (st', tid);
-            if List.exists (fun t -> t <> tid) en then
-              if admit st' tid then
-                List.iter (fun t -> if t <> tid then defer st' t) en
-              else seal ()
-          end
-          else
-            (* the running thread blocked or finished: switching is free *)
-            List.iter (fun t -> search (st', t)) en
-        | status -> finish (module E) col st' status)
-    end
+  let cached sg tid =
+    match seen with Some seen -> seen sg tid | None -> false
   in
-  search (st0, tid0)
+  let rec search st tid =
+    match step_guarded (module E) col st tid with
+    | None -> ()
+    | Some st' -> (
+      let sg = E.signature st' in
+      Collector.touch col sg;
+      match E.status st' with
+      | Engine.Running ->
+        let en = E.enabled st' in
+        if List.mem tid en then begin
+          (* running thread still enabled: continue it without a context
+             switch; scheduling anyone else here costs a preemption, so
+             defer those work items to the next bound — unless the
+             bounding discipline seals this preemption point *)
+          if not (cached sg tid) then search st' tid;
+          if List.exists (fun t -> t <> tid) en then
+            if admit st' tid then
+              List.iter (fun t -> if t <> tid then defer st' t) en
+            else seal ()
+        end
+        else
+          (* the running thread blocked or finished: switching is free *)
+          List.iter (fun t -> if not (cached sg t) then search st' t) en
+      | status -> finish (module E) col st' ~signature:sg status)
+  in
+  match seen with
+  | Some seen when seen (E.signature st0) tid0 -> ()
+  | Some _ | None -> search st0 tid0
+
+(* The paper's optional state cache as [icb_item]'s [seen], over a
+   per-worker table: absent when caching is off. *)
+let item_cache ~cache table =
+  if not cache then None
+  else
+    Some
+      (fun sg tid ->
+        let k = (sg, tid) in
+        Hashtbl.mem table k || (Hashtbl.add table k (); false))
 
 (* --- cache-aware prefix materialization ---------------------------------- *)
 

@@ -59,14 +59,15 @@ let icb (type s) (module _ : Engine.S with type state = s) ~max_bound ~cache :
     let roots (module E : Engine.S with type state = state) _w col =
       Collector.note_bound col !bound;
       let s0 = E.initial () in
-      Collector.touch col (E.signature s0);
+      let sg = E.signature s0 in
+      Collector.touch col sg;
       match E.status s0 with
       | Engine.Running ->
         List.map
           (fun t -> item ~sched:[] ~payload:t ~state:(Some s0))
           (E.enabled s0)
       | status ->
-        Search_core.finish (module E) col s0 status;
+        Search_core.finish (module E) col s0 ~signature:sg status;
         []
 
     let expand (module E : Engine.S with type state = state) table ctx it =
@@ -77,15 +78,10 @@ let icb (type s) (module _ : Engine.S with type state = s) ~max_bound ~cache :
       match ctx.Strategy.c_materialize it with
       | None -> ()
       | Some st ->
-        let seen st tid =
-          cache
-          &&
-          let k = (E.signature st, tid) in
-          Hashtbl.mem table k || (Hashtbl.add table k (); false)
-        in
         Search_core.icb_item
           (module E)
-          ctx.Strategy.c_col ~seen
+          ctx.Strategy.c_col
+          ?seen:(Search_core.item_cache ~cache table)
           ~defer:(fun st' t ->
             ctx.Strategy.c_defer
               (item ~sched:(E.schedule st') ~payload:t ~state:(Some st')))
@@ -174,7 +170,7 @@ let dfs_family (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
       (* visit a newly reached state: finish terminal or truncated
          executions, otherwise push one item per enabled thread (reversed,
          so the first enabled thread pops first under LIFO) *)
-      let enter st =
+      let enter st sg =
         match E.status st with
         | Engine.Running ->
           if
@@ -183,7 +179,7 @@ let dfs_family (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
             | None -> false
           then begin
             w.w_truncated <- w.w_truncated + 1;
-            Search_core.finish (module E) col st Engine.Running
+            Search_core.finish (module E) col st ~signature:sg Engine.Running
           end
           else
             List.iter
@@ -191,23 +187,23 @@ let dfs_family (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
                 ctx.Strategy.c_push
                   (item ~sched:(E.schedule st) ~payload:t ~state:(Some st)))
               (List.rev (E.enabled st))
-        | status -> Search_core.finish (module E) col st status
+        | status -> Search_core.finish (module E) col st ~signature:sg status
+      in
+      let reach st =
+        let sg = E.signature st in
+        Collector.touch col sg;
+        if not (seen w sg) then enter st sg
       in
       match ctx.Strategy.c_materialize it with
       | None -> ()
       | Some st ->
-        if it.Strategy.i_payload = Strategy.visit then begin
-          Collector.touch col (E.signature st);
-          if not (seen w (E.signature st)) then enter st
-        end
+        if it.Strategy.i_payload = Strategy.visit then reach st
         else begin
           match
             Search_core.step_guarded (module E) col st it.Strategy.i_payload
           with
           | None -> ()
-          | Some st' ->
-            Collector.touch col (E.signature st');
-            if not (seen w (E.signature st')) then enter st'
+          | Some st' -> reach st'
         end
 
     let rank _ _ = 0
@@ -328,7 +324,7 @@ let sleep_dfs (type s) (module _ : Engine.S with type state = s) :
 
     let expand (module E : Engine.S with type state = state) () ctx it =
       let col = ctx.Strategy.c_col in
-      let rec dfs st (sleep : (int * Engine.Footprint.t) list) =
+      let rec dfs st sg (sleep : (int * Engine.Footprint.t) list) =
         match E.status st with
         | Engine.Running ->
           let explored = ref [] in
@@ -342,21 +338,22 @@ let sleep_dfs (type s) (module _ : Engine.S with type state = s) :
                   match Search_core.step_guarded (module E) col st t with
                   | None -> ()
                   | Some st' ->
-                    Collector.touch col (E.signature st');
+                    let sg' = E.signature st' in
+                    Collector.touch col sg';
                     let sleep' =
                       List.filter
                         (fun (_, fp_u) -> Engine.Footprint.independent fp fp_u)
                         (sleep @ !explored)
                     in
-                    dfs st' sleep';
+                    dfs st' sg' sleep';
                     explored := (t, fp) :: !explored)
               end)
             (E.enabled st)
-        | status -> Search_core.finish (module E) col st status
+        | status -> Search_core.finish (module E) col st ~signature:sg status
       in
       match ctx.Strategy.c_materialize it with
       | None -> ()
-      | Some st -> dfs st []
+      | Some st -> dfs st (E.signature st) []
 
     let rank _ _ = 0
     let round () = 0
@@ -390,16 +387,14 @@ let most_enabled (type s) (module _ : Engine.S with type state = s) ~cache :
 
     let wstate () = Hashtbl.create 4096
 
-    let seen table (module E : Engine.S with type state = state) st =
-      cache
-      &&
-      let k = E.signature st in
-      Hashtbl.mem table k || (Hashtbl.add table k (); false)
+    let seen table sg =
+      cache && (Hashtbl.mem table sg || (Hashtbl.add table sg (); false))
 
     let roots (module E : Engine.S with type state = state) w col =
       let s0 = E.initial () in
-      Collector.touch col (E.signature s0);
-      if not (seen w (module E) s0) then
+      let sg = E.signature s0 in
+      Collector.touch col sg;
+      if not (seen w sg) then
         [ item ~sched:[] ~payload:Strategy.visit ~state:(Some s0) ]
       else []
 
@@ -415,13 +410,16 @@ let most_enabled (type s) (module _ : Engine.S with type state = s) ~cache :
               match Search_core.step_guarded (module E) col st t with
               | None -> ()
               | Some st' ->
-                Collector.touch col (E.signature st');
-                if not (seen w (module E) st') then
+                let sg = E.signature st' in
+                Collector.touch col sg;
+                if not (seen w sg) then
                   ctx.Strategy.c_push
                     (item ~sched:(E.schedule st') ~payload:Strategy.visit
                        ~state:(Some st')))
             (E.enabled st)
-        | status -> Search_core.finish (module E) col st status)
+        | status ->
+          Search_core.finish (module E) col st ~signature:(E.signature st)
+            status)
 
     let rank (module E : Engine.S with type state = state) it =
       match it.Strategy.i_state with
@@ -489,7 +487,8 @@ let random_walk (type s) (module _ : Engine.S with type state = s) ~seed :
       let col = ctx.Strategy.c_col in
       let rng = walk_rng seed it.Strategy.i_payload in
       let st = ref (E.initial ()) in
-      Collector.touch col (E.signature !st);
+      let sg = ref (E.signature !st) in
+      Collector.touch col !sg;
       let rec walk () =
         match E.status !st with
         | Engine.Running -> (
@@ -498,9 +497,10 @@ let random_walk (type s) (module _ : Engine.S with type state = s) ~seed :
           | None -> ()
           | Some st' ->
             st := st';
-            Collector.touch col (E.signature !st);
+            sg := E.signature st';
+            Collector.touch col !sg;
             walk ())
-        | status -> Search_core.finish (module E) col !st status
+        | status -> Search_core.finish (module E) col !st ~signature:!sg status
       in
       walk ()
 
@@ -589,7 +589,8 @@ let pct (type s) (module _ : Engine.S with type state = s) ~change_points
             (i + 1, 1 + Icb_util.Rng.int rng (max 1 !k_estimate)))
       in
       let st = ref (E.initial ()) in
-      Collector.touch col (E.signature !st);
+      let sg = ref (E.signature !st) in
+      Collector.touch col !sg;
       let steps = ref 0 in
       let rec walk () =
         match E.status !st with
@@ -614,9 +615,10 @@ let pct (type s) (module _ : Engine.S with type state = s) ~change_points
           | None -> ()  (* crash recorded; this execution is over *)
           | Some st' ->
             st := st';
-            Collector.touch col (E.signature !st);
+            sg := E.signature st';
+            Collector.touch col !sg;
             walk ())
-        | status -> Search_core.finish (module E) col !st status
+        | status -> Search_core.finish (module E) col !st ~signature:!sg status
       in
       walk ();
       w.w_kmax <- max w.w_kmax (E.depth !st)
@@ -728,29 +730,25 @@ let sealed_space (type s) (module _ : Engine.S with type state = s) ~tag_
 
     let roots (module E : Engine.S with type state = state) _w col =
       let s0 = E.initial () in
-      Collector.touch col (E.signature s0);
+      let sg = E.signature s0 in
+      Collector.touch col sg;
       match E.status s0 with
       | Engine.Running ->
         List.map
           (fun t -> item ~sched:[] ~payload:t ~state:(Some s0))
           (E.enabled s0)
       | status ->
-        Search_core.finish (module E) col s0 status;
+        Search_core.finish (module E) col s0 ~signature:sg status;
         []
 
     let expand (module E : Engine.S with type state = state) w ctx it =
       match ctx.Strategy.c_materialize it with
       | None -> ()
       | Some st ->
-        let seen st tid =
-          cache
-          &&
-          let k = (E.signature st, tid) in
-          Hashtbl.mem w.w_cache k || (Hashtbl.add w.w_cache k (); false)
-        in
         Search_core.icb_item
           (module E)
-          ctx.Strategy.c_col ~seen
+          ctx.Strategy.c_col
+          ?seen:(Search_core.item_cache ~cache w.w_cache)
           ~admit:(mk_admit (module E : Engine.S with type state = state) !keys)
           ~seal:(fun () -> w.w_sealed <- w.w_sealed + 1)
           ~defer:(fun st' t ->
@@ -852,14 +850,15 @@ let icb_vb (type s) (module _ : Engine.S with type state = s) ~n ~max_bound
     let roots (module E : Engine.S with type state = state) _w col =
       Collector.note_bound col !bound;
       let s0 = E.initial () in
-      Collector.touch col (E.signature s0);
+      let sg = E.signature s0 in
+      Collector.touch col sg;
       match E.status s0 with
       | Engine.Running ->
         List.map
           (fun t -> item ~sched:[] ~payload:t ~state:(Some s0))
           (E.enabled s0)
       | status ->
-        Search_core.finish (module E) col s0 status;
+        Search_core.finish (module E) col s0 ~signature:sg status;
         []
 
     let expand (module E : Engine.S with type state = state) w ctx it =
@@ -867,15 +866,10 @@ let icb_vb (type s) (module _ : Engine.S with type state = s) ~n ~max_bound
       match ctx.Strategy.c_materialize it with
       | None -> ()
       | Some st ->
-        let seen st tid =
-          cache
-          &&
-          let k = (E.signature st, tid) in
-          Hashtbl.mem w.w_cache k || (Hashtbl.add w.w_cache k (); false)
-        in
         Search_core.icb_item
           (module E)
-          ctx.Strategy.c_col ~seen
+          ctx.Strategy.c_col
+          ?seen:(Search_core.item_cache ~cache w.w_cache)
           ~admit:(var_admit (module E : Engine.S with type state = state) !keys)
           ~seal:(fun () -> w.w_sealed <- w.w_sealed + 1)
           ~defer:(fun st' t ->

@@ -1,10 +1,13 @@
 (** 64-bit FNV-1a hashing.
 
-    Used throughout the checker to fingerprint program states and
-    happens-before signatures.  FNV-1a is chosen because it is trivially
-    incremental: a hash value can be extended byte by byte, which lets the
-    interpreter maintain running state signatures without serializing whole
-    states. *)
+    Used throughout the checker to fingerprint program states,
+    happens-before signatures, schedules and bug witnesses.  FNV-1a is
+    chosen because it is trivially incremental: a hash value can be
+    extended byte by byte, so a producer can hash its bytes as it emits
+    them instead of first building the string.  The machine's
+    [State.signature] streams a state's canonical bytes into an {!acc}
+    that way.  Every function here extends a hash through the same byte
+    update. *)
 
 type t = int64
 
@@ -33,3 +36,18 @@ val combine_commutative : t -> t -> t
 
 val to_hex : t -> string
 (** Render as a 16-character lowercase hex string. *)
+
+(** {2 Streaming} *)
+
+type acc
+(** A running hash extended in place.  Extending it allocates nothing. *)
+
+val acc : unit -> acc
+(** A fresh running hash at {!basis}. *)
+
+val add_char : acc -> char -> unit
+(** Extend with one byte: [value a] becomes [char v c], where [v] was
+    [value a] before. *)
+
+val value : acc -> t
+(** The hash of every byte added so far. *)

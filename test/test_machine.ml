@@ -615,6 +615,116 @@ main { g = %d; }
         in
         go 200;
         check Alcotest.bool "at most one shared access per step" true !ok);
+    Alcotest.test_case "the streamed signature hashes the canonical bytes"
+      `Quick (fun () ->
+        (* 20 seeded random walks per addressable program and granularity;
+           every state on them, heap, error and deadlock states included *)
+        let states = ref 0 in
+        List.iteri
+          (fun pi (name, mk) ->
+            let prog = mk () in
+            List.iteri
+              (fun gi gran ->
+                for walk = 1 to 20 do
+                  let rng = Random.State.make [| pi; gi; walk |] in
+                  let rec go st depth =
+                    incr states;
+                    let expected =
+                      Icb_util.Fnv.hash_string (State.canonical_repr st)
+                    in
+                    if State.signature st <> expected then
+                      Alcotest.failf "%s walk %d depth %d: %s <> %s" name walk
+                        depth
+                        (Icb_util.Fnv.to_hex (State.signature st))
+                        (Icb_util.Fnv.to_hex expected);
+                    match (Interp.status st, Interp.enabled st) with
+                    | Interp.Running, (_ :: _ as en) when depth < 3000 ->
+                      let tid =
+                        List.nth en (Random.State.int rng (List.length en))
+                      in
+                      go (Interp.step gran st tid).Interp.state (depth + 1)
+                    | _ -> ()
+                  in
+                  go (Interp.start gran prog).Interp.state 0
+                done)
+              [ Interp.Sync_only; Interp.Every_access ])
+          (Icb_models.Registry.addressable ());
+        check Alcotest.bool "walked" true (!states > 10_000));
+    Alcotest.test_case "the canonical format is pinned" `Quick (fun () ->
+        (* checkpoints and wire snapshots store signatures of this format;
+           the expected strings were produced by the serializer they
+           replaced *)
+        let prog =
+          {
+            Icb_machine.Prog.globals = [||];
+            syncs = [||];
+            procs =
+              [|
+                { Icb_machine.Prog.pname = "main"; nparams = 0; nregs = 2;
+                  code = [||] };
+              |];
+            main = 0;
+          }
+        in
+        let cell data = { State.data; freed = false } in
+        let heap =
+          List.fold_left
+            (fun m (addr, c) -> State.Heap_map.add addr c m)
+            State.Heap_map.empty
+            [
+              (* reached from the globals, higher address first *)
+              (5, cell [| Value.Handle 8; Value.Handle 2; Value.Int (-3) |]);
+              (2, cell [| Value.Bool false |]);
+              (* reached from [5] only: a LIFO walk would write it early *)
+              (8, cell [| Value.Int 42 |]);
+              (* freed, reached from a register *)
+              (7, { State.data = [| Value.Int 1 |]; freed = true });
+              (* leaked: live, unreachable, pointing at another leak *)
+              (9, cell [| Value.Handle 11 |]);
+              (11, cell [| Value.Int 0 |]);
+              (* freed and unreachable: not written at all *)
+              (12, { State.data = [| Value.Int 6 |]; freed = true });
+            ]
+        in
+        let thread proc pc regs ~finished ~yielded ~atomic =
+          { State.proc; pc; regs; finished; yielded; atomic }
+        in
+        let st =
+          {
+            (State.initial prog) with
+            State.globals =
+              [|
+                Value.Int min_int; Value.Int max_int; Value.Int (-17);
+                Value.Handle 5; Value.Handle 2; Value.Handle (-1);
+                Value.Bool true;
+              |];
+            syncs =
+              [|
+                State.Mutex_cell (-1); State.Mutex_cell 1;
+                State.Event_cell true; State.Event_cell false;
+                State.Sem_cell (-2);
+              |];
+            threads =
+              [|
+                thread 0 12 [| Value.Handle 7; Value.Int 0 |] ~finished:false
+                  ~yielded:true ~atomic:0;
+                thread 3 (-1) [| Value.Handle 2; Value.Int 10 |]
+                  ~finished:true ~yielded:false ~atomic:2;
+              |];
+            heap;
+            next_addr = 13;
+            error = Some (Merr.Assert_failure { tid = 1; msg = "boom" });
+          }
+        in
+        check Alcotest.string "canonical repr"
+          ("i-4611686018427387904;i4611686018427387903;i-17;h0;h1;h-1;T;"
+         ^ "|m-1;m1;E;e;s-2;"
+         ^ "|0:12RY0,h2;i0;/3:-1XN2,h1;i10;/"
+         ^ "|[h3;h1;i-3;][F;]![i42;]L[h5;][i0;]"
+         ^ "|assert:boom")
+          (State.canonical_repr st);
+        check Alcotest.string "signature" "4f48c51d31a46fcd"
+          (Icb_util.Fnv.to_hex (State.signature st)));
   ]
 
 (* --- program validation ---------------------------------------------------- *)

@@ -336,6 +336,27 @@ let config_tests =
         check Alcotest.bool "hb <= canonical" true
           (states Icb_search.Mach_engine.Hb_signature
           <= states Icb_search.Mach_engine.Canonical_state));
+    Alcotest.test_case "each engine config's exact coverage" `Quick
+      (fun () ->
+        (* pinned at bound 2 on the correct Bluetooth model: a change to
+           what a config fingerprints or how it steps shows here *)
+        let prog = Icb_models.Bluetooth.program ~bug:false in
+        List.iter
+          (fun (name, config, states, executions, steps) ->
+            let r =
+              Icb.run ~config
+                ~strategy:(Explore.Icb { max_bound = Some 2; cache = false })
+                prog
+            in
+            check Alcotest.int (name ^ " states") states
+              r.Sresult.distinct_states;
+            check Alcotest.int (name ^ " executions") executions r.executions;
+            check Alcotest.int (name ^ " steps") steps r.total_steps)
+          [
+            ("default", Icb_search.Mach_engine.default_config, 56, 33, 252);
+            ("chess", Icb_search.Mach_engine.chess_config, 60, 33, 252);
+            ("zing", Icb_search.Mach_engine.zing_config, 89, 55, 686);
+          ]);
   ]
 
 (* --- partial-order reduction and the extension strategies ---------------- *)

@@ -179,6 +179,24 @@ let fnv_tests =
          (fun (a, b) ->
            QCheck.assume (a <> b);
            Fnv.int Fnv.basis a <> Fnv.int Fnv.basis b));
+    Alcotest.test_case "known-answer vectors" `Quick (fun () ->
+        (* the published FNV-1a 64 test vectors *)
+        check Alcotest.string "a" "af63dc4c8601ec8c"
+          (Fnv.to_hex (Fnv.hash_string "a"));
+        check Alcotest.string "foobar" "85944171f73967e8"
+          (Fnv.to_hex (Fnv.hash_string "foobar"));
+        check Alcotest.string "char" "af63dc4c8601ec8c"
+          (Fnv.to_hex (Fnv.char Fnv.basis 'a')));
+    qtest
+      (QCheck.Test.make ~name:"a running hash equals the string's hash"
+         ~count:300
+         (QCheck.make QCheck.Gen.(pair string string))
+         (fun (a, b) ->
+           let acc = Fnv.acc () in
+           String.iter (Fnv.add_char acc) a;
+           let mid = Fnv.value acc in
+           String.iter (Fnv.add_char acc) b;
+           mid = Fnv.hash_string a && Fnv.value acc = Fnv.hash_string (a ^ b)));
   ]
 
 (* --- Rng ---------------------------------------------------------------- *)
