@@ -290,20 +290,25 @@ module Run = struct
     | Deadlock of int list
     | Failed of string
 
+  let rec any_enabled r i =
+    i < r.nthreads && (thread_enabled r.threads.(i) || any_enabled r (i + 1))
+
+  (* Called before and after every step, so it answers [Running] without
+     allocating. *)
   let status r =
     match r.failure with
     | Some msg -> Failed msg
-    | None -> (
-      match enabled_raw r with
-      | _ :: _ -> Running
-      | [] ->
+    | None ->
+      if any_enabled r 0 then Running
+      else begin
         let blocked = ref [] in
         for i = r.nthreads - 1 downto 0 do
           match r.threads.(i).st with
           | T_done -> ()
           | T_not_started _ | T_parked _ -> blocked := i :: !blocked
         done;
-        if !blocked = [] then Terminated else Deadlock !blocked)
+        if !blocked = [] then Terminated else Deadlock !blocked
+      end
 
   (* Start thread [t]'s body under the scheduling handler.  The handler is
      installed once per thread; resuming a parked continuation re-enters

@@ -7,6 +7,26 @@ type var_id =
   | Hcell of int * int
   | Svar of int * int
 
+let var_kind = function Gvar _ -> 0 | Hcell _ -> 1 | Svar _ -> 2
+
+let compare_var a b =
+  match (a, b) with
+  | Gvar (a1, a2), Gvar (b1, b2)
+  | Hcell (a1, a2), Hcell (b1, b2)
+  | Svar (a1, a2), Svar (b1, b2) ->
+    let c = Int.compare a1 b1 in
+    if c <> 0 then c else Int.compare a2 b2
+  | _ -> Int.compare (var_kind a) (var_kind b)
+
+module Var_ord = struct
+  type t = var_id
+
+  let compare = compare_var
+end
+
+module Var_map = Map.Make (Var_ord)
+module Var_set = Set.Make (Var_ord)
+
 type event =
   | Ev_data of { tid : int; var : var_id; write : bool }
   | Ev_sync of { tid : int; var : var_id }

@@ -27,6 +27,19 @@ type var_id =
   | Hcell of int * int  (** heap address, element index *)
   | Svar of int * int   (** sync object id, element index *)
 
+val compare_var : var_id -> var_id -> int
+(** The one order on variables, used by every map and set keyed on them
+    (the race detectors, the happens-before signature, step footprints):
+    by kind ([Gvar] < [Hcell] < [Svar]), then by the first index, then by
+    the element index.  It is the order [Stdlib.compare] gives, without
+    the polymorphic traversal. *)
+
+module Var_map : Map.S with type key = var_id
+(** Maps ordered by {!compare_var}. *)
+
+module Var_set : Set.S with type elt = var_id
+(** Sets ordered by {!compare_var}. *)
+
 type event =
   | Ev_data of { tid : int; var : var_id; write : bool }
       (** plain (non-synchronization) access *)

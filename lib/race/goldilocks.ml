@@ -1,21 +1,21 @@
 module Interp = Icb_machine.Interp
 module Imap = Map.Make (Int)
+module Var_map = Interp.Var_map
 
 module Elem = struct
   type t =
     | Thread of int
     | Sync of Interp.var_id
 
-  let compare = Stdlib.compare
+  let compare a b =
+    match (a, b) with
+    | Thread x, Thread y -> Int.compare x y
+    | Sync x, Sync y -> Interp.compare_var x y
+    | Thread _, Sync _ -> -1
+    | Sync _, Thread _ -> 1
 end
 
 module Lockset = Set.Make (Elem)
-
-module Var_map = Map.Make (struct
-  type t = Interp.var_id
-
-  let compare = Stdlib.compare
-end)
 
 type data_state = {
   wls : (Lockset.t * int) option;  (* write lockset and the writer tid *)

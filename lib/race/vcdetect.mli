@@ -6,6 +6,13 @@
     variable are ordered); data accesses are checked against the last write
     epoch and the read epochs since that write.
 
+    A write that races several earlier readers reports the lowest racing
+    reader's thread id.  FastTrack's same-epoch fast paths skip the work
+    that cannot change anything: a read by a thread that already read the
+    variable at its current epoch, and a write by the thread that last
+    wrote it at its current epoch with no reads since, return the
+    detector state unchanged, without allocating.
+
     The state is persistent: the search can branch an execution and carry
     the detector along each branch. *)
 

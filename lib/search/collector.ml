@@ -1,3 +1,5 @@
+module Sigset = Icb_util.Sigset
+
 type progress = {
   p_executions : int;
   p_states : int;
@@ -39,7 +41,7 @@ exception Stop
 type t = {
   opts : options;
   least_witness : bool;
-  visited : (int64, unit) Hashtbl.t;
+  visited : Sigset.t;
   bugs : (string, Sresult.bug) Hashtbl.t;
   mutable bug_order : string list;  (* reversed *)
   mutable executions : int;
@@ -62,7 +64,7 @@ let create ?(least_witness = false) opts =
   {
     opts;
     least_witness;
-    visited = Hashtbl.create 4096;
+    visited = Sigset.create 1024;
     bugs = Hashtbl.create 16;
     bug_order = [];
     executions = 0;
@@ -96,16 +98,14 @@ let check_deadline t =
 
 let touch t signature =
   t.total_steps <- t.total_steps + 1;
-  if
-    (not t.opts.terminal_states_only)
-    && not (Hashtbl.mem t.visited signature)
-  then Hashtbl.add t.visited signature ();
-  if over t.opts.max_states (Hashtbl.length t.visited) then
+  if not t.opts.terminal_states_only then
+    Sigset.add t.visited signature;
+  if over t.opts.max_states (Sigset.length t.visited) then
     stop t Sresult.State_limit;
   if over t.opts.max_total_steps t.total_steps then stop t Sresult.Step_limit;
   if t.total_steps land 31 = 0 then check_deadline t
 
-let seen_states t = Hashtbl.length t.visited
+let seen_states t = Sigset.length t.visited
 
 let executions t = t.executions
 
@@ -145,13 +145,12 @@ let status_string : Engine.status -> string = function
 
 let end_execution t (e : execution_end) =
   t.executions <- t.executions + 1;
-  if t.opts.terminal_states_only && not (Hashtbl.mem t.visited e.signature)
-  then Hashtbl.add t.visited e.signature ();
+  if t.opts.terminal_states_only then Sigset.add t.visited e.signature;
   t.max_steps <- max t.max_steps e.depth;
   t.max_blocks <- max t.max_blocks e.blocks;
   t.max_preemptions <- max t.max_preemptions e.preemptions;
   t.max_threads <- max t.max_threads e.threads;
-  t.growth <- (t.executions, Hashtbl.length t.visited) :: t.growth;
+  t.growth <- (t.executions, Sigset.length t.visited) :: t.growth;
   (* before bug handling: [stop_at_first_bug] raises from [bug_of], and
      the execution that exposed the bug must already be in the stream *)
   if Icb_obs.Emit.enabled t.opts.events then
@@ -206,7 +205,7 @@ let end_execution t (e : execution_end) =
     f
       {
         p_executions = t.executions;
-        p_states = Hashtbl.length t.visited;
+        p_states = Sigset.length t.visited;
         p_bugs = Hashtbl.length t.bugs;
         p_elapsed = Unix.gettimeofday () -. t.started;
         p_bound = t.current_bound;
@@ -217,7 +216,7 @@ let end_execution t (e : execution_end) =
   check_deadline t
 
 let record_bound t bound =
-  t.bound_coverage <- (bound, Hashtbl.length t.visited) :: t.bound_coverage;
+  t.bound_coverage <- (bound, Sigset.length t.visited) :: t.bound_coverage;
   t.bound_executions <- (bound, t.executions) :: t.bound_executions
 
 let set_complete t = t.complete <- true
@@ -263,10 +262,10 @@ type snapshot = {
 let snapshot t =
   {
     s_visited =
-      (let a = Array.make (Hashtbl.length t.visited) 0L in
+      (let a = Array.make (Sigset.length t.visited) 0L in
        let i = ref 0 in
-       Hashtbl.iter
-         (fun sig_ () ->
+       Sigset.iter
+         (fun sig_ ->
            a.(!i) <- sig_;
            incr i)
          t.visited;
@@ -286,7 +285,7 @@ let snapshot t =
 
 let restore opts s =
   let t = create opts in
-  Array.iter (fun sig_ -> Hashtbl.replace t.visited sig_ ()) s.s_visited;
+  Array.iter (Sigset.add t.visited) s.s_visited;
   List.iter
     (fun (b : Sresult.bug) ->
       Hashtbl.replace t.bugs b.Sresult.key b;
@@ -366,7 +365,7 @@ let sat_add a b =
    pairwise folding.  Limits are not re-checked: merging happens at a
    barrier, where the caller decides whether to stop. *)
 let merge_stats t (s : snapshot) =
-  Array.iter (fun sig_ -> Hashtbl.replace t.visited sig_ ()) s.s_visited;
+  Array.iter (Sigset.add t.visited) s.s_visited;
   t.executions <- sat_add t.executions s.s_executions;
   t.total_steps <- sat_add t.total_steps s.s_total_steps;
   t.max_steps <- max t.max_steps s.s_max_steps;
@@ -375,7 +374,7 @@ let merge_stats t (s : snapshot) =
   t.max_threads <- max t.max_threads s.s_max_threads
 
 let mark_growth t =
-  t.growth <- (t.executions, Hashtbl.length t.visited) :: t.growth
+  t.growth <- (t.executions, Sigset.length t.visited) :: t.growth
 
 let forge_counts s ~executions ~total_steps =
   { s with s_executions = executions; s_total_steps = total_steps }
@@ -384,7 +383,7 @@ let result t ~strategy =
   {
     Sresult.strategy;
     executions = t.executions;
-    distinct_states = Hashtbl.length t.visited;
+    distinct_states = Sigset.length t.visited;
     bugs = List.rev_map (fun key -> Hashtbl.find t.bugs key) t.bug_order;
     max_steps = t.max_steps;
     max_blocks = t.max_blocks;

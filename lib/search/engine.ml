@@ -29,11 +29,7 @@ exception Nondeterministic_program of string
     partial-order reduction.  Two steps commute when their footprints are
     disjoint and neither spawns a thread. *)
 module Footprint = struct
-  module Var_set = Set.Make (struct
-    type t = Icb_machine.Interp.var_id
-
-    let compare = Stdlib.compare
-  end)
+  module Var_set = Icb_machine.Interp.Var_set
 
   type t = {
     vars : Var_set.t;

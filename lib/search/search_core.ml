@@ -185,10 +185,12 @@ let replayer (type s) ((module E) : (module Engine.S with type state = s))
   let run it =
     match it.Strategy.i_state with
     | Some st ->
-      (* the snapshot slot taken at the item's fork point *)
-      (match it.Strategy.i_sched with
-      | [] -> ()
-      | sched ->
+      (* the snapshot slot taken at the item's fork point.  A state
+         retained by an engine without snapshots saves no replay:
+         stepping it again makes the engine replay the prefix itself *)
+      (match (E.snapshot, it.Strategy.i_sched) with
+      | None, _ | Some _, [] -> ()
+      | Some _, sched ->
         stats.Replay_cache.hits <- stats.Replay_cache.hits + 1;
         stats.Replay_cache.steps_saved <-
           stats.Replay_cache.steps_saved + List.length sched);

@@ -26,6 +26,11 @@ let int_param params key ~default =
   | Some s -> ( try int_of_string s with Failure _ -> default)
   | None -> default
 
+(* A per-worker state cache's test-and-set: whether [sg] was already in
+   [set]; it is afterwards. *)
+let seen_before set sg =
+  Icb_util.Sigset.mem set sg || (Icb_util.Sigset.add set sg; false)
+
 (* One independent, reproducible stream per walk index: SplitMix64 seeded
    by a golden-ratio mix of the user seed and the index.  Walk [i]'s
    schedule is a pure function of (seed, i) — independent of which worker
@@ -144,11 +149,11 @@ let dfs_family (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
                                 last collector-visible action *)
 
     type wstate = {
-      w_seen : (int64, unit) Hashtbl.t;
+      w_seen : Icb_util.Sigset.t;
       mutable w_truncated : int;
     }
 
-    let wstate () = { w_seen = Hashtbl.create 4096; w_truncated = 0 }
+    let wstate () = { w_seen = Icb_util.Sigset.create 1024; w_truncated = 0 }
     let cur_bound = ref first
 
     (* truncations observed this round in checkpointed-away phases of the
@@ -158,12 +163,7 @@ let dfs_family (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
 
     let roots (module _ : Engine.S with type state = state) _w _col = [ root ]
 
-    let seen w st_sig =
-      cache
-      && (Hashtbl.mem w.w_seen st_sig
-         ||
-         (Hashtbl.add w.w_seen st_sig ();
-          false))
+    let seen w st_sig = cache && seen_before w.w_seen st_sig
 
     let expand (module E : Engine.S with type state = state) w ctx it =
       let col = ctx.Strategy.c_col in
@@ -226,7 +226,7 @@ let dfs_family (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
           cur_bound := Some d';
           (* each round gets fresh caches: a state first reached near the
              old bound may have unexplored descendants below the new one *)
-          Array.iter (fun w -> Hashtbl.reset w.w_seen) wstates;
+          Array.iter (fun w -> Icb_util.Sigset.reset w.w_seen) wstates;
           `Round [ root ]
         | None ->
           (* keep the count in the final checkpoint: resuming it must
@@ -383,12 +383,10 @@ let most_enabled (type s) (module _ : Engine.S with type state = s) ~cache :
     let discipline = `Rank
     let atomic_items = false
 
-    type wstate = (int64, unit) Hashtbl.t
+    type wstate = Icb_util.Sigset.t
 
-    let wstate () = Hashtbl.create 4096
-
-    let seen table sg =
-      cache && (Hashtbl.mem table sg || (Hashtbl.add table sg (); false))
+    let wstate () = Icb_util.Sigset.create 1024
+    let seen table sg = cache && seen_before table sg
 
     let roots (module E : Engine.S with type state = state) w col =
       let s0 = E.initial () in

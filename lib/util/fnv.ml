@@ -18,12 +18,16 @@ let string h s =
   done;
   !h
 
-let int h n =
-  let h = ref h in
-  for i = 0 to 7 do
-    h := step !h ((n lsr (8 * i)) land 0xff)
-  done;
-  !h
+(* Unrolled, so that it inlines and a caller keeps the hash unboxed. *)
+let[@inline] int h n =
+  let h = step h (n land 0xff) in
+  let h = step h ((n lsr 8) land 0xff) in
+  let h = step h ((n lsr 16) land 0xff) in
+  let h = step h ((n lsr 24) land 0xff) in
+  let h = step h ((n lsr 32) land 0xff) in
+  let h = step h ((n lsr 40) land 0xff) in
+  let h = step h ((n lsr 48) land 0xff) in
+  step h ((n lsr 56) land 0xff)
 
 let int64 h n =
   let h = ref h in

@@ -195,6 +195,33 @@ let stats_tests =
         check Alcotest.int "no snapshot hits" 0 !stats.Replay_cache.hits;
         check Alcotest.bool "replayed prefixes from the root" true
           (!stats.Replay_cache.steps_replayed > 0));
+    Alcotest.test_case "a CHESS-engine run reports no snapshot hits" `Quick
+      (fun () ->
+        (* deferred items keep their CHESS states, but stepping one again
+           replays its prefix inside the engine: nothing was saved *)
+        let module Api = Icb_chess.Api in
+        let test () =
+          let m = Api.Mutex.create () in
+          let d = Api.Semaphore.create 0 in
+          for _ = 1 to 2 do
+            Api.spawn (fun () ->
+                Api.Mutex.with_lock m (fun () -> ());
+                Api.Semaphore.release d)
+          done;
+          Api.Semaphore.acquire d;
+          Api.Semaphore.acquire d
+        in
+        let stats = ref (Replay_cache.zero ()) in
+        let r =
+          Explore.run
+            (Icb_chess.Chess_engine.engine test)
+            ~on_cache_stats:(fun s -> stats := s)
+            (Explore.Icb { max_bound = Some 2; cache = false })
+        in
+        check Alcotest.bool "explored past bound 0" true
+          (r.Sresult.executions > 1);
+        check Alcotest.int "no snapshot hits" 0 !stats.Replay_cache.hits;
+        check Alcotest.int "no steps saved" 0 !stats.Replay_cache.steps_saved);
   ]
 
 (* --- checkpoints are identical modulo timing ------------------------------ *)

@@ -9,14 +9,13 @@ let qtest = QCheck_alcotest.to_alcotest
 
 (* --- vector clocks -------------------------------------------------------- *)
 
-let clock_gen =
-  QCheck.Gen.(
-    map
-      (fun l ->
-        List.fold_left
-          (fun c (t, n) -> Vclock.set c t n)
-          Vclock.empty l)
-      (list_size (int_range 0 6) (pair (int_range 0 5) (int_range 0 10))))
+let components_gen =
+  QCheck.Gen.(list_size (int_range 0 6) (pair (int_range 0 5) (int_range 0 10)))
+
+let clock_of_list l =
+  List.fold_left (fun c (t, n) -> Vclock.set c t n) Vclock.empty l
+
+let clock_gen = QCheck.Gen.map clock_of_list components_gen
 
 let clock = QCheck.make clock_gen
 
@@ -56,6 +55,14 @@ let vclock_tests =
          (fun (a, t) ->
            let a' = Vclock.inc a t in
            Vclock.leq a a' && not (Vclock.leq a' a)));
+    qtest
+      (QCheck.Test.make ~name:"set to zero forgets the component" ~count:500
+         (QCheck.pair (QCheck.make components_gen)
+            (QCheck.make (QCheck.Gen.int_range 0 5)))
+         (fun (l, t) ->
+           Vclock.equal
+             (Vclock.set (clock_of_list l) t 0)
+             (clock_of_list (List.filter (fun (u, _) -> u <> t) l))));
   ]
 
 (* --- detectors on hand-built event streams --------------------------------- *)
@@ -126,33 +133,34 @@ let detector_tests =
 
 (* Streams are generated program-like: a bounded number of threads, each
    event either a data access, a lock-protected data access, or a sync
-   access; forks happen up-front so every thread is reachable. *)
+   access; forks happen up-front so every thread is reachable.  The shape
+   draws from [draw bound] (uniform in [0, bound)), so QCheck's generator
+   and a seeded {!Icb_util.Rng} produce streams of the same kind. *)
+let stream_of draw =
+  let nthreads = 3 in
+  let event () =
+    let tid = draw nthreads in
+    match draw 8 with
+    | 0 | 1 | 2 ->
+      let v = draw 3 in
+      let write = draw 2 = 0 in
+      [ data ~write tid (Interp.Gvar (v, 0)) ]
+    | 3 | 4 | 5 ->
+      let l = draw 2 in
+      let v = draw 3 in
+      let write = draw 2 = 0 in
+      [
+        sync tid (Interp.Svar (l, 0));
+        data ~write tid (Interp.Gvar (v, 0));
+        sync tid (Interp.Svar (l, 0));
+      ]
+    | _ -> [ sync tid (Interp.Svar (draw 2, 0)) ]
+  in
+  let n = draw 26 in
+  [ fork 0 1; fork 0 2 ] @ List.concat (List.init n (fun _ -> event ()))
+
 let stream_gen : Interp.event list QCheck.Gen.t =
-  QCheck.Gen.(
-    let nthreads = 3 in
-    let event =
-      int_range 0 (nthreads - 1) >>= fun tid ->
-      frequency
-        [
-          ( 3,
-            map2
-              (fun v write -> [ data ~write tid (Interp.Gvar (v, 0)) ])
-              (int_range 0 2) bool );
-          ( 3,
-            map3
-              (fun l v write ->
-                [
-                  sync tid (Interp.Svar (l, 0));
-                  data ~write tid (Interp.Gvar (v, 0));
-                  sync tid (Interp.Svar (l, 0));
-                ])
-              (int_range 0 1) (int_range 0 2) bool );
-          (2, map (fun l -> [ sync tid (Interp.Svar (l, 0)) ]) (int_range 0 1));
-        ]
-    in
-    map
-      (fun chunks -> [ fork 0 1; fork 0 2 ] @ List.concat chunks)
-      (list_size (int_range 0 25) event))
+ fun st -> stream_of (Random.State.int st)
 
 let agreement_tests =
   [
@@ -243,6 +251,129 @@ main { spawn w1(); spawn w2(); }
           (run [ 0; 0; 2; 1; 2; 1 ]));
   ]
 
+(* --- pinned outputs -------------------------------------------------------- *)
+
+(* The race layer's values are observable: happens-before signatures are
+   the chess engine's visited states (checkpoints and the wire carry
+   them), and race reports name the racing threads.  Any representation
+   of the detectors and signatures must reproduce these values bit for
+   bit. *)
+
+module Fnv = Icb_util.Fnv
+module Rng = Icb_util.Rng
+
+let steps_sig steps =
+  Hbsig.signature (List.fold_left Hbsig.observe Hbsig.empty steps)
+
+let race_t =
+  Alcotest.testable
+    (fun fmt (r : Icb_race.Report.race) ->
+      Format.fprintf fmt "race(tid1 = %d, tid2 = %d)" r.tid1 r.tid2)
+    ( = )
+
+(* Feed [steps] to a detector one step at a time, stopping at the first
+   race: the number of clean steps and the report. *)
+let run_detector observe empty steps =
+  let rec go det i = function
+    | [] -> (i, None)
+    | s :: rest -> (
+      match observe det s with
+      | Ok det -> go det (i + 1) rest
+      | Error r -> (i, Some r))
+  in
+  go empty 0 steps
+
+let hash_var h (v : Interp.var_id) =
+  match v with
+  | Interp.Gvar (a, b) -> Fnv.int (Fnv.int (Fnv.int h 0) a) b
+  | Interp.Hcell (a, b) -> Fnv.int (Fnv.int (Fnv.int h 1) a) b
+  | Interp.Svar (a, b) -> Fnv.int (Fnv.int (Fnv.int h 2) a) b
+
+let hash_outcome h (i, r) =
+  let h = Fnv.int h i in
+  match r with
+  | None -> Fnv.int h 0
+  | Some (r : Icb_race.Report.race) ->
+    Fnv.int (Fnv.int (hash_var (Fnv.int h 1) r.var) r.tid1) r.tid2
+
+(* Cut a stream into consecutive steps of one to four events. *)
+let split rng events =
+  let rec go acc cur k = function
+    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+    | e :: rest ->
+      if k = 0 then go (List.rev cur :: acc) [ e ] (Rng.int rng 4) rest
+      else go acc (e :: cur) (k - 1) rest
+  in
+  match events with
+  | [] -> []
+  | e :: rest -> go [] [ e ] (Rng.int rng 4) rest
+
+(* Over [n] seeded streams: both detectors' outcomes and the signature
+   after every step, folded into one hash. *)
+let stream_digest ~seed ~n =
+  let rng = Rng.create seed in
+  let h = ref Fnv.basis in
+  for _ = 1 to n do
+    let steps = split rng (stream_of (Rng.int rng)) in
+    h := hash_outcome !h (run_detector Vcdetect.observe Vcdetect.empty steps);
+    h :=
+      hash_outcome !h (run_detector Goldilocks.observe Goldilocks.empty steps);
+    ignore
+      (List.fold_left
+         (fun hbs s ->
+           let hbs = Hbsig.observe hbs s in
+           h := Fnv.int64 !h (Hbsig.signature hbs);
+           hbs)
+         Hbsig.empty steps)
+  done;
+  !h
+
+let pinned_tests =
+  [
+    Alcotest.test_case "hb signature of a lock handoff" `Quick (fun () ->
+        check Alcotest.int64 "signature" 0x48401c9fc77e9c6fL
+          (steps_sig
+             [
+               [ fork 0 1 ];
+               [ sync 0 l0 ];
+               [ sync 1 l0; data 1 v0 ];
+               [ sync 1 (Interp.Svar (1, 0)) ];
+             ]));
+    Alcotest.test_case "hb signature of three threads and a spawn" `Quick
+      (fun () ->
+        check Alcotest.int64 "signature" 0xfdabbabc51a6c673L
+          (steps_sig
+             [
+               [ fork 0 1; fork 0 2 ];
+               [ sync 2 (Interp.Svar (1, 0)); sync 1 l0 ];
+               [ sync 0 (Interp.Svar (-2, 0)) ];
+               [ sync 2 (Interp.Svar (1, 0)) ];
+             ]));
+    Alcotest.test_case "hb signature of the empty execution" `Quick (fun () ->
+        check Alcotest.int64 "signature" 0L (steps_sig []);
+        check Alcotest.int64 "no steps" 0L (steps_sig [ []; [] ]));
+    Alcotest.test_case "the lowest racing reader is reported" `Quick
+      (fun () ->
+        let events =
+          [
+            fork 0 1; fork 0 2; fork 0 3;
+            data ~write:false 3 v0;
+            data ~write:false 1 v0;
+            data ~write:false 2 v0;
+            data 0 v0;
+          ]
+        in
+        let expected = Some { Icb_race.Report.var = v0; tid1 = 1; tid2 = 0 } in
+        check (Alcotest.option race_t) "vclock" expected
+          (snd (run_detector Vcdetect.observe Vcdetect.empty [ events ]));
+        check (Alcotest.option race_t) "goldilocks" expected
+          (snd (run_detector Goldilocks.observe Goldilocks.empty [ events ])));
+    Alcotest.test_case "seeded streams: reports and signatures" `Quick
+      (fun () ->
+        check Alcotest.int64 "digest" 2449920637420239719L
+          (stream_digest ~seed:16L ~n:1000));
+  ]
+
 (* --- end-to-end: race checking inside the search --------------------------- *)
 
 let search_race_tests =
@@ -306,5 +437,6 @@ let () =
       ("detectors", detector_tests);
       ("agreement", agreement_tests);
       ("hbsig", hbsig_tests);
+      ("pinned", pinned_tests);
       ("search", search_race_tests);
     ]

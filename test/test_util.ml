@@ -273,6 +273,120 @@ let framing_tests =
         check Alcotest.bool "same payload" true (r = Ok (1, payload)));
   ]
 
+(* --- Sigset ------------------------------------------------------------- *)
+
+module Sigset = Icb_util.Sigset
+
+(* Keys an open-addressing table could confuse: its free-slot marker 0L,
+   the extremes, and runs that agree in their low 16 bits. *)
+let special_keys =
+  [ 0L; -1L; 1L; Int64.min_int; Int64.max_int ]
+  @ List.init 8 (fun i -> Int64.shift_left (Int64.of_int (i + 1)) 16)
+  @ List.init 8 (fun i ->
+        Int64.logor 0xBEEFL (Int64.shift_left (Int64.of_int (i + 1)) 40))
+
+let key_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl special_keys);
+        (2, map Int64.of_int (int_range 0 3000));
+        (1, ui64);
+      ])
+
+(* Sorted members, failing if [iter] yields one twice. *)
+let members s =
+  let seen = Hashtbl.create 64 in
+  Sigset.iter
+    (fun k ->
+      if Hashtbl.mem seen k then Alcotest.failf "%Ld iterated twice" k;
+      Hashtbl.add seen k ())
+    s;
+  List.sort Int64.compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])
+
+let sigset_tests =
+  [
+    qtest
+      (QCheck.Test.make ~name:"agrees with a Hashtbl model" ~count:200
+         (QCheck.make
+            QCheck.Gen.(list_size (int_range 0 2000) (pair bool key_gen)))
+         (fun ops ->
+           (* from 16 slots, a couple of thousand keys force several
+              growths; [false] ops only probe *)
+           let s = Sigset.create 1 in
+           let m = Hashtbl.create 16 in
+           List.for_all
+             (fun (add, k) ->
+               if add then begin
+                 Sigset.add s k;
+                 Hashtbl.replace m k ()
+               end;
+               Sigset.mem s k = Hashtbl.mem m k
+               && Sigset.length s = Hashtbl.length m)
+             ops
+           && members s
+              = List.sort Int64.compare
+                  (Hashtbl.fold (fun k () acc -> k :: acc) m [])));
+    Alcotest.test_case "every special key is a member like any other" `Quick
+      (fun () ->
+        let s = Sigset.create 4 in
+        List.iter
+          (fun k ->
+            check Alcotest.bool (Printf.sprintf "%Ld absent" k) false
+              (Sigset.mem s k);
+            Sigset.add s k;
+            Sigset.add s k)
+          special_keys;
+        check Alcotest.int "length" (List.length special_keys)
+          (Sigset.length s);
+        check (Alcotest.list Alcotest.int64) "members"
+          (List.sort Int64.compare special_keys)
+          (members s));
+    Alcotest.test_case "reset empties the set" `Quick (fun () ->
+        let s = Sigset.create 2 in
+        List.iter (Sigset.add s) special_keys;
+        Sigset.reset s;
+        check Alcotest.int "empty" 0 (Sigset.length s);
+        check Alcotest.bool "0L gone" false (Sigset.mem s 0L);
+        check Alcotest.bool "max_int gone" false (Sigset.mem s Int64.max_int);
+        Sigset.add s 7L;
+        check (Alcotest.list Alcotest.int64) "usable" [ 7L ] (members s));
+    Alcotest.test_case "collector snapshot, restore, snapshot keeps the set"
+      `Quick (fun () ->
+        let module Collector = Icb_search.Collector in
+        let module J = Icb_obs.Json in
+        let keys =
+          special_keys
+          @ List.init 5000 (fun i ->
+                Int64.mul (Int64.of_int i) 0x9E3779B97F4A7C15L)
+        in
+        let col = Collector.create Collector.default_options in
+        List.iter (Collector.touch col) keys;
+        let visited snap =
+          match J.find (Collector.snapshot_to_json snap) "visited" with
+          | Some (J.List l) ->
+            List.sort Int64.compare
+              (List.map
+                 (function
+                   | J.String v -> Int64.of_string v
+                   | _ -> Alcotest.fail "visited entry is not a string")
+                 l)
+          | _ -> Alcotest.fail "no visited list"
+        in
+        let s1 = Collector.snapshot col in
+        let s2 =
+          Collector.snapshot (Collector.restore Collector.default_options s1)
+        in
+        check Alcotest.int "distinct states"
+          (List.length (List.sort_uniq Int64.compare keys))
+          (Collector.snapshot_states s1);
+        check Alcotest.int "states after restore"
+          (Collector.snapshot_states s1)
+          (Collector.snapshot_states s2);
+        check (Alcotest.list Alcotest.int64) "same set" (visited s1)
+          (visited s2));
+  ]
+
 let () =
   Alcotest.run "util"
     [
@@ -281,4 +395,5 @@ let () =
       ("fnv", fnv_tests);
       ("rng", rng_tests);
       ("frame", framing_tests);
+      ("sigset", sigset_tests);
     ]
