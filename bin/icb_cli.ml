@@ -4,7 +4,6 @@
    icb resume CHECKPOINT     -- continue an interrupted check
    icb explore FILE          -- run a strategy, print statistics
    icb report TRACE          -- summarize a JSONL trace (per-bound table)
-   icb bench [MODEL]         -- serial vs parallel ICB, assert equivalence
    icb compile FILE          -- type-check and dump the compiled program
    icb models                -- list bundled benchmark models
    icb check-model NAME      -- check a bundled model (e.g. "bluetooth:bug")
@@ -17,7 +16,7 @@
 
    check, check-model, resume and explore take --jobs N to shard the
    search across N OCaml domains; every strategy whose frontier shards
-   (icb, dfs, db:N, idfs:N, random, pct:N) accepts it (docs/PARALLEL.md).
+   accepts it (docs/PARALLEL.md).
    The same four commands take --trace/--metrics/--metrics-every to
    stream structured telemetry and --quiet to silence the progress line
    (docs/OBSERVABILITY.md), and --repro-dir DIR to drop one repro bundle
@@ -98,17 +97,16 @@ let jobs_arg =
      1 each round's work queue is sharded across $(docv) OCaml domains \
      with work stealing; the result (bug set, per-round execution \
      counts) is deterministic and identical to a serial run.  Available \
-     for every strategy whose frontier shards: $(b,icb), $(b,dfs), \
-     $(b,db:N), $(b,idfs:N), $(b,random) and $(b,pct:N); $(b,sleep) and \
-     $(b,most-enabled) are serial-only.  See docs/PARALLEL.md."
+     for every strategy whose frontier shards; the others refuse \
+     $(docv) > 1.  See docs/PARALLEL.md."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc =
-    "Seed for the randomized strategies ($(b,random), $(b,pct:N)); \
-     deterministic strategies ignore it.  The default 2007 keeps \
-     historical runs reproducible."
+    "Seed for the randomized strategies (those whose $(b,--strategy) \
+     entry says so); deterministic strategies ignore it.  The default \
+     2007 keeps historical runs reproducible."
   in
   Arg.(value & opt int64 2007L & info [ "seed" ] ~docv:"N" ~doc)
 
@@ -351,10 +349,14 @@ let run_check ~prog ~meta ~bound ~rt ~options ~gran ~checkpoint
   let telemetry = rt.rt_telemetry in
   let r =
     match resume_from with
-    | Some ckpt ->
-      Icb.resume ~config ~options ?checkpoint_out:checkpoint ~checkpoint_every
-        ~checkpoint_meta:meta ?telemetry ~domains:jobs ~cache:(not no_cache)
-        prog ckpt
+    | Some ckpt -> (
+      try
+        Icb.resume ~config ~options ?checkpoint_out:checkpoint
+          ~checkpoint_every ~checkpoint_meta:meta ?telemetry ~domains:jobs
+          ~cache:(not no_cache) prog ckpt
+      with Invalid_argument msg ->
+        Format.eprintf "%s@." msg;
+        exit 2)
     | None when jobs > 1 ->
       Icb.run_parallel ~config ~options ?checkpoint_out:checkpoint
         ~checkpoint_every ~checkpoint_meta:meta ?telemetry ~max_bound:bound
@@ -637,7 +639,8 @@ let resume_cmd =
          work queue, context bound, coverage counters and bug list.  By \
          default new checkpoints overwrite the same file, so a run can be \
          interrupted and resumed any number of times.  Truncated or \
-         corrupted checkpoints are rejected with a clear error.  See \
+         corrupted checkpoints, and checkpoints whose strategy parameters \
+         do not decode, are rejected with a clear error.  See \
          docs/RESILIENCE.md.";
     ]
   in
@@ -737,9 +740,9 @@ let explore_run path model strategy_str seed no_deadlock gran max_execs
       | Some n -> [ ("max-executions", string_of_int n) ]
       | None -> []
     in
-    (* Non-shardable strategies (sleep, most-enabled) reject --jobs > 1
-       in the driver with a message naming the ones that do shard, and
-       sleep rejects --checkpoint the same way. *)
+    (* A strategy whose frontier does not shard rejects --jobs > 1 in
+       [Driver.run], and one whose frontier does not serialize rejects
+       --checkpoint the same way. *)
     let r =
       try
         Icb.run ~config ~options ?checkpoint_out:checkpoint ~checkpoint_every
@@ -923,11 +926,18 @@ let serve_run path model strategy_str seed no_deadlock gran max_execs timeout
         | None -> Option.bind (meta "max-executions") int_of_string_opt
       in
       let first_bug = first_bug || meta "first-bug" = Some "true" in
+      let strategy =
+        match Icb_search.Explore.strategy_of_checkpoint ckpt with
+        | Ok s -> s
+        | Error msg ->
+          Format.eprintf "%s@." msg;
+          exit 2
+      in
       if not quiet then
         Format.eprintf "[icb] resuming %s@."
           (Icb_search.Checkpoint.describe ckpt);
       ( prog,
-        Icb_search.Explore.strategy_of_checkpoint ckpt,
+        strategy,
         ckpt.Icb_search.Checkpoint.meta,
         gran,
         no_deadlock,
@@ -1158,102 +1168,6 @@ let report_cmd =
     ]
   in
   Cmd.v (Cmd.info "report" ~doc ~man) Term.(const report_run $ file $ json)
-
-(* --- bench -------------------------------------------------------------------- *)
-
-(* Serial-vs-parallel comparison on a bundled model: runs the full ICB
-   search (no first-bug stop) both ways, prints the rates, and asserts
-   the determinism contract — identical bug sets and per-bound cumulative
-   execution counts.  Exit code 1 means the contract was violated. *)
-let bench_run name bound no_deadlock gran jobs =
-  match resolve_model name with
-  | Error msg ->
-    Format.eprintf "%s@." msg;
-    exit 2
-  | Ok prog ->
-    if jobs < 1 then begin
-      Format.eprintf "--jobs must be at least 1@.";
-      exit 2
-    end;
-    let config = config_of_granularity gran in
-    let options =
-      {
-        Icb_search.Collector.default_options with
-        deadlock_is_error = not no_deadlock;
-      }
-    in
-    let time f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (r, Unix.gettimeofday () -. t0)
-    in
-    let serial, t_serial =
-      time (fun () ->
-          Icb.run ~config ~options
-            ~strategy:
-              (Icb_search.Explore.Icb { max_bound = Some bound; cache = false })
-            prog)
-    in
-    let par, t_par =
-      time (fun () ->
-          Icb.run_parallel ~config ~options ~max_bound:bound ~domains:jobs
-            prog)
-    in
-    let line what (r : Icb_search.Sresult.t) t =
-      Format.printf
-        "%-12s %8d executions %8d states %3d bugs  %6.2fs  %8.0f execs/s@."
-        what r.executions r.distinct_states (List.length r.bugs) t
-        (float_of_int r.executions /. max t 1e-9)
-    in
-    Format.printf "model %s, bound %d, %d core(s) available@." name bound
-      (Domain.recommended_domain_count ());
-    line "serial" serial t_serial;
-    line (Printf.sprintf "%d domains" jobs) par t_par;
-    let keys (r : Icb_search.Sresult.t) =
-      List.sort compare
-        (List.map (fun (b : Icb.bug) -> b.Icb_search.Sresult.key) r.bugs)
-    in
-    let ok =
-      keys serial = keys par
-      && serial.bound_executions = par.bound_executions
-      && serial.executions = par.executions
-    in
-    if ok then Format.printf "equivalence: OK@."
-    else begin
-      Format.eprintf
-        "equivalence FAILED: parallel run diverged from serial (bug sets or \
-         per-bound execution counts differ)@.";
-      exit 1
-    end
-
-let bench_cmd =
-  let model_name =
-    Arg.(
-      value
-      & pos 0 string "work-stealing-queue:pop-reads-head-first"
-      & info [] ~docv:"MODEL"
-          ~doc:
-            "Bundled model to benchmark (a name printed by $(b,icb \
-             models)).")
-  in
-  let doc = "compare serial and parallel ICB on a bundled model" in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Runs the full iterative-context-bounding search on a bundled \
-         model twice — serially and on $(b,--jobs) OCaml domains — and \
-         prints executions/second for both, then asserts that the two \
-         runs found the same bug set and the same per-bound execution \
-         counts (the determinism contract; see docs/PARALLEL.md).  The \
-         wider equivalence suite lives in $(b,bench/main.exe parallel).";
-    ]
-  in
-  Cmd.v
-    (Cmd.info "bench" ~doc ~man)
-    Term.(
-      const bench_run $ model_name $ bound_arg $ no_deadlock_arg
-      $ granularity_arg $ jobs_arg)
 
 (* --- compile ------------------------------------------------------------------ *)
 
@@ -1620,7 +1534,6 @@ let () =
             serve_cmd;
             worker_cmd;
             report_cmd;
-            bench_cmd;
             compile_cmd;
             models_cmd;
             repro_cmd;

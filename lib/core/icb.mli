@@ -58,8 +58,8 @@ val run :
     [deadline] in options) yield partial results rather than raising, and
     [checkpoint_out]/[resume_from] make every strategy but [Sleep_dfs]
     interruptible and resumable.  [domains] shards any strategy whose
-    frontier shards ([Icb], the DFS family, [Random_walk], [Pct]) across
-    OCaml domains; for ICB specifically, {!run_parallel} additionally
+    frontier shards ([Icb], the DFS family, [Random_walk], [Pct],
+    [Variable_bound], [Thread_bound], [Icb_vb]) across OCaml domains; for ICB specifically, {!run_parallel} additionally
     shares engine states across workers instead of replaying prefixes.
     [cache] (default [true]) is the prefix-snapshot replay cache
     (docs/REPLAY_CACHE.md); [~cache:false] forces every schedule prefix to
@@ -157,7 +157,7 @@ val resume :
 (** Continue a checkpointed search of [prog]; see
     {!Icb_search.Explore.resume}.  The checkpoint must have been written
     for the same program (a fingerprint mismatch raises
-    [Invalid_argument]).  [domains] resumes any shardable strategy's
+    [Invalid_argument], as do strategy params that do not decode).  [domains] resumes any shardable strategy's
     checkpoint in parallel, whichever driver wrote it. *)
 
 val check :

@@ -709,10 +709,9 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
   if not (S.shardable && S.checkpointable) then
     invalid_arg
       (Printf.sprintf
-         "Coord.run: the %s frontier does not distribute (it must shard \
-          and serialize; strategies that do: icb, dfs, db:N, idfs:N, \
-          random, pct:N, vb:N, tb:N, icb-vb:N)"
-         S.name);
+         "Coord.run: the %s frontier does not distribute (it does not %s)"
+         S.name
+         (if S.shardable then "serialize" else "shard"));
   let ses =
     Driver.session (module E) (module S) ?options ?checkpoint_out
       ?checkpoint_every ~checkpoint_meta ?resume_from ~telemetry:t.tel

@@ -35,8 +35,8 @@ let process_batch (type s) (module E : Icb_search.Engine.S with type state = s)
     }
   in
   match Explore.strategy_of_v3 v3 with
-  | exception Invalid_argument msg -> Error msg
-  | strat ->
+  | Error msg -> Error msg
+  | Ok strat ->
     let (module S : Strategy.S with type state = s) =
       Explore.instantiate (module E) strat
     in

@@ -916,16 +916,14 @@ let run (type s) (engines : int -> (module Engine.S with type state = s))
     invalid_arg
       (Printf.sprintf
          "Driver.run: ~domains:%d — the %s frontier does not shard across \
-          domains; strategies that do: icb, dfs, db:N, idfs:N, random, \
-          pct:N, vb:N, tb:N, icb-vb:N"
+          domains"
          domains S.name);
   if (checkpoint_out <> None || resume_from <> None) && not S.checkpointable
   then
     invalid_arg
       (Printf.sprintf
-         "Driver.run: strategy %s does not support checkpoint/resume \
-          (supported: icb, dfs, db:N, idfs:N, random, pct:N, \
-          most-enabled, vb:N, tb:N, icb-vb:N)"
+         "Driver.run: strategy %s does not support checkpoint/resume (its \
+          frontier does not serialize)"
          S.name);
   (* Engine instances are created sequentially here, before any domain
      exists, and each is thereafter used by a single worker at a time. *)

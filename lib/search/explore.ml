@@ -1,11 +1,6 @@
-(* The strategy catalogue and the public search entry points.
-
-   This module no longer contains any search loop: each strategy variant
-   selects a {!Strategies} instance (a first-class module of type
-   {!Strategy.S}) and [Driver.run] executes it — serially when
-   [domains = 1], across OCaml domains otherwise — with checkpoint and
-   resume handled uniformly for every strategy whose frontier
-   serializes. *)
+(* The strategy catalogue and the public search entry points: each
+   strategy variant selects a {!Strategies} instance (a first-class
+   module of type {!Strategy.S}) and [Driver.run] executes it. *)
 
 type strategy =
   | Icb of { max_bound : int option; cache : bool }
@@ -64,6 +59,261 @@ let instantiate (type s) ?(env = Strategy.empty_env)
   | Icb_vb { n; max_bound; cache } ->
     Strategies.icb_vb (module E) ~n ~max_bound ~cache ~env
 
+(* --- the strategy catalogue ---------------------------------------------- *)
+
+(* One row per strategy family.  Every textual route to a [strategy] — a
+   [--strategy] spelling, a checkpoint's params, a distributed batch —
+   ends in its row's one decoder, so they accept and reject exactly the
+   same values.  The capability flags are not here: they live on the
+   {!Strategy.S} instance. *)
+
+type form = {
+  f_form : string;  (* as listed, e.g. "db:N" *)
+  f_help : string;
+  f_n : string option;  (* the param a ":N" form's N spells *)
+}
+
+type row = {
+  r_tag : string option;  (* the checkpoint tag; [None]: never serialized *)
+  r_forms : form list;
+  r_decode : (string * string) list -> (strategy, string) result;
+  r_example : seed:int64 -> strategy;  (* the registry representative *)
+  r_capped : bool;  (* no natural termination: needs an execution cap *)
+}
+
+(* The least value of each integer param; a ":N" form's range is its
+   param's. *)
+let least = function "max_bound" | "truncated" | "sealed" | "k" -> 0 | _ -> 1
+
+let ( let* ) = Result.bind
+
+(* Param readers; each error names the key.  Unknown keys are never
+   looked at: [Driver] stamps its own (fingerprint, timings) beside the
+   strategy's. *)
+let read conv what p key =
+  match List.assoc_opt key p with
+  | None -> Error (key ^ " is missing")
+  | Some v -> (
+    match conv v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "%s=%S is not %s" key v what))
+
+let bool_p = read bool_of_string_opt "true or false"
+let seed_p p = read Int64.of_string_opt "a 64-bit integer" p "seed"
+
+let int_p p key =
+  let* n = read int_of_string_opt "an integer" p key in
+  if n < least key then
+    Error (Printf.sprintf "%s=%d is below %d" key n (least key))
+  else Ok n
+
+(* A key written only sometimes (max_bound), or round-local progress an
+   instance persists beside its params (truncated, sealed, k): absent is
+   fine, present must be valid. *)
+let opt_int p key =
+  if List.mem_assoc key p then Result.map Option.some (int_p p key)
+  else Ok None
+
+let form ?n f_form f_help = { f_form; f_help; f_n = n }
+
+let row ?tag ?(capped = false) r_forms r_decode r_example =
+  { r_tag = tag; r_forms; r_decode; r_example; r_capped = capped }
+
+let catalogue =
+  [
+    row ~tag:"icb"
+      [
+        form "icb" "iterative context bounding, unbounded";
+        form "icb:N" ~n:"max_bound"
+          "iterative context bounding up to N preemptions";
+      ]
+      (fun p ->
+        let* max_bound = opt_int p "max_bound" in
+        let* cache = bool_p p "cache" in
+        Ok (Icb { max_bound; cache }))
+      (fun ~seed:_ -> Icb { max_bound = None; cache = false });
+    row ~tag:"dfs"
+      [ form "dfs" "plain depth-first search" ]
+      (fun p ->
+        let* cache = bool_p p "cache" in
+        let* _ = opt_int p "truncated" in
+        Ok (Dfs { cache }))
+      (fun ~seed:_ -> Dfs { cache = false });
+    row ~tag:"db"
+      [ form "db:N" ~n:"depth" "depth-bounded DFS" ]
+      (fun p ->
+        let* depth = int_p p "depth" in
+        let* cache = bool_p p "cache" in
+        let* _ = opt_int p "truncated" in
+        Ok (Bounded_dfs { depth; cache }))
+      (fun ~seed:_ -> Bounded_dfs { depth = 40; cache = false });
+    row ~tag:"idfs"
+      [ form "idfs:N" ~n:"max_depth" "iterative deepening DFS to depth N" ]
+      (fun p ->
+        let* start = int_p p "start" in
+        let* incr = int_p p "incr" in
+        let* max_depth = int_p p "max_depth" in
+        let* cache = bool_p p "cache" in
+        let* _ = opt_int p "truncated" in
+        Ok (Iterative_dfs { start; incr; max_depth; cache }))
+      (fun ~seed:_ ->
+        Iterative_dfs { start = 16; incr = 16; max_depth = 48; cache = false });
+    row ~tag:"random" ~capped:true
+      [ form "random" "random walks (see --seed)" ]
+      (fun p ->
+        let* seed = seed_p p in
+        Ok (Random_walk { seed }))
+      (fun ~seed -> Random_walk { seed });
+    row
+      [ form "sleep" "DFS with sleep-set partial-order reduction" ]
+      (fun _ -> Ok Sleep_dfs)
+      (fun ~seed:_ -> Sleep_dfs);
+    row ~tag:"pct" ~capped:true
+      [
+        form "pct:N" ~n:"change_points"
+          "probabilistic concurrency testing, N change points (see --seed)";
+      ]
+      (fun p ->
+        let* change_points = int_p p "change_points" in
+        let* seed = seed_p p in
+        let* _ = opt_int p "k" in
+        Ok (Pct { change_points; seed }))
+      (fun ~seed -> Pct { change_points = 3; seed });
+    row ~tag:"most-enabled"
+      [ form "most-enabled" "best-first by enabled-thread count" ]
+      (fun p ->
+        let* cache = bool_p p "cache" in
+        Ok (Most_enabled { cache }))
+      (fun ~seed:_ -> Most_enabled { cache = false });
+    row ~tag:"vb"
+      [
+        form "vb:N" ~n:"n"
+          "variable bounding: preemptions only around the N hottest shared \
+           variables";
+      ]
+      (fun p ->
+        let* n = int_p p "n" in
+        let* cache = bool_p p "cache" in
+        let* _ = opt_int p "sealed" in
+        Ok (Variable_bound { n; cache }))
+      (fun ~seed:_ -> Variable_bound { n = 2; cache = false });
+    row ~tag:"tb"
+      [
+        form "tb:N" ~n:"n"
+          "thread bounding: only the N lowest-numbered threads get preempted";
+      ]
+      (fun p ->
+        let* n = int_p p "n" in
+        let* cache = bool_p p "cache" in
+        let* _ = opt_int p "sealed" in
+        Ok (Thread_bound { n; cache }))
+      (fun ~seed:_ -> Thread_bound { n = 2; cache = false });
+    row ~tag:"icb-vb"
+      [
+        form "icb-vb:N" ~n:"n"
+          "iterated preemption bound with non-bounded variables sealed";
+      ]
+      (fun p ->
+        let* n = int_p p "n" in
+        let* max_bound = opt_int p "max_bound" in
+        let* cache = bool_p p "cache" in
+        let* _ = opt_int p "sealed" in
+        Ok (Icb_vb { n; max_bound; cache }))
+      (fun ~seed:_ -> Icb_vb { n = 2; max_bound = None; cache = false });
+  ]
+
+let forms =
+  List.concat_map (fun r -> List.map (fun f -> (r, f)) r.r_forms) catalogue
+
+let strategy_forms =
+  List.map
+    (fun (_, f) ->
+      ( f.f_form,
+        f.f_help,
+        Option.map (fun key -> Printf.sprintf "N>=%d" (least key)) f.f_n ))
+    forms
+
+let parse_strategy ~seed s =
+  let bad () =
+    let listed (form, _, range) =
+      match range with
+      | None -> form
+      | Some r -> Printf.sprintf "%s (%s)" form r
+    in
+    Error
+      (Printf.sprintf "bad strategy: %s (accepted: %s)" s
+         (String.concat ", " (List.map listed strategy_forms)))
+  in
+  (* [Some] once [s] is this form: the param its N spells, or why a
+     well-formed number is outside the form's range — never just "bad
+     strategy" for that *)
+  let spelled (r, f) =
+    match f.f_n with
+    | None -> if s = f.f_form then Some (r, Ok []) else None
+    | Some key ->
+      let prefix = String.sub f.f_form 0 (String.length f.f_form - 1) in
+      let i = String.length prefix in
+      if not (String.starts_with ~prefix s) then None
+      else
+        Some
+          ( r,
+            match int_of_string_opt (String.sub s i (String.length s - i)) with
+            | Some n when n >= least key -> Ok [ (key, string_of_int n) ]
+            | Some n ->
+              Error
+                (Printf.sprintf "bad strategy: %s — %s takes N>=%d, got %d" s
+                   f.f_form (least key) n)
+            | None -> bad () )
+  in
+  match List.find_map spelled forms with
+  | None -> bad ()
+  | Some (r, n) ->
+    let* n = n in
+    (* what every spelling leaves implicit; a family's decoder ignores
+       the keys it does not read *)
+    let defaults =
+      [ ("cache", "true"); ("seed", Int64.to_string seed);
+        ("start", "10"); ("incr", "10") ]
+    in
+    Result.map_error
+      (Printf.sprintf "bad strategy: %s — %s" s)
+      (r.r_decode (n @ defaults))
+
+let strategy_of_v3 (f : Checkpoint.v3) =
+  let tag = f.Checkpoint.v3_tag in
+  match List.find_opt (fun r -> r.r_tag = Some tag) catalogue with
+  | None -> Error (Printf.sprintf "unknown checkpoint strategy tag %S" tag)
+  | Some r ->
+    Result.map_error
+      (Printf.sprintf "checkpoint strategy %s: %s" tag)
+      (r.r_decode f.Checkpoint.v3_params)
+
+let strategy_of_checkpoint (c : Checkpoint.t) =
+  strategy_of_v3 (Checkpoint.to_v3 c)
+
+(* --- the strategy registry ---------------------------------------------- *)
+
+(* Each row's representative, for the cross-strategy property suites: a
+   family added to the catalogue is covered by them automatically. *)
+type registered = {
+  reg_name : string;
+  reg_strategy : strategy;
+  reg_bounded : bool;  (* no natural termination: needs an execution cap *)
+}
+
+let registry ?(seed = 2007L) () =
+  List.map
+    (fun r ->
+      let s = r.r_example ~seed in
+      {
+        reg_name = strategy_name s;
+        reg_strategy = s;
+        reg_bounded = r.r_capped;
+      })
+    catalogue
+
+(* --- running ------------------------------------------------------------- *)
+
 let default_checkpoint_every = Search_core.default_checkpoint_every
 
 (* The single engine module is shared by every worker when [domains > 1],
@@ -81,75 +331,21 @@ let run (type s) (module E : Engine.S with type state = s) ?options
     ?telemetry ?replay_cache:cache ?on_cache_stats ~domains
     (instantiate ?env (module E) strategy)
 
-let strategy_of_v3 (f : Checkpoint.v3) =
-  let p = f.Checkpoint.v3_params in
-  let int_p key ~default =
-    match List.assoc_opt key p with
-    | Some s -> ( try int_of_string s with Failure _ -> default)
-    | None -> default
-  in
-  let bool_p key =
-    match List.assoc_opt key p with Some "true" -> true | _ -> false
-  in
-  let i64_p key ~default =
-    match List.assoc_opt key p with
-    | Some s -> ( try Int64.of_string s with Failure _ -> default)
-    | None -> default
-  in
-  match f.Checkpoint.v3_tag with
-  | "icb" ->
-    Icb
-      {
-        max_bound =
-          Option.map int_of_string (List.assoc_opt "max_bound" p);
-        cache = bool_p "cache";
-      }
-  | "dfs" -> Dfs { cache = bool_p "cache" }
-  | "db" -> Bounded_dfs { depth = int_p "depth" ~default:1; cache = bool_p "cache" }
-  | "idfs" ->
-    Iterative_dfs
-      {
-        start = int_p "start" ~default:1;
-        incr = int_p "incr" ~default:1;
-        max_depth = int_p "max_depth" ~default:1;
-        cache = bool_p "cache";
-      }
-  | "random" -> Random_walk { seed = i64_p "seed" ~default:2007L }
-  | "pct" ->
-    Pct
-      {
-        change_points = int_p "change_points" ~default:2;
-        seed = i64_p "seed" ~default:2007L;
-      }
-  | "most-enabled" -> Most_enabled { cache = bool_p "cache" }
-  | "vb" -> Variable_bound { n = int_p "n" ~default:1; cache = bool_p "cache" }
-  | "tb" -> Thread_bound { n = int_p "n" ~default:1; cache = bool_p "cache" }
-  | "icb-vb" ->
-    Icb_vb
-      {
-        n = int_p "n" ~default:1;
-        max_bound = Option.map int_of_string (List.assoc_opt "max_bound" p);
-        cache = bool_p "cache";
-      }
-  | tag ->
-    invalid_arg
-      (Printf.sprintf
-         "Explore.strategy_of_checkpoint: unknown strategy tag %S" tag)
-
-let strategy_of_checkpoint (c : Checkpoint.t) =
-  strategy_of_v3 (Checkpoint.to_v3 c)
-
 let resume (type s) (module E : Engine.S with type state = s) ?options
     ?checkpoint_out ?checkpoint_every ?checkpoint_meta ?telemetry ?domains
     ?env ?cache (c : Checkpoint.t) =
+  let strategy =
+    match strategy_of_checkpoint c with
+    | Ok s -> s
+    | Error msg -> invalid_arg msg
+  in
   let checkpoint_meta =
     match checkpoint_meta with Some m -> m | None -> c.meta
   in
   run
     (module E)
     ?options ?checkpoint_out ?checkpoint_every ~checkpoint_meta
-    ~resume_from:c ?telemetry ?domains ?env ?cache
-    (strategy_of_checkpoint c)
+    ~resume_from:c ?telemetry ?domains ?env ?cache strategy
 
 let check (type s) (module E : Engine.S with type state = s)
     ?(options = Collector.default_options) ?max_bound ?telemetry ?domains
@@ -187,203 +383,3 @@ let replay (type s) (module E : Engine.S with type state = s) schedule =
              tid (E.depth st))
       else E.step st tid)
     (E.initial ()) schedule
-
-(* --- the textual strategy catalogue ------------------------------------- *)
-
-(* The one list every accepted spelling comes from; the CLI help, the
-   parse error and the docs all render it so they cannot drift apart.
-   (form, description, argument range). *)
-let strategy_forms =
-  [
-    ("icb", "iterative context bounding, unbounded", None);
-    ("icb:N", "iterative context bounding up to N preemptions", Some "N>=0");
-    ("dfs", "plain depth-first search", None);
-    ("db:N", "depth-bounded DFS", Some "N>=1");
-    ("idfs:N", "iterative deepening DFS to depth N", Some "N>=1");
-    ("random", "random walks (see --seed)", None);
-    ("sleep", "DFS with sleep-set partial-order reduction", None);
-    ("pct:N", "probabilistic concurrency testing, N change points", Some "N>=1");
-    ("most-enabled", "best-first by enabled-thread count", None);
-    ( "vb:N",
-      "variable bounding: preemptions only around the N hottest shared \
-       variables",
-      Some "N>=1" );
-    ( "tb:N",
-      "thread bounding: only the N lowest-numbered threads get preempted",
-      Some "N>=1" );
-    ( "icb-vb:N",
-      "iterated preemption bound with non-bounded variables sealed",
-      Some "N>=1" );
-  ]
-
-let render_forms () =
-  String.concat ", "
-    (List.map
-       (fun (form, _, range) ->
-         match range with
-         | None -> form
-         | Some r -> Printf.sprintf "%s (%s)" form r)
-       strategy_forms)
-
-let parse_strategy ~seed s =
-  let starts_with prefix =
-    String.length s > String.length prefix
-    && String.sub s 0 (String.length prefix) = prefix
-  in
-  let suffix_int prefix =
-    int_of_string_opt
-      (String.sub s (String.length prefix)
-         (String.length s - String.length prefix))
-  in
-  let bad () =
-    Error (Printf.sprintf "bad strategy: %s (accepted: %s)" s (render_forms ()))
-  in
-  (* parameterized form: parse the suffix, enforce the range, and say
-     which range was violated — never just "bad strategy" for a
-     well-formed number outside its range *)
-  let ranged prefix form ~min_n k =
-    match suffix_int prefix with
-    | Some n when n >= min_n -> Ok (k n)
-    | Some n ->
-      Error
-        (Printf.sprintf "bad strategy: %s — %s takes N>=%d, got %d" s form
-           min_n n)
-    | None -> bad ()
-  in
-  match s with
-  | "icb" -> Ok (Icb { max_bound = None; cache = true })
-  | "dfs" -> Ok (Dfs { cache = true })
-  | "random" -> Ok (Random_walk { seed })
-  | "sleep" -> Ok Sleep_dfs
-  | "most-enabled" -> Ok (Most_enabled { cache = true })
-  | _ when starts_with "icb-vb:" ->
-    ranged "icb-vb:" "icb-vb:N" ~min_n:1 (fun n ->
-        Icb_vb { n; max_bound = None; cache = true })
-  | _ when starts_with "icb:" ->
-    ranged "icb:" "icb:N" ~min_n:0 (fun b ->
-        Icb { max_bound = Some b; cache = true })
-  | _ when starts_with "db:" ->
-    ranged "db:" "db:N" ~min_n:1 (fun depth ->
-        Bounded_dfs { depth; cache = true })
-  | _ when starts_with "pct:" ->
-    ranged "pct:" "pct:N" ~min_n:1 (fun change_points ->
-        Pct { change_points; seed })
-  | _ when starts_with "idfs:" ->
-    ranged "idfs:" "idfs:N" ~min_n:1 (fun max_depth ->
-        Iterative_dfs { start = 10; incr = 10; max_depth; cache = true })
-  | _ when starts_with "vb:" ->
-    ranged "vb:" "vb:N" ~min_n:1 (fun n -> Variable_bound { n; cache = true })
-  | _ when starts_with "tb:" ->
-    ranged "tb:" "tb:N" ~min_n:1 (fun n -> Thread_bound { n; cache = true })
-  | _ -> bad ()
-
-(* --- the strategy registry ---------------------------------------------- *)
-
-(* One representative instance per strategy family, with the properties
-   the cross-strategy property tests need.  New strategies added here are
-   picked up automatically by the kill/resume and replay-determinism
-   suites — a strategy missing from this list escapes them, so additions
-   to [strategy] should always come with a registry entry. *)
-type registered = {
-  reg_name : string;
-  reg_strategy : strategy;
-  reg_checkpointable : bool;
-  reg_shardable : bool;
-  reg_exact : bool;
-      (* atomic items: kill/resume preserves the execution *multiset*;
-         inexact strategies guarantee the bug/state *sets* only *)
-  reg_bounded : bool;  (* no natural termination: needs an execution cap *)
-}
-
-let registry ?(seed = 2007L) () =
-  [
-    {
-      reg_name = "icb";
-      reg_strategy = Icb { max_bound = None; cache = false };
-      reg_checkpointable = true;
-      reg_shardable = true;
-      reg_exact = false;
-      reg_bounded = false;
-    };
-    {
-      reg_name = "dfs";
-      reg_strategy = Dfs { cache = false };
-      reg_checkpointable = true;
-      reg_shardable = true;
-      reg_exact = true;
-      reg_bounded = false;
-    };
-    {
-      reg_name = "db:40";
-      reg_strategy = Bounded_dfs { depth = 40; cache = false };
-      reg_checkpointable = true;
-      reg_shardable = true;
-      reg_exact = true;
-      reg_bounded = false;
-    };
-    {
-      reg_name = "idfs:48";
-      reg_strategy =
-        Iterative_dfs { start = 16; incr = 16; max_depth = 48; cache = false };
-      reg_checkpointable = true;
-      reg_shardable = true;
-      reg_exact = true;
-      reg_bounded = false;
-    };
-    {
-      reg_name = "random";
-      reg_strategy = Random_walk { seed };
-      reg_checkpointable = true;
-      reg_shardable = true;
-      reg_exact = true;
-      reg_bounded = true;
-    };
-    {
-      reg_name = "pct:3";
-      reg_strategy = Pct { change_points = 3; seed };
-      reg_checkpointable = true;
-      reg_shardable = true;
-      reg_exact = true;
-      reg_bounded = true;
-    };
-    {
-      reg_name = "sleep-dfs";
-      reg_strategy = Sleep_dfs;
-      reg_checkpointable = false;
-      reg_shardable = false;
-      reg_exact = false;
-      reg_bounded = false;
-    };
-    {
-      reg_name = "most-enabled";
-      reg_strategy = Most_enabled { cache = false };
-      reg_checkpointable = true;
-      reg_shardable = false;
-      reg_exact = false;
-      reg_bounded = false;
-    };
-    {
-      reg_name = "vb:2";
-      reg_strategy = Variable_bound { n = 2; cache = false };
-      reg_checkpointable = true;
-      reg_shardable = true;
-      reg_exact = false;
-      reg_bounded = false;
-    };
-    {
-      reg_name = "tb:2";
-      reg_strategy = Thread_bound { n = 2; cache = false };
-      reg_checkpointable = true;
-      reg_shardable = true;
-      reg_exact = false;
-      reg_bounded = false;
-    };
-    {
-      reg_name = "icb-vb:2";
-      reg_strategy = Icb_vb { n = 2; max_bound = None; cache = false };
-      reg_checkpointable = true;
-      reg_shardable = true;
-      reg_exact = false;
-      reg_bounded = false;
-    };
-  ]

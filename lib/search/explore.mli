@@ -103,10 +103,8 @@ val run :
     machine engine); otherwise each worker replays schedule prefixes on
     its own states.  The result is deterministic
     and matches the serial search — see docs/PARALLEL.md for the exact
-    guarantees and the [cache] caveat.  Every strategy whose frontier
-    shards accepts [domains > 1]: {!Icb}, the DFS family, {!Random_walk},
-    {!Pct}, {!Variable_bound}, {!Thread_bound} and {!Icb_vb};
-    {!Sleep_dfs} and {!Most_enabled} raise [Invalid_argument].
+    guarantees and the [cache] caveat.  A strategy whose frontier does
+    not shard ({!Strategy.S.shardable}) raises [Invalid_argument].
 
     [checkpoint_out] (every strategy but {!Sleep_dfs}) writes a
     checkpoint to that path every [checkpoint_every] (default
@@ -148,16 +146,10 @@ val resume :
     checkpoint and calls {!run} with [resume_from].  When
     [checkpoint_meta] is omitted the checkpoint's own metadata is carried
     forward.  [domains] parallelizes the resumed search; serial and
-    parallel checkpoints are mutually resumable. *)
-
-val strategy_of_checkpoint : Checkpoint.t -> strategy
-
-val strategy_of_v3 : Checkpoint.v3 -> strategy
-(** Rebuild a strategy value from a serialized v3 frontier's tag and
-    parameters alone — what {!strategy_of_checkpoint} does after
-    upgrading, and what a distributed worker does with the frontier
-    slice it receives over the wire.  Raises [Invalid_argument] on an
-    unknown tag. *)
+    parallel checkpoints are mutually resumable.  A checkpoint whose
+    strategy does not decode ({!strategy_of_checkpoint}) raises
+    [Invalid_argument] with the decoder's message before any
+    execution. *)
 
 val instantiate :
   ?env:Strategy.env ->
@@ -168,7 +160,8 @@ val instantiate :
     single-use (they hold the run's round state): build one per search.
     Exposed for drivers outside this module — the distributed
     coordinator/worker pair positions instances directly via
-    {!Strategy.S.of_prefixes}. *)
+    {!Strategy.S.of_prefixes} — and for reading a strategy's capability
+    flags. *)
 
 val check :
   (module Engine.S with type state = 's) ->
@@ -200,40 +193,56 @@ val replay_prefix :
     bug is the witness, anything after it is noise.  Raises like
     {!replay} if a pre-terminal step names a disabled thread. *)
 
-(** {2 The textual strategy catalogue}
+(** {2 The strategy catalogue}
 
-    One list every accepted [--strategy] spelling comes from: the CLI help
-    text, the parse errors and the docs all render it, so they cannot
-    drift apart. *)
+    One row per strategy family declares its checkpoint tag, its
+    [--strategy] spellings (form, help text, range of N), its one
+    parameter decoder and its registry representative; the values below
+    are derived from the rows, so the CLI, a checkpoint resume and a
+    distributed worker accept and reject exactly the same values.  The
+    capability flags live on the {!Strategy.S} instance, not here.
+
+    A decoder requires every parameter that determines the strategy.
+    [max_bound] and the progress counters an instance persists
+    ([truncated], [sealed], [k]) may be absent.  A present value must
+    parse and be in range: [max_bound] and the counters at least 0,
+    every other integer at least 1.  Unknown keys are ignored. *)
 
 val strategy_forms : (string * string * string option) list
 (** (form, description, argument range), e.g.
     [("vb:N", "variable bounding: ...", Some "N>=1")]. *)
 
 val parse_strategy : seed:int64 -> string -> (strategy, string) result
-(** Parse a [--strategy] spelling.  [seed] seeds the randomized
-    strategies.  Rejections name the offending spelling and either the
-    violated range (["bad strategy: vb:0 — vb:N takes N>=1, got 0"]) or
-    the full list of accepted forms with their ranges. *)
+(** Parse a [--strategy] spelling: its N and the defaults (cache on,
+    [seed], iterative deepening in steps of 10 from depth 10) go through
+    the family's decoder.  Rejections name the offending spelling and
+    either the violated range (["bad strategy: vb:0 — vb:N takes N>=1,
+    got 0"]) or the full list of accepted forms with their ranges. *)
+
+val strategy_of_v3 : Checkpoint.v3 -> (strategy, string) result
+(** Rebuild a strategy value from a serialized v3 frontier's tag and
+    parameters alone — what {!strategy_of_checkpoint} does after
+    upgrading, and what a distributed worker does with the frontier
+    slice it receives over the wire.  Never raises: an unknown tag, or a
+    missing, malformed or out-of-range parameter, is an [Error] naming
+    the tag and the key (["checkpoint strategy idfs: incr=0 is below
+    1"]). *)
+
+val strategy_of_checkpoint : Checkpoint.t -> (strategy, string) result
 
 (** {2 The strategy registry}
 
-    One representative instance per strategy family, with the properties
-    the cross-strategy property suites need — kill/resume equivalence and
-    replay determinism iterate this list, so a new strategy added here is
-    covered automatically (and one missing from here silently escapes
-    them). *)
+    Each catalogue row's representative: the cross-strategy property
+    suites iterate this list, so a family added to the catalogue is
+    covered automatically.  They read the capability flags off the
+    instance ({!instantiate}). *)
 
 type registered = {
   reg_name : string;
   reg_strategy : strategy;
-  reg_checkpointable : bool;
-  reg_shardable : bool;
-  reg_exact : bool;
-      (** atomic items: kill/resume preserves the execution {e multiset};
-          inexact strategies guarantee the bug/state {e sets} only *)
   reg_bounded : bool;
       (** no natural termination: the caller must cap executions *)
 }
 
 val registry : ?seed:int64 -> unit -> registered list
+(** [seed] (default 2007) seeds the randomized representatives. *)

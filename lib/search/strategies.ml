@@ -39,43 +39,120 @@ let walk_rng seed i =
   Icb_util.Rng.create
     (Int64.add seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (i + 1))))
 
+(* --- where preemptions may happen ----------------------------------------- *)
+
+(* Bindal, Bansal & Lal: instead of bounding *how many* preemptions an
+   execution may contain, bound *where* preemptions may happen — only
+   around the N hottest shared variables (vb:N, icb-vb:N), or only
+   against the N designated threads (tb:N).  Each reuses Algorithm 1's
+   inner loop with an [admit] predicate: a preemption point outside the
+   bound is sealed (its preempting branches dropped and counted) instead
+   of deferred. *)
+
+let top_var_keys (env : Strategy.env) n =
+  List.filteri (fun i _ -> i < n) env.Strategy.env_svars
+  |> List.map (fun sv -> sv.Strategy.sv_key)
+
+(* A preemption point admits preemptions iff the thread being switched
+   away from would next touch an admitted variable.  Speculative execution
+   via the engine's footprint hook; if the engine cannot speculate here we
+   conservatively admit (never miss a bug to an optimization). *)
+let var_admit (type s) (module E : Engine.S with type state = s) keys st tid =
+  match E.step_footprint st tid with
+  | exception Collector.Stop -> raise Collector.Stop
+  | exception _ -> true
+  | fp ->
+    Engine.Footprint.Var_set.exists
+      (fun v -> List.mem (Strategy.key_of_var v) keys)
+      fp.Engine.Footprint.vars
+
+(* Per-worker state of the instances built on [icb_item]: the paper's
+   optional state-caching table, keyed on the work item — per worker, so
+   parallel caching prunes only a worker's own revisits (sound, but a
+   cached parallel run may explore more) — and the preemption points
+   sealed since the last barrier. *)
+type item_wstate = {
+  w_cache : (int64 * int, unit) Hashtbl.t;
+  mutable w_sealed : int;
+}
+
+let item_wstate () = { w_cache = Hashtbl.create 4096; w_sealed = 0 }
+
+(* The sealed-point count is folded at each barrier and persisted through
+   checkpoints ("sealed"), so exhaustion is reported as [`Bounded]
+   whenever anything was sealed, [`Complete] only when the bound turned
+   out not to bound anything.  The counter is advisory (a
+   killed-and-resumed run may recount seals of re-run items); only its
+   zeroness is ever interpreted. *)
+let sealed_total base wstates =
+  Array.fold_left (fun acc w -> acc + w.w_sealed) base wstates
+
+let fold_sealed base wstates =
+  base := sealed_total !base wstates;
+  Array.iter (fun w -> w.w_sealed <- 0) wstates;
+  !base
+
+(* The admitted variable keys; checkpoints persist them ("vars"), and a
+   resume restores them — authoritative over the constructor's, so
+   resuming does not need the original env. *)
+let restore_vars keys params =
+  match List.assoc_opt "vars" params with
+  | Some "" -> keys := []
+  | Some s -> keys := String.split_on_char ',' s
+  | None -> ()
+
 (* --- Algorithm 1: iterative context bounding ---------------------------- *)
 
-let icb (type s) (module _ : Engine.S with type state = s) ~max_bound ~cache :
-    (module Strategy.S with type state = s) =
+(* Round 0 of every instance built on [icb_item]: touch the initial
+   state, finish a trivially terminal program, else one item per enabled
+   thread. *)
+let icb_roots (type s) (module E : Engine.S with type state = s) col =
+  let s0 = E.initial () in
+  let sg = E.signature s0 in
+  Collector.touch col sg;
+  match E.status s0 with
+  | Engine.Running ->
+    List.map
+      (fun t -> item ~sched:[] ~payload:t ~state:(Some s0))
+      (E.enabled s0)
+  | status ->
+    Search_core.finish (module E) col s0 ~signature:sg status;
+    []
+
+(* ICB's rounds (round = context bound, preempting branches deferred to
+   the next round), serving [icb] and [icb_vb].  [vars] (icb-vb:N) seals
+   every deferral at a preemption point that touches no admitted
+   variable: per bound it explores a subset of raw ICB's executions, so a
+   bug whose preemptions sit on hot variables is found strictly cheaper;
+   the price is completeness — exhaustion with sealed points is
+   [`Bounded], not [`Complete].  Plain [icb] passes no [vars], so
+   [icb_item] runs with its default admit. *)
+let icb_rounds (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
+    ~static ~max_bound ~cache ?vars () : (module Strategy.S with type state = s)
+    =
   (module struct
     type state = s
 
-    let name = Search_core.icb_strategy_name ~max_bound
-    let tag = "icb"
+    let name = name_
+    let tag = tag_
     let checkpointable = true
     let shardable = true
     let discipline = `Fifo
     let atomic_items = false  (* one item explores a whole subtree *)
 
-    (* the paper's optional state-caching table, keyed on the work item;
-       per worker, so parallel caching prunes only a worker's own
-       revisits (sound, but a cached parallel run may explore more) *)
-    type wstate = (int64 * int, unit) Hashtbl.t
+    type wstate = item_wstate
 
-    let wstate () = Hashtbl.create 4096
+    let wstate = item_wstate
+    let sealing = Option.is_some vars
     let bound = ref 0
+    let keys = ref (Option.value vars ~default:[])
+    let sealed_base = ref 0
 
     let roots (module E : Engine.S with type state = state) _w col =
       Collector.note_bound col !bound;
-      let s0 = E.initial () in
-      let sg = E.signature s0 in
-      Collector.touch col sg;
-      match E.status s0 with
-      | Engine.Running ->
-        List.map
-          (fun t -> item ~sched:[] ~payload:t ~state:(Some s0))
-          (E.enabled s0)
-      | status ->
-        Search_core.finish (module E) col s0 ~signature:sg status;
-        []
+      icb_roots (module E) col
 
-    let expand (module E : Engine.S with type state = state) table ctx it =
+    let expand (module E : Engine.S with type state = state) w ctx it =
       (* also on the expanding collector: a parallel worker's local
          collector never sees [roots]/[after_round], and its telemetry
          events must still carry the bound being explored *)
@@ -86,7 +163,13 @@ let icb (type s) (module _ : Engine.S with type state = s) ~max_bound ~cache :
         Search_core.icb_item
           (module E)
           ctx.Strategy.c_col
-          ?seen:(Search_core.item_cache ~cache table)
+          ?seen:(Search_core.item_cache ~cache w.w_cache)
+          ?admit:
+            (if sealing then
+               Some
+                 (var_admit (module E : Engine.S with type state = state) !keys)
+             else None)
+          ~seal:(fun () -> w.w_sealed <- w.w_sealed + 1)
           ~defer:(fun st' t ->
             ctx.Strategy.c_defer
               (item ~sched:(E.schedule st') ~payload:t ~state:(Some st')))
@@ -95,9 +178,10 @@ let icb (type s) (module _ : Engine.S with type state = s) ~max_bound ~cache :
     let rank _ _ = 0
     let round () = !bound
 
-    let after_round col ~wstates:_ ~deferred =
+    let after_round col ~wstates ~deferred =
       Collector.record_bound col !bound;
-      if deferred = [] then `Complete
+      let sealed = fold_sealed sealed_base wstates in
+      if deferred = [] then if sealed = 0 then `Complete else `Bounded
       else
         match max_bound with
         | Some b when !bound >= b ->
@@ -108,14 +192,17 @@ let icb (type s) (module _ : Engine.S with type state = s) ~max_bound ~cache :
           Collector.note_bound col !bound;
           `Round deferred
 
-    let to_prefixes ~wstates:_ ~work ~next =
+    let to_prefixes ~wstates ~work ~next =
       {
         Checkpoint.v3_tag = tag;
         v3_params =
-          (match max_bound with
-          | None -> [ ("cache", string_of_bool cache) ]
-          | Some b ->
-            [ ("max_bound", string_of_int b); ("cache", string_of_bool cache) ]);
+          static
+          @ (if sealing then [ ("vars", String.concat "," !keys) ] else [])
+          @ [ ("cache", string_of_bool cache) ]
+          @
+          if sealing then
+            [ ("sealed", string_of_int (sealed_total !sealed_base wstates)) ]
+          else [];
         v3_round = !bound;
         v3_work = work;
         v3_next = next;
@@ -124,8 +211,33 @@ let icb (type s) (module _ : Engine.S with type state = s) ~max_bound ~cache :
     let of_prefixes col (f : Checkpoint.v3) =
       bound := f.Checkpoint.v3_round;
       Collector.note_bound col !bound;
+      if sealing then begin
+        restore_vars keys f.Checkpoint.v3_params;
+        sealed_base := int_param f.Checkpoint.v3_params "sealed" ~default:0
+      end;
       (f.Checkpoint.v3_work, f.Checkpoint.v3_next)
   end)
+
+let max_bound_param = function
+  | None -> []
+  | Some b -> [ ("max_bound", string_of_int b) ]
+
+let icb (type s) (module E : Engine.S with type state = s) ~max_bound ~cache =
+  icb_rounds
+    (module E)
+    ~tag_:"icb"
+    ~name_:(Search_core.icb_strategy_name ~max_bound)
+    ~static:(max_bound_param max_bound) ~max_bound ~cache ()
+
+let icb_vb (type s) (module E : Engine.S with type state = s) ~n ~max_bound
+    ~cache ~env =
+  icb_rounds
+    (module E)
+    ~tag_:"icb-vb"
+    ~name_:(Printf.sprintf "icb-vb:%d" n)
+    ~static:(("n", string_of_int n) :: max_bound_param max_bound)
+    ~max_bound ~cache
+    ~vars:(top_var_keys env n) ()
 
 (* --- the depth-first family --------------------------------------------- *)
 
@@ -272,6 +384,8 @@ let bounded_dfs (type s) (module E : Engine.S with type state = s) ~depth
     ~cache ~first:(Some depth)
     ~next_depth:(fun _ -> None)
 
+(* Depth bounds start, start + incr, ..., each capped at [max_depth]: the
+   last round is at [max_depth], so idfs:N covers db:N's space. *)
 let iterative_dfs (type s) (module E : Engine.S with type state = s) ~start
     ~incr ~max_depth ~cache =
   dfs_family (module E)
@@ -283,8 +397,10 @@ let iterative_dfs (type s) (module E : Engine.S with type state = s) ~start
         ("incr", string_of_int incr);
         ("max_depth", string_of_int max_depth);
       ]
-    ~cache ~first:(Some start)
-    ~next_depth:(fun d -> if d + incr <= max_depth then Some (d + incr) else None)
+    ~cache
+    ~first:(Some (min start max_depth))
+    ~next_depth:(fun d ->
+      if d >= max_depth then None else Some (min (d + incr) max_depth))
 
 (* --- depth-first search with sleep sets --------------------------------- *)
 
@@ -441,115 +557,35 @@ let most_enabled (type s) (module _ : Engine.S with type state = s) ~cache :
       (f.Checkpoint.v3_work, f.Checkpoint.v3_next)
   end)
 
-(* --- random walk --------------------------------------------------------- *)
+(* --- randomized restart sampling: random walk and PCT -------------------- *)
 
-(* Uniform restart sampling.  Walks are numbered; walk [i] draws from
-   [walk_rng seed i], and a round is a batch of indices — so the walk
-   multiset is a pure function of (seed, walk count), shardable across
-   domains and exactly resumable.  Without an execution or step limit a
-   random walk never stops; the caller's options must bound it, but a
-   large default cap guards against looping forever on a
-   misconfiguration. *)
+(* Walks are numbered; walk [i] draws from [walk_rng seed i], and a round
+   is a batch of indices — so the walk multiset is a pure function of
+   (seed, walk count), shardable across domains and exactly resumable.
+   Without an execution or step limit sampling never stops; the caller's
+   options must bound it, but a large default cap guards against looping
+   forever on a misconfiguration.
+
+   The strategies differ only in how a walk picks among the enabled
+   threads: [picker ~k rng] is one walk's chooser, [k] the running
+   estimate of an execution's length — the deepest walk so far, folded
+   over workers at the round barrier (a deterministic max, keeping
+   parallel runs reproducible).  [params ~k] are the checkpoint's. *)
 let walk_batch = 64
 
 let walk_hard_cap = 1_000_000
 
-let random_walk (type s) (module _ : Engine.S with type state = s) ~seed :
-    (module Strategy.S with type state = s) =
+let walks (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
+    ~seed ~params ~picker : (module Strategy.S with type state = s) =
   (module struct
     type state = s
 
-    let name = "random"
-    let tag = "random"
+    let name = name_
+    let tag = tag_
     let checkpointable = true
     let shardable = true
     let discipline = `Fifo
     let atomic_items = true  (* one walk = one execution *)
-
-    type wstate = unit
-
-    let wstate () = ()
-    let next_index = ref 0
-
-    let take_batch () =
-      let lo = !next_index in
-      let hi = min (lo + walk_batch) walk_hard_cap in
-      next_index := hi;
-      List.init (hi - lo) (fun k ->
-          item ~sched:[] ~payload:(lo + k) ~state:None)
-
-    let roots (module _ : Engine.S with type state = state) _w _col =
-      take_batch ()
-
-    let expand (module E : Engine.S with type state = state) () ctx it =
-      let col = ctx.Strategy.c_col in
-      let rng = walk_rng seed it.Strategy.i_payload in
-      let st = ref (E.initial ()) in
-      let sg = ref (E.signature !st) in
-      Collector.touch col !sg;
-      let rec walk () =
-        match E.status !st with
-        | Engine.Running -> (
-          let t = Icb_util.Rng.pick rng (E.enabled !st) in
-          match Search_core.step_guarded (module E) col !st t with
-          | None -> ()
-          | Some st' ->
-            st := st';
-            sg := E.signature st';
-            Collector.touch col !sg;
-            walk ())
-        | status -> Search_core.finish (module E) col !st ~signature:!sg status
-      in
-      walk ()
-
-    let rank _ _ = 0
-    let round () = !next_index
-
-    let after_round col ~wstates:_ ~deferred:_ =
-      if Collector.executions col >= walk_hard_cap || !next_index >= walk_hard_cap
-      then `Bounded
-      else `Round (take_batch ())
-
-    let to_prefixes ~wstates:_ ~work ~next =
-      {
-        Checkpoint.v3_tag = tag;
-        v3_params = [ ("seed", Int64.to_string seed) ];
-        v3_round = !next_index;
-        v3_work = work;
-        v3_next = next;
-      }
-
-    let of_prefixes _col (f : Checkpoint.v3) =
-      next_index := f.Checkpoint.v3_round;
-      if f.Checkpoint.v3_work = [] then
-        (* a legacy (v2) frontier carries no walk indices — the collector
-           execution count positioned [v3_round]; start the next batch *)
-        (List.map Strategy.prefix_of (take_batch ()), [])
-      else (f.Checkpoint.v3_work, f.Checkpoint.v3_next)
-  end)
-
-(* --- PCT: probabilistic concurrency testing ------------------------------ *)
-
-(* Burckhardt, Kothari, Musuvathi, Nagarakatte (ASPLOS 2010), the
-   randomized successor of iterative context bounding from the same group:
-   each execution runs threads by randomly assigned priorities, lowering
-   the running thread's priority at [change_points - 1] uniformly chosen
-   steps.  Any bug of preemption depth d is found with probability at
-   least 1/(n * k^(d-1)) per execution.  Like the random walk, execution
-   [i] draws from its own derived stream; the step-count estimate [k] that
-   scales the change-point distribution updates at round barriers (a
-   deterministic max over workers), keeping parallel runs reproducible. *)
-let pct (type s) (module _ : Engine.S with type state = s) ~change_points
-    ~seed : (module Strategy.S with type state = s) =
-  (module struct
-    type state = s
-
-    let name = Printf.sprintf "pct:%d" change_points
-    let tag = "pct"
-    let checkpointable = true
-    let shardable = true
-    let discipline = `Fifo
-    let atomic_items = true
 
     type wstate = { mutable w_kmax : int }
 
@@ -569,57 +605,26 @@ let pct (type s) (module _ : Engine.S with type state = s) ~change_points
 
     let expand (module E : Engine.S with type state = state) w ctx it =
       let col = ctx.Strategy.c_col in
-      let rng = walk_rng seed it.Strategy.i_payload in
-      let priorities : (int, int) Hashtbl.t = Hashtbl.create 8 in
-      (* initial and spawned threads draw a random high priority; change
-         points later demote to the low band 1..d-1 *)
-      let d = max 1 change_points in
-      let priority_of t =
-        match Hashtbl.find_opt priorities t with
-        | Some p -> p
-        | None ->
-          let p = d + Icb_util.Rng.int rng 1000 in
-          Hashtbl.add priorities t p;
-          p
-      in
-      let change_steps =
-        List.init (d - 1) (fun i ->
-            (i + 1, 1 + Icb_util.Rng.int rng (max 1 !k_estimate)))
-      in
-      let st = ref (E.initial ()) in
-      let sg = ref (E.signature !st) in
-      Collector.touch col !sg;
-      let steps = ref 0 in
-      let rec walk () =
-        match E.status !st with
+      let pick = picker ~k:!k_estimate (walk_rng seed it.Strategy.i_payload) in
+      (* returns the execution's last state *)
+      let rec walk st sg =
+        match E.status st with
         | Engine.Running -> (
-          let en = E.enabled !st in
-          let t =
-            List.fold_left
-              (fun best t ->
-                match best with
-                | None -> Some t
-                | Some b ->
-                  if priority_of t > priority_of b then Some t else best)
-              None en
-            |> Option.get
-          in
-          incr steps;
-          List.iter
-            (fun (low, at) ->
-              if at = !steps then Hashtbl.replace priorities t low)
-            change_steps;
-          match Search_core.step_guarded (module E) col !st t with
-          | None -> ()  (* crash recorded; this execution is over *)
+          let t = pick (E.enabled st) in
+          match Search_core.step_guarded (module E) col st t with
+          | None -> st  (* crash recorded; this execution is over *)
           | Some st' ->
-            st := st';
-            sg := E.signature st';
-            Collector.touch col !sg;
-            walk ())
-        | status -> Search_core.finish (module E) col !st ~signature:!sg status
+            let sg' = E.signature st' in
+            Collector.touch col sg';
+            walk st' sg')
+        | status ->
+          Search_core.finish (module E) col st ~signature:sg status;
+          st
       in
-      walk ();
-      w.w_kmax <- max w.w_kmax (E.depth !st)
+      let s0 = E.initial () in
+      let sg0 = E.signature s0 in
+      Collector.touch col sg0;
+      w.w_kmax <- max w.w_kmax (E.depth (walk s0 sg0))
 
     let rank _ _ = 0
     let round () = !next_index
@@ -636,12 +641,7 @@ let pct (type s) (module _ : Engine.S with type state = s) ~change_points
     let to_prefixes ~wstates ~work ~next =
       {
         Checkpoint.v3_tag = tag;
-        v3_params =
-          [
-            ("change_points", string_of_int change_points);
-            ("seed", Int64.to_string seed);
-            ("k", string_of_int (kmax wstates));
-          ];
+        v3_params = params ~k:(kmax wstates);
         v3_round = !next_index;
         v3_work = work;
         v3_next = next;
@@ -651,58 +651,87 @@ let pct (type s) (module _ : Engine.S with type state = s) ~change_points
       next_index := f.Checkpoint.v3_round;
       k_estimate := int_param f.Checkpoint.v3_params "k" ~default:32;
       if f.Checkpoint.v3_work = [] then
+        (* a legacy (v2) frontier carries no walk indices — the collector
+           execution count positioned [v3_round]; start the next batch *)
         (List.map Strategy.prefix_of (take_batch ()), [])
       else (f.Checkpoint.v3_work, f.Checkpoint.v3_next)
   end)
 
+(* Uniform restart sampling. *)
+let random_walk (type s) (module E : Engine.S with type state = s) ~seed =
+  walks
+    (module E)
+    ~tag_:"random" ~name_:"random" ~seed
+    ~params:(fun ~k:_ -> [ ("seed", Int64.to_string seed) ])
+    ~picker:(fun ~k:_ rng -> Icb_util.Rng.pick rng)
+
+(* PCT: probabilistic concurrency testing.  Burckhardt, Kothari,
+   Musuvathi, Nagarakatte (ASPLOS 2010), the randomized successor of
+   iterative context bounding from the same group: each execution runs
+   threads by randomly assigned priorities, lowering the running thread's
+   priority at [change_points - 1] uniformly chosen steps, drawn up to
+   the step-count estimate [k].  Any bug of preemption depth d is found
+   with probability at least 1/(n * k^(d-1)) per execution. *)
+let pct (type s) (module E : Engine.S with type state = s) ~change_points
+    ~seed =
+  walks
+    (module E)
+    ~tag_:"pct"
+    ~name_:(Printf.sprintf "pct:%d" change_points)
+    ~seed
+    ~params:(fun ~k ->
+      [
+        ("change_points", string_of_int change_points);
+        ("seed", Int64.to_string seed);
+        ("k", string_of_int k);
+      ])
+    ~picker:(fun ~k rng ->
+      let priorities : (int, int) Hashtbl.t = Hashtbl.create 8 in
+      (* initial and spawned threads draw a random high priority; change
+         points later demote to the low band 1..d-1 *)
+      let d = max 1 change_points in
+      let priority_of t =
+        match Hashtbl.find_opt priorities t with
+        | Some p -> p
+        | None ->
+          let p = d + Icb_util.Rng.int rng 1000 in
+          Hashtbl.add priorities t p;
+          p
+      in
+      let change_steps =
+        List.init (d - 1) (fun i ->
+            (i + 1, 1 + Icb_util.Rng.int rng (max 1 k)))
+      in
+      let steps = ref 0 in
+      fun en ->
+        let t =
+          List.fold_left
+            (fun best t ->
+              match best with
+              | None -> Some t
+              | Some b ->
+                if priority_of t > priority_of b then Some t else best)
+            None en
+          |> Option.get
+        in
+        incr steps;
+        List.iter
+          (fun (low, at) ->
+            if at = !steps then Hashtbl.replace priorities t low)
+          change_steps;
+        t)
+
 (* --- variable and thread bounding ---------------------------------------- *)
 
-(* Bindal, Bansal & Lal: instead of bounding *how many* preemptions an
-   execution may contain, bound *where* preemptions may happen — only
-   around the N hottest shared variables (vb:N), or only against the N
-   designated threads (tb:N).  Both reuse Algorithm 1's inner loop with an
-   [admit] predicate: a preemption point outside the bound is sealed (its
-   preempting branches dropped and counted) instead of deferred.
-
-   [vb]/[tb] explore the whole sealed subspace in one round, depth-first,
-   with no limit on the preemption count — the bound is the *where*, not
-   the *how many*.  [icb_vb] composes both: ICB's round structure (round =
-   context bound) with variable sealing applied to every deferral, so each
-   bound costs strictly fewer executions than raw ICB's. *)
-
-let top_var_keys (env : Strategy.env) n =
-  List.filteri (fun i _ -> i < n) env.Strategy.env_svars
-  |> List.map (fun sv -> sv.Strategy.sv_key)
-
-(* A preemption point admits preemptions iff the thread being switched
-   away from would next touch an admitted variable.  Speculative execution
-   via the engine's footprint hook; if the engine cannot speculate here we
-   conservatively admit (never miss a bug to an optimization). *)
-let var_admit (type s) (module E : Engine.S with type state = s) keys st tid =
-  match E.step_footprint st tid with
-  | exception Collector.Stop -> raise Collector.Stop
-  | exception _ -> true
-  | fp ->
-    Engine.Footprint.Var_set.exists
-      (fun v -> List.mem (Strategy.key_of_var v) keys)
-      fp.Engine.Footprint.vars
-
-(* vb:N and tb:N share this instance: one round over the sealed subspace.
-   Preempting branches go into the *current* round's queue (LIFO: depth
-   first), sealed points bump a per-worker counter — folded at the round
-   barrier and persisted through checkpoints ("sealed") so exhaustion is
-   reported as [`Bounded] whenever anything was sealed, [`Complete] only
-   when the bound turned out not to bound anything.  The counter is
-   advisory (a killed-and-resumed run may recount seals of re-run items);
-   only its zeroness is ever interpreted. *)
+(* vb:N and tb:N share this instance: one round over the sealed subspace,
+   depth-first, with no limit on the preemption count — the bound is the
+   *where*, not the *how many*.  Preempting branches go into the
+   *current* round's queue (LIFO: depth first); sealed points bump the
+   per-worker counter.  [vars] (vb:N) are the admitted variable keys,
+   persisted through checkpoints. *)
 let sealed_space (type s) (module _ : Engine.S with type state = s) ~tag_
-    ~name_ ~static ~cache ~uses_vars ~init_keys
-    ~(mk_admit :
-       (module Engine.S with type state = s) ->
-       string list ->
-       s ->
-       int ->
-       bool) : (module Strategy.S with type state = s) =
+    ~name_ ~static ~cache ?vars ~mk_admit () :
+    (module Strategy.S with type state = s) =
   (module struct
     type state = s
 
@@ -713,31 +742,14 @@ let sealed_space (type s) (module _ : Engine.S with type state = s) ~tag_
     let discipline = `Lifo
     let atomic_items = false
 
-    type wstate = {
-      w_cache : (int64 * int, unit) Hashtbl.t;
-      mutable w_sealed : int;
-    }
+    type wstate = item_wstate
 
-    let wstate () = { w_cache = Hashtbl.create 4096; w_sealed = 0 }
-
-    (* the admitted variable keys; checkpoints persist them ("vars"), and
-       a resume restores them — authoritative over the constructor's,
-       so resuming does not need the original env *)
-    let keys = ref init_keys
+    let wstate = item_wstate
+    let keys = ref (Option.value vars ~default:[])
     let sealed_base = ref 0
 
     let roots (module E : Engine.S with type state = state) _w col =
-      let s0 = E.initial () in
-      let sg = E.signature s0 in
-      Collector.touch col sg;
-      match E.status s0 with
-      | Engine.Running ->
-        List.map
-          (fun t -> item ~sched:[] ~payload:t ~state:(Some s0))
-          (E.enabled s0)
-      | status ->
-        Search_core.finish (module E) col s0 ~signature:sg status;
-        []
+      icb_roots (module E) col
 
     let expand (module E : Engine.S with type state = state) w ctx it =
       match ctx.Strategy.c_materialize it with
@@ -757,25 +769,19 @@ let sealed_space (type s) (module _ : Engine.S with type state = s) ~tag_
     let rank _ _ = 0
     let round () = 0
 
-    let sealed_total wstates =
-      Array.fold_left (fun acc w -> acc + w.w_sealed) !sealed_base wstates
-
     let after_round col ~wstates ~deferred:_ =
       Collector.record_bound col 0;
-      let sealed = sealed_total wstates in
-      Array.iter (fun w -> w.w_sealed <- 0) wstates;
-      sealed_base := sealed;
-      if sealed = 0 then `Complete else `Bounded
+      if fold_sealed sealed_base wstates = 0 then `Complete else `Bounded
 
     let to_prefixes ~wstates ~work ~next =
       {
         Checkpoint.v3_tag = tag;
         v3_params =
           static
-          @ (if uses_vars then [ ("vars", String.concat "," !keys) ] else [])
+          @ (if vars <> None then [ ("vars", String.concat "," !keys) ] else [])
           @ [
               ("cache", string_of_bool cache);
-              ("sealed", string_of_int (sealed_total wstates));
+              ("sealed", string_of_int (sealed_total !sealed_base wstates));
             ];
         v3_round = 0;
         v3_work = work;
@@ -783,11 +789,7 @@ let sealed_space (type s) (module _ : Engine.S with type state = s) ~tag_
       }
 
     let of_prefixes _col (f : Checkpoint.v3) =
-      (if uses_vars then
-         match List.assoc_opt "vars" f.Checkpoint.v3_params with
-         | Some "" -> keys := []
-         | Some s -> keys := String.split_on_char ',' s
-         | None -> ());
+      if vars <> None then restore_vars keys f.Checkpoint.v3_params;
       sealed_base := int_param f.Checkpoint.v3_params "sealed" ~default:0;
       (f.Checkpoint.v3_work, f.Checkpoint.v3_next)
   end)
@@ -799,10 +801,8 @@ let variable_bound (type s) (module E : Engine.S with type state = s) ~n
     ~tag_:"vb"
     ~name_:(Printf.sprintf "vb:%d" n)
     ~static:[ ("n", string_of_int n) ]
-    ~cache ~uses_vars:true
-    ~init_keys:(top_var_keys env n)
-    ~mk_admit:(fun (module E : Engine.S with type state = s) keys st tid ->
-      var_admit (module E) keys st tid)
+    ~cache
+    ~vars:(top_var_keys env n) ~mk_admit:var_admit ()
 
 (* Designated threads are the N lowest tids (creation order, main = 0):
    deterministic, env-free, and matching how the benchmarks spawn their
@@ -814,113 +814,6 @@ let thread_bound (type s) (module E : Engine.S with type state = s) ~n ~cache :
     ~tag_:"tb"
     ~name_:(Printf.sprintf "tb:%d" n)
     ~static:[ ("n", string_of_int n) ]
-    ~cache ~uses_vars:false ~init_keys:[]
+    ~cache
     ~mk_admit:(fun _ _ _ tid -> tid < n)
-
-(* ICB with variable sealing: identical round structure to [icb] (round =
-   context bound, preempting branches deferred), but deferrals only happen
-   at admitted preemption points.  Per bound it explores a subset of raw
-   ICB's executions, so a bug whose preemptions sit on hot variables is
-   found strictly cheaper; the price is completeness — exhaustion with
-   sealed points is [`Bounded], not [`Complete]. *)
-let icb_vb (type s) (module _ : Engine.S with type state = s) ~n ~max_bound
-    ~cache ~env : (module Strategy.S with type state = s) =
-  (module struct
-    type state = s
-
-    let name = Printf.sprintf "icb-vb:%d" n
-    let tag = "icb-vb"
-    let checkpointable = true
-    let shardable = true
-    let discipline = `Fifo
-    let atomic_items = false
-
-    type wstate = {
-      w_cache : (int64 * int, unit) Hashtbl.t;
-      mutable w_sealed : int;
-    }
-
-    let wstate () = { w_cache = Hashtbl.create 4096; w_sealed = 0 }
-    let bound = ref 0
-    let keys = ref (top_var_keys env n)
-    let sealed_base = ref 0
-
-    let roots (module E : Engine.S with type state = state) _w col =
-      Collector.note_bound col !bound;
-      let s0 = E.initial () in
-      let sg = E.signature s0 in
-      Collector.touch col sg;
-      match E.status s0 with
-      | Engine.Running ->
-        List.map
-          (fun t -> item ~sched:[] ~payload:t ~state:(Some s0))
-          (E.enabled s0)
-      | status ->
-        Search_core.finish (module E) col s0 ~signature:sg status;
-        []
-
-    let expand (module E : Engine.S with type state = state) w ctx it =
-      Collector.note_bound ctx.Strategy.c_col !bound;
-      match ctx.Strategy.c_materialize it with
-      | None -> ()
-      | Some st ->
-        Search_core.icb_item
-          (module E)
-          ctx.Strategy.c_col
-          ?seen:(Search_core.item_cache ~cache w.w_cache)
-          ~admit:(var_admit (module E : Engine.S with type state = state) !keys)
-          ~seal:(fun () -> w.w_sealed <- w.w_sealed + 1)
-          ~defer:(fun st' t ->
-            ctx.Strategy.c_defer
-              (item ~sched:(E.schedule st') ~payload:t ~state:(Some st')))
-          (st, it.Strategy.i_payload)
-
-    let rank _ _ = 0
-    let round () = !bound
-
-    let sealed_total wstates =
-      Array.fold_left (fun acc w -> acc + w.w_sealed) !sealed_base wstates
-
-    let after_round col ~wstates ~deferred =
-      Collector.record_bound col !bound;
-      (* sealing spans rounds: carry the cumulative count *)
-      sealed_base := sealed_total wstates;
-      Array.iter (fun w -> w.w_sealed <- 0) wstates;
-      if deferred = [] then
-        if !sealed_base = 0 then `Complete else `Bounded
-      else
-        match max_bound with
-        | Some b when !bound >= b -> `Bounded
-        | Some _ | None ->
-          incr bound;
-          Collector.note_bound col !bound;
-          `Round deferred
-
-    let to_prefixes ~wstates ~work ~next =
-      {
-        Checkpoint.v3_tag = tag;
-        v3_params =
-          [ ("n", string_of_int n) ]
-          @ (match max_bound with
-            | None -> []
-            | Some b -> [ ("max_bound", string_of_int b) ])
-          @ [
-              ("vars", String.concat "," !keys);
-              ("cache", string_of_bool cache);
-              ("sealed", string_of_int (sealed_total wstates));
-            ];
-        v3_round = !bound;
-        v3_work = work;
-        v3_next = next;
-      }
-
-    let of_prefixes col (f : Checkpoint.v3) =
-      bound := f.Checkpoint.v3_round;
-      Collector.note_bound col !bound;
-      (match List.assoc_opt "vars" f.Checkpoint.v3_params with
-      | Some "" -> keys := []
-      | Some s -> keys := String.split_on_char ',' s
-      | None -> ());
-      sealed_base := int_param f.Checkpoint.v3_params "sealed" ~default:0;
-      (f.Checkpoint.v3_work, f.Checkpoint.v3_next)
-  end)
+    ()

@@ -138,8 +138,10 @@ let equivalence_case (reg : Explore.registered) () =
      them serially only; naturally-terminating strategies are compared
      sharded too. *)
   let domains_to_try =
-    if reg.Explore.reg_shardable && not reg.Explore.reg_bounded then [ 1; 2 ]
-    else [ 1 ]
+    let module S =
+      (val Explore.instantiate (Icb.engine prog) reg.Explore.reg_strategy)
+    in
+    if S.shardable && not reg.Explore.reg_bounded then [ 1; 2 ] else [ 1 ]
   in
   List.iter
     (fun domains ->

@@ -128,8 +128,10 @@ let bounded_case (r : Explore.registered) =
 let equivalence_tests =
   List.filter_map
     (fun (r : Explore.registered) ->
-      if not (r.Explore.reg_shardable && r.Explore.reg_checkpointable) then
-        None
+      let module S =
+        (val Explore.instantiate (Icb.engine (prog ())) r.Explore.reg_strategy)
+      in
+      if not (S.shardable && S.checkpointable) then None
       else if r.Explore.reg_bounded then Some (bounded_case r)
       else Some (equivalence_case r))
     (Explore.registry ~seed:11L ())
@@ -945,6 +947,69 @@ let proto_tests =
           check Alcotest.int "states"
             (Collector.snapshot_states snap)
             (Collector.snapshot_states snap'));
+    Alcotest.test_case
+      "a batch whose params do not decode is the worker's error" `Quick
+      (fun () ->
+        let e = Icb.engine (prog ()) in
+        let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+        Unix.listen lsock 1;
+        let port =
+          match Unix.getsockname lsock with
+          | Unix.ADDR_INET (_, port) -> port
+          | Unix.ADDR_UNIX _ -> assert false
+        in
+        (* a coordinator that answers the handshake, then leases one
+           batch of an icb search whose max_bound is not a number *)
+        let server =
+          Thread.create
+            (fun () ->
+              let fd, _ = Unix.accept lsock in
+              let ic = Unix.in_channel_of_descr fd in
+              let oc = Unix.out_channel_of_descr fd in
+              let answer msg =
+                ignore (Proto.recv ic);
+                Proto.send oc (Proto.s2c_to_json msg)
+              in
+              answer
+                (Proto.Job
+                   {
+                     Proto.j_meta = [];
+                     j_root_sig = Icb_search.Driver.fingerprint e;
+                     j_deadlock_is_error = true;
+                     j_terminal_states_only = false;
+                     j_cache = true;
+                     j_events = false;
+                     j_worker = 1;
+                   });
+              answer
+                (Proto.Batch
+                   {
+                     Proto.b_lease = 1;
+                     b_id = 0;
+                     b_tag = "icb";
+                     b_params = [ ("max_bound", "x"); ("cache", "false") ];
+                     b_round = 0;
+                     b_items = [ ([], 0) ];
+                     b_pending = 0;
+                   });
+              (* until the worker hangs up *)
+              ignore (Proto.recv ic);
+              Unix.close fd)
+            ()
+        in
+        let r =
+          Worker.run ~host:"127.0.0.1" ~port
+            ~resolve:(fun _ -> Ok (Worker.Packed e))
+            ()
+        in
+        Thread.join server;
+        Unix.close lsock;
+        match r with
+        | Error msg ->
+          check Alcotest.bool (msg ^ " names max_bound") true
+            (contains msg "max_bound")
+        | Ok _ -> Alcotest.fail "the worker ran the batch");
   ]
 
 let () =

@@ -96,19 +96,26 @@ type case = {
 
 (* Derived from the strategy registry, so a newly registered strategy is
    covered by this suite automatically — the hand-maintained list this
-   replaces silently missed additions. *)
+   replaces silently missed additions.  The capability flags are the
+   instance's own. *)
 let cases =
+  let prog =
+    Icb_models.Peterson.program Icb_models.Peterson.Bug_check_before_set
+  in
   List.filter_map
     (fun (r : Explore.registered) ->
-      if not r.Explore.reg_checkpointable then None
+      let module S =
+        (val Explore.instantiate (Icb.engine prog) r.Explore.reg_strategy)
+      in
+      if not S.checkpointable then None
       else
         Some
           {
             c_name = r.Explore.reg_name;
             c_strategy = r.Explore.reg_strategy;
             c_horizon = (if r.Explore.reg_bounded then Some 400 else None);
-            c_exact = r.Explore.reg_exact;
-            c_shardable = r.Explore.reg_shardable;
+            c_exact = S.atomic_items;
+            c_shardable = S.shardable;
           })
     (Explore.registry ~seed:11L ())
 

@@ -66,6 +66,11 @@ let equivalence_tests =
          Icb_models.Workstealing.Bug_unlocked_steal);
     equivalence_case "bluetooth driver (buggy) matches serially" ~max_bound:3
       (Icb_models.Bluetooth.program ~bug:true);
+    equivalence_case
+      "work-stealing queue (pop reads head first) matches serially"
+      ~max_bound:2
+      (Icb_models.Workstealing.program
+         Icb_models.Workstealing.Bug_pop_reads_head_first);
     Alcotest.test_case "first bug carries the same preemption bound" `Quick
       (fun () ->
         let prog =

@@ -1,4 +1,5 @@
 module Explore = Icb_search.Explore
+module Checkpoint = Icb_search.Checkpoint
 module Collector = Icb_search.Collector
 module Sresult = Icb_search.Sresult
 module Engine = Icb_search.Engine
@@ -44,6 +45,20 @@ let strategy_tests =
         let b = run tiny (Explore.Dfs { cache = true }) in
         check Alcotest.int "states" a.Sresult.distinct_states
           b.Sresult.distinct_states);
+    Alcotest.test_case "idfs:N explores to depth N, like db:N" `Quick
+      (fun () ->
+        let prog = Icb_models.Peterson.program Icb_models.Peterson.Correct in
+        let states spelling =
+          match Explore.parse_strategy ~seed:2007L spelling with
+          | Ok strategy -> (Icb.run ~strategy prog).Sresult.distinct_states
+          | Error msg -> Alcotest.fail msg
+        in
+        List.iter
+          (fun n ->
+            let db = Printf.sprintf "db:%d" n
+            and idfs = Printf.sprintf "idfs:%d" n in
+            check Alcotest.int (idfs ^ " = " ^ db) (states db) (states idfs))
+          [ 3; 12; 25 ]);
     Alcotest.test_case "models: icb, dfs and idfs converge on state counts"
       `Quick (fun () ->
         List.iter
@@ -697,6 +712,175 @@ let parse_reject_tests =
           Explore.strategy_forms);
   ]
 
+(* --- checkpoint params: the same decoder, the same ranges ---------------- *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+let decode_tests =
+  let v3 tag params =
+    {
+      Checkpoint.v3_tag = tag;
+      v3_params = params;
+      v3_round = 0;
+      v3_work = [];
+      v3_next = [];
+    }
+  in
+  (* every row is otherwise well-formed: the one bad value must be what
+     is refused, and the error must name it *)
+  let rejects tag params ~names =
+    Alcotest.test_case
+      (Printf.sprintf "refuses %s [%s]" tag
+         (String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) params)))
+      `Quick (fun () ->
+        match Explore.strategy_of_v3 (v3 tag params) with
+        | Ok s -> Alcotest.failf "decoded to %s" (Explore.strategy_name s)
+        | Error msg ->
+          check Alcotest.bool (Printf.sprintf "%S names %s" msg names) true
+            (contains msg names))
+  in
+  (* the keys a fresh instance writes, per family and in order *)
+  let pinned = function
+    | Explore.Icb { max_bound = None; _ } -> [ "cache" ]
+    | Icb { max_bound = Some _; _ } -> [ "max_bound"; "cache" ]
+    | Dfs _ -> [ "cache"; "truncated" ]
+    | Bounded_dfs _ -> [ "depth"; "cache"; "truncated" ]
+    | Iterative_dfs _ -> [ "start"; "incr"; "max_depth"; "cache"; "truncated" ]
+    | Random_walk _ -> [ "seed" ]
+    | Sleep_dfs -> []
+    | Pct _ -> [ "change_points"; "seed"; "k" ]
+    | Most_enabled _ -> [ "cache" ]
+    | Variable_bound _ -> [ "n"; "vars"; "cache"; "sealed" ]
+    | Thread_bound _ -> [ "n"; "cache"; "sealed" ]
+    | Icb_vb { max_bound = None; _ } -> [ "n"; "vars"; "cache"; "sealed" ]
+    | Icb_vb { max_bound = Some _; _ } ->
+      [ "n"; "max_bound"; "vars"; "cache"; "sealed" ]
+  in
+  let peterson () =
+    Icb_models.Peterson.program Icb_models.Peterson.Bug_check_before_set
+  in
+  [
+    rejects "icb" [ ("max_bound", "x"); ("cache", "false") ] ~names:"max_bound";
+    rejects "icb-vb"
+      [
+        ("n", "2");
+        ("max_bound", "x");
+        ("vars", "");
+        ("cache", "false");
+        ("sealed", "0");
+      ]
+      ~names:"max_bound";
+    rejects "db"
+      [ ("depth", "0"); ("cache", "false"); ("truncated", "0") ]
+      ~names:"depth";
+    rejects "db"
+      [ ("depth", "-5"); ("cache", "false"); ("truncated", "0") ]
+      ~names:"depth";
+    rejects "db"
+      [ ("depth", "x"); ("cache", "false"); ("truncated", "0") ]
+      ~names:"depth";
+    rejects "idfs"
+      [
+        ("start", "1");
+        ("incr", "0");
+        ("max_depth", "5");
+        ("cache", "false");
+        ("truncated", "0");
+      ]
+      ~names:"incr";
+    rejects "vb"
+      [ ("n", "0"); ("vars", ""); ("cache", "false"); ("sealed", "0") ]
+      ~names:"n=0";
+    rejects "tb"
+      [ ("n", "2"); ("cache", "false"); ("sealed", "-1") ]
+      ~names:"sealed";
+    rejects "pct"
+      [ ("change_points", "0"); ("seed", "1"); ("k", "32") ]
+      ~names:"change_points";
+    rejects "dfs" [ ("cache", "yes"); ("truncated", "0") ] ~names:"cache";
+    rejects "random" [] ~names:"seed";
+    rejects "bogus" [] ~names:"bogus";
+    Alcotest.test_case "fresh params decode to their own strategy" `Quick
+      (fun () ->
+        let prog = peterson () in
+        let env = Icb_search.Strategy.env_of_prog prog in
+        List.iter
+          (fun strategy ->
+            let module S =
+              (val Explore.instantiate ~env (Icb.engine prog) strategy)
+            in
+            if S.checkpointable then begin
+              let f =
+                S.to_prefixes ~wstates:[| S.wstate () |] ~work:[] ~next:[]
+              in
+              let name = Explore.strategy_name strategy in
+              check
+                (Alcotest.list Alcotest.string)
+                (name ^ ": keys") (pinned strategy)
+                (List.map fst f.Checkpoint.v3_params);
+              check Alcotest.bool (name ^ ": decodes back") true
+                (Explore.strategy_of_v3 f = Ok strategy)
+            end)
+          (List.map (fun r -> r.Explore.reg_strategy) (Explore.registry ())
+          @ [
+              Explore.Icb { max_bound = Some 3; cache = false };
+              Explore.Icb_vb { n = 2; max_bound = Some 1; cache = true };
+            ]));
+    Alcotest.test_case "resuming an idfs checkpoint with incr=0 is refused"
+      `Quick (fun () ->
+        let prog = peterson () in
+        let path = Filename.temp_file "icb-decode" ".ckpt" in
+        let capped n =
+          { Collector.default_options with Collector.max_executions = Some n }
+        in
+        ignore
+          (Icb.run ~options:(capped 5) ~checkpoint_out:path
+             ~strategy:
+               (Explore.Iterative_dfs
+                  { start = 1; incr = 1; max_depth = 5; cache = false })
+             prog);
+        let c = Checkpoint.load path in
+        Sys.remove path;
+        let f = Checkpoint.to_v3 c in
+        let tampered =
+          {
+            c with
+            Checkpoint.frontier =
+              Checkpoint.V3
+                {
+                  f with
+                  Checkpoint.v3_params =
+                    List.map
+                      (fun (k, v) -> if k = "incr" then (k, "0") else (k, v))
+                      f.Checkpoint.v3_params;
+                };
+          }
+        in
+        (* an engine that counts the executions it is asked to start *)
+        let starts = ref 0 in
+        let module E = (val Icb.engine prog) in
+        let counting =
+          (module struct
+            include E
+
+            let initial () =
+              incr starts;
+              E.initial ()
+          end : Engine.S
+            with type state = E.state)
+        in
+        match Explore.resume counting ~options:(capped 1000) tampered with
+        | exception Invalid_argument msg ->
+          check Alcotest.bool (msg ^ " names incr") true (contains msg "incr");
+          check Alcotest.int "no execution started" 0 !starts
+        | _ -> Alcotest.fail "the tampered checkpoint was resumed");
+  ]
+
 let () =
   Alcotest.run "search"
     [
@@ -707,4 +891,5 @@ let () =
       ("extensions", extension_tests);
       ("cross-strategy", cross_strategy_tests);
       ("strategy-parse", parse_reject_tests);
+      ("params-decode", decode_tests);
     ]
