@@ -4,6 +4,13 @@
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe table2 fig1  -- run selected experiments
 
+   The experiments are the paper's Tables 1-2, Figures 1-6 (plus
+   fig2-scaled) and Theorem 1; four ablations of design choices DESIGN.md
+   calls out; repro (minimization of random-found witnesses) and bounds
+   (variable and thread bounding against raw ICB).  Timing is
+   bench/perf's job, and the serial = parallel = distributed and
+   cached = uncached contracts are the test suites'.
+
    Absolute numbers differ from the paper's (their benchmarks are closed
    Microsoft systems; ours are faithful models — see DESIGN.md), but each
    experiment reproduces the paper's qualitative claim, recorded in
@@ -435,82 +442,6 @@ main { spawn w(); spawn w(); }
   theorem1_for "Bluetooth (fixed)" (Icb_models.Bluetooth.program ~bug:false)
 
 (* ------------------------------------------------------------------------- *)
-(* Bechamel micro-timings of the strategies                                   *)
-(* ------------------------------------------------------------------------- *)
-
-let timings () =
-  section "Timings: one Bechamel benchmark per reproduced table/figure workload";
-  let open Bechamel in
-  let open Toolkit in
-  let make_bench name f = Test.make ~name (Staged.stage f) in
-  let bluetooth_bug = Icb_models.Bluetooth.program ~bug:true in
-  let bluetooth_ok = Icb_models.Bluetooth.program ~bug:false in
-  let wsq = Icb_models.Workstealing.program Icb_models.Workstealing.Correct in
-  let dryad = Icb_models.Dryad.program Icb_models.Dryad.Bug_close_waits_ack in
-  let tests =
-    [
-      (* Table 2 workload: ICB bug finding *)
-      make_bench "table2/icb-find-bluetooth-bug" (fun () ->
-          ignore (Icb.check bluetooth_bug));
-      make_bench "fig3/icb-find-dryad-uaf" (fun () ->
-          ignore (Icb.check dryad ~max_bound:1));
-      (* Figures 1/4 workload: complete ICB with state caching *)
-      make_bench "fig1/icb-complete-wsq" (fun () ->
-          ignore
-            (Icb.run ~strategy:(Explore.Icb { max_bound = None; cache = true })
-               wsq));
-      make_bench "fig4/icb-complete-bluetooth" (fun () ->
-          ignore
-            (Icb.run ~strategy:(Explore.Icb { max_bound = None; cache = true })
-               bluetooth_ok));
-      (* Figure 2 workload: capped stateless strategies *)
-      make_bench "fig2/dfs-500-execs-wsq" (fun () ->
-          ignore (run_capped ~cap:500 wsq (Explore.Dfs { cache = false })));
-      make_bench "fig2/random-500-execs-wsq" (fun () ->
-          ignore (run_capped ~cap:500 wsq (Explore.Random_walk { seed = 1L })));
-      (* Table 1 workload: the guest-machine interpreter itself *)
-      make_bench "table1/interp-one-execution-wsq" (fun () ->
-          let module E = (val Icb.engine wsq) in
-          let st = ref (E.initial ()) in
-          let rec go () =
-            match E.enabled !st with
-            | [] -> ()
-            | t :: _ ->
-              st := E.step !st t;
-              go ()
-          in
-          go ());
-      make_bench "zlang/compile-dryad-source" (fun () ->
-          ignore (Icb.compile (Icb_models.Dryad.source Icb_models.Dryad.Correct)));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let instances = Instance.[ monotonic_clock ] in
-  let raw = List.map (fun test -> Benchmark.all cfg instances test) tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let rows =
-    List.concat_map
-      (fun tbl ->
-        let results = Analyze.all ols Instance.monotonic_clock tbl in
-        Hashtbl.fold
-          (fun name result acc ->
-            let est =
-              match Analyze.OLS.estimates result with
-              | Some [ e ] -> e
-              | _ -> nan
-            in
-            let r2 =
-              match Analyze.OLS.r_square result with Some r -> r | None -> nan
-            in
-            [ name; Printf.sprintf "%.0f" est; Printf.sprintf "%.4f" r2 ] :: acc)
-          results [])
-      raw
-  in
-  print_table [ "Benchmark"; "ns/run"; "r^2" ] (List.sort compare rows)
-
-(* ------------------------------------------------------------------------- *)
 (* Ablations: design choices DESIGN.md calls out                              *)
 (* ------------------------------------------------------------------------- *)
 
@@ -673,101 +604,6 @@ let ablation_find () =
       Registry.all
   in
   print_table header_row rows
-
-(* ------------------------------------------------------------------------- *)
-(* Parallel ICB: serial-equivalence and speedup harness                        *)
-(* ------------------------------------------------------------------------- *)
-
-(* set by --jobs on the command line *)
-let parallel_jobs = ref 4
-
-(* Runs the buggy work-stealing queue to preemption bound 3 serially, on 1
-   domain and on [--jobs] domains, then asserts that all three report the
-   same bug set, per-bound cumulative execution counts and totals (the
-   determinism contract of Icb.run_parallel), and — when the machine
-   actually has at least 4 cores — that the domain pool explores at least
-   2x executions/second.  Exits non-zero if any assertion fails. *)
-let parallel_bench () =
-  let jobs = max 1 !parallel_jobs in
-  section
-    (Printf.sprintf "Parallel ICB: 1 vs %d domains on the work-stealing queue"
-       jobs);
-  let entry = Registry.find "Work Stealing Queue" in
-  let bug_spec = List.hd entry.bugs in
-  let max_bound = 3 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let serial, t_serial =
-    time (fun () ->
-        Icb.run
-          ~strategy:(Explore.Icb { max_bound = Some max_bound; cache = false })
-          (bug_spec.bug_program ()))
-  in
-  let one, t_one =
-    time (fun () ->
-        Icb.run_parallel ~max_bound ~domains:1 (bug_spec.bug_program ()))
-  in
-  let par, t_par =
-    time (fun () ->
-        Icb.run_parallel ~max_bound ~domains:jobs (bug_spec.bug_program ()))
-  in
-  let rate (r : Sresult.t) t = float_of_int r.executions /. max t 1e-9 in
-  let keys (r : Sresult.t) =
-    List.sort compare (List.map (fun (b : Sresult.bug) -> b.Sresult.key) r.bugs)
-  in
-  let bexec (r : Sresult.t) = Array.to_list r.bound_executions in
-  print_table
-    [ "Run"; "Executions"; "States"; "Bugs"; "Seconds"; "Execs/sec" ]
-    (List.map
-       (fun (name, (r : Sresult.t), t) ->
-         [
-           name;
-           string_of_int r.executions;
-           string_of_int r.distinct_states;
-           string_of_int (List.length r.bugs);
-           Printf.sprintf "%.2f" t;
-           Printf.sprintf "%.0f" (rate r t);
-         ])
-       [
-         ("serial", serial, t_serial);
-         ("1 domain", one, t_one);
-         (Printf.sprintf "%d domains" jobs, par, t_par);
-       ]);
-  let failed = ref false in
-  let check what ok =
-    if not ok then begin
-      failed := true;
-      Printf.printf "FAILED: %s\n" what
-    end
-  in
-  check "bug sets identical (serial, 1 domain, N domains)"
-    (keys serial = keys one && keys one = keys par);
-  check "per-bound cumulative execution counts identical"
-    (bexec serial = bexec one && bexec one = bexec par);
-  check "execution and state totals identical"
-    (serial.executions = one.executions
-    && one.executions = par.executions
-    && serial.distinct_states = one.distinct_states
-    && one.distinct_states = par.distinct_states);
-  let speedup = rate par t_par /. rate one t_one in
-  Printf.printf "\nspeedup (%d domains vs 1): %.2fx\n" jobs speedup;
-  record "speedup"
-    (Json.Obj [ ("domains", Json.Int jobs); ("vs_1_domain", Json.Float speedup) ]);
-  let cores = Domain.recommended_domain_count () in
-  if jobs >= 4 && cores >= 4 then
-    check
-      (Printf.sprintf "parallel throughput >= 2x (%d domains, %d cores)" jobs
-         cores)
-      (speedup >= 2.0)
-  else
-    Printf.printf
-      "speedup assertion skipped: %d core(s) available (needs >= 4 cores and \
-       --jobs >= 4)\n"
-      cores;
-  if !failed then exit 1 else print_endline "parallel equivalence: OK"
 
 (* ------------------------------------------------------------------------- *)
 (* Repro: minimization of random-found witnesses                             *)
@@ -1081,319 +917,6 @@ let bounds_bench () =
   end;
   if !failed then exit 1 else print_endline "bounds conformance: OK"
 
-(* ------------------------------------------------------------------------- *)
-(* Replay cache: cached vs stateless machine steps executed                   *)
-(* ------------------------------------------------------------------------- *)
-
-(* Runs the full ICB search twice per model — prefix-snapshot replay
-   cache on (the default) and off (the --no-cache stateless discipline,
-   where every work item replays its schedule prefix from the initial
-   state) — and reports executions/second plus total machine steps
-   executed: the collector's expansion steps, which are identical in
-   both modes, plus the replay steps the cache exists to avoid.
-   Asserts:
-   - the two runs are observationally identical (bug sets, execution
-     counts, per-bound curves, states, expansion steps) — the
-     correctness bar of docs/REPLAY_CACHE.md;
-   - on the deep models the stateless discipline executes at least 3x
-     the machine steps of the cached run;
-   - each steps ratio stays within 0.8x of the committed baseline
-     (bench/replay_cache_baseline.json), so a change that silently stops
-     caching fails CI — the ratio is deterministic, so the tolerance
-     only absorbs deliberate exploration-order changes;
-   - with >= 4 cores, the cached runs are also faster on wall clock
-     (the steps ratio alone is immune to machine noise, so only this
-     assertion is core-gated).
-   BENCH_REPLAY_CACHE_MODELS (comma-separated lowercase names, e.g.
-   "work-stealing-queue,transaction-manager") restricts the list for CI
-   smoke. *)
-
-let replay_cache_models :
-    (string * (unit -> Icb.prog) * int * bool) list =
-  [
-    (* model, program, ICB preemption bound, deep (3x floor asserted).
-       The replay tax [1 + replayed/expanded] grows with the bound only
-       while executions keep lengthening under contention; models whose
-       executions have a fixed length (Work-Stealing Queue, Bluetooth)
-       saturate near 2x and are kept here as reference points, not gated.
-       Peterson (spin loops) and the transaction manager (retry loops)
-       keep climbing, so they carry the >= 3x acceptance floor. *)
-    ( "Peterson",
-      (fun () -> Icb_models.Peterson.program Icb_models.Peterson.Correct),
-      7,
-      true );
-    ( "Transaction Manager",
-      (fun () -> Icb_models.Transaction.program Icb_models.Transaction.Correct),
-      5,
-      true );
-    ( "Work Stealing Queue",
-      (fun () -> Icb_models.Workstealing.program Icb_models.Workstealing.Correct),
-      3,
-      false );
-    ("Bluetooth", (fun () -> Icb_models.Bluetooth.program ~bug:false), 3, false);
-    ( "File System Model",
-      (fun () -> Icb_models.Filesystem.program ~threads:3),
-      2,
-      false );
-  ]
-
-let replay_cache_bench () =
-  section "Replay cache: cached vs stateless machine steps executed";
-  let failed = ref false in
-  let check what ok =
-    if not ok then begin
-      failed := true;
-      Printf.printf "FAILED: %s\n" what
-    end
-  in
-  let models =
-    match Sys.getenv_opt "BENCH_REPLAY_CACHE_MODELS" with
-    | None | Some "" -> replay_cache_models
-    | Some s ->
-      let names = List.map String.trim (String.split_on_char ',' s) in
-      List.filter
-        (fun (name, _, _, _) ->
-          List.mem
-            (String.map
-               (fun c -> if c = ' ' then '-' else c)
-               (String.lowercase_ascii name))
-            names)
-        replay_cache_models
-  in
-  let baseline =
-    let path =
-      Option.value
-        (Sys.getenv_opt "REPLAY_CACHE_BASELINE")
-        ~default:"bench/replay_cache_baseline.json"
-    in
-    if not (Sys.file_exists path) then None
-    else
-      let ic = open_in path in
-      let src =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      match Json.parse src with
-      | Json.Obj fields ->
-        Some
-          (List.filter_map
-             (fun (k, v) ->
-               match v with
-               | Json.Float f -> Some (k, f)
-               | Json.Int i -> Some (k, float_of_int i)
-               | _ -> None)
-             fields)
-      | _ | (exception Json.Parse_error _) -> None
-  in
-  if baseline = None then
-    print_endline
-      "(no committed baseline found; the ratio-vs-baseline gate is skipped)";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let results =
-    List.map
-      (fun (name, prog_of, bound, deep) ->
-        let prog = prog_of () in
-        let run cache =
-          let stats = ref (Icb_search.Replay_cache.zero ()) in
-          let r, t =
-            time (fun () ->
-                Icb.run ~cache
-                  ~on_cache_stats:(fun s -> stats := s)
-                  ~strategy:(Explore.Icb { max_bound = Some bound; cache = false })
-                  prog)
-          in
-          (r, t, !stats)
-        in
-        let rc, tc, sc = run true in
-        let ru, tu, su = run false in
-        let keys (r : Sresult.t) =
-          List.sort compare
-            (List.map (fun (b : Sresult.bug) -> b.Sresult.key) r.bugs)
-        in
-        check (name ^ ": cached and uncached runs observationally identical")
-          (keys rc = keys ru
-          && rc.Sresult.executions = ru.Sresult.executions
-          && rc.distinct_states = ru.distinct_states
-          && rc.bound_executions = ru.bound_executions
-          && rc.total_steps = ru.total_steps);
-        let steps_of (r : Sresult.t) (s : Icb_search.Replay_cache.stats) =
-          r.Sresult.total_steps + s.Icb_search.Replay_cache.steps_replayed
-        in
-        let cached_steps = steps_of rc sc in
-        let uncached_steps = steps_of ru su in
-        let ratio =
-          float_of_int uncached_steps /. float_of_int (max 1 cached_steps)
-        in
-        if deep then
-          check
-            (Printf.sprintf "%s: stateless replay tax >= 3x (got %.2fx)" name
-               ratio)
-            (ratio >= 3.0);
-        (match Option.bind baseline (List.assoc_opt name) with
-        | Some base ->
-          check
-            (Printf.sprintf "%s: steps ratio %.2fx within 0.8x of baseline %.2fx"
-               name ratio base)
-            (ratio >= 0.8 *. base)
-        | None -> ());
-        record name
-          (Json.Obj
-             [
-               ("bound", Json.Int bound);
-               ("executions", Json.Int rc.Sresult.executions);
-               ("cached_steps_executed", Json.Int cached_steps);
-               ("uncached_steps_executed", Json.Int uncached_steps);
-               ("steps_ratio", Json.Float ratio);
-               ("cached_execs_per_sec", Json.Float (float_of_int rc.executions /. max tc 1e-9));
-               ("uncached_execs_per_sec", Json.Float (float_of_int ru.executions /. max tu 1e-9));
-               ("cached_seconds", Json.Float tc);
-               ("uncached_seconds", Json.Float tu);
-               ("cache_hits", Json.Int sc.Icb_search.Replay_cache.hits);
-               ("cache_misses", Json.Int sc.Icb_search.Replay_cache.misses);
-               ("steps_saved", Json.Int sc.Icb_search.Replay_cache.steps_saved);
-             ]);
-        (name, bound, rc, tc, ru, tu, cached_steps, uncached_steps, ratio))
-      models
-  in
-  subsection "total machine steps executed, cached vs stateless";
-  print_table
-    [
-      "Program"; "Bound"; "Execs"; "Steps (cached)"; "Steps (stateless)";
-      "Ratio"; "Execs/s (cached)"; "Execs/s (stateless)";
-    ]
-    (List.map
-       (fun (name, bound, (rc : Sresult.t), tc, (ru : Sresult.t), tu, cs, us, ratio) ->
-         [
-           name;
-           string_of_int bound;
-           string_of_int rc.executions;
-           string_of_int cs;
-           string_of_int us;
-           Printf.sprintf "%.2fx" ratio;
-           Printf.sprintf "%.0f" (float_of_int rc.executions /. max tc 1e-9);
-           Printf.sprintf "%.0f" (float_of_int ru.executions /. max tu 1e-9);
-         ])
-       results);
-  let t_cached =
-    List.fold_left (fun a (_, _, _, tc, _, _, _, _, _) -> a +. tc) 0.0 results
-  in
-  let t_uncached =
-    List.fold_left (fun a (_, _, _, _, _, tu, _, _, _) -> a +. tu) 0.0 results
-  in
-  let speedup = t_uncached /. max t_cached 1e-9 in
-  Printf.printf "\nwall clock: cached %.2fs, stateless %.2fs (%.2fx)\n" t_cached
-    t_uncached speedup;
-  record "wall_clock"
-    (Json.Obj
-       [
-         ("cached_seconds", Json.Float t_cached);
-         ("uncached_seconds", Json.Float t_uncached);
-         ("speedup", Json.Float speedup);
-       ]);
-  let cores = Domain.recommended_domain_count () in
-  if cores >= 4 then
-    check
-      (Printf.sprintf "cached wall clock at least as fast (%d cores)" cores)
-      (speedup >= 1.0)
-  else
-    Printf.printf
-      "wall-clock assertion skipped: %d core(s) available (needs >= 4)\n" cores;
-  if !failed then exit 1 else print_endline "replay cache: OK"
-
-(* ------------------------------------------------------------------------- *)
-(* Distributed: loopback coordinator + socket workers vs the serial driver   *)
-(* ------------------------------------------------------------------------- *)
-
-(* Runs the buggy work-stealing queue to preemption bound 3 serially,
-   then through the coordinator with 1 and with 2 worker threads over
-   loopback sockets, asserting the distributed contract: identical bug
-   sets, per-bound cumulative execution counts and totals.  The workers
-   here are OS threads sharing this process's runtime lock, so the
-   execs/sec column measures protocol and merge overhead, not
-   parallelism — real speedup needs worker processes on separate
-   machines (docs/DISTRIBUTED.md). *)
-let distributed_bench () =
-  section "Distributed ICB: serial vs loopback coordinator/workers";
-  let entry = Registry.find "Work Stealing Queue" in
-  let bug_spec = List.hd entry.bugs in
-  let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let dist workers =
-    let p = bug_spec.bug_program () in
-    let coord = Icb.Dist.Coord.create ~batch_size:16 () in
-    let port = Icb.Dist.Coord.port coord in
-    let ws =
-      List.init workers (fun _ ->
-          Thread.create
-            (fun () ->
-              ignore
-                (Icb.Dist.Worker.run ~host:"127.0.0.1" ~port
-                   ~resolve:(fun _ ->
-                     Ok (Icb.Dist.Worker.Packed (Icb.engine p)))
-                   ()))
-            ())
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter Thread.join ws;
-        Icb.Dist.Coord.shutdown coord)
-      (fun () ->
-        Icb.Dist.Coord.run coord (Icb.engine p)
-          ~env:(Icb_search.Strategy.env_of_prog p)
-          strategy)
-  in
-  let serial, t_serial = time (fun () -> Icb.run ~strategy (bug_spec.bug_program ())) in
-  let one, t_one = time (fun () -> dist 1) in
-  let two, t_two = time (fun () -> dist 2) in
-  let rate (r : Sresult.t) t = float_of_int r.executions /. max t 1e-9 in
-  let keys (r : Sresult.t) =
-    List.sort compare (List.map (fun (b : Sresult.bug) -> b.Sresult.key) r.bugs)
-  in
-  let bexec (r : Sresult.t) = Array.to_list r.bound_executions in
-  print_table
-    [ "Run"; "Executions"; "States"; "Bugs"; "Seconds"; "Execs/sec" ]
-    (List.map
-       (fun (name, (r : Sresult.t), t) ->
-         [
-           name;
-           string_of_int r.executions;
-           string_of_int r.distinct_states;
-           string_of_int (List.length r.bugs);
-           Printf.sprintf "%.2f" t;
-           Printf.sprintf "%.0f" (rate r t);
-         ])
-       [
-         ("serial", serial, t_serial);
-         ("1 worker", one, t_one);
-         ("2 workers", two, t_two);
-       ]);
-  let failed = ref false in
-  let check what ok =
-    if not ok then begin
-      failed := true;
-      Printf.printf "FAILED: %s\n" what
-    end
-  in
-  check "bug sets identical (serial, 1 worker, 2 workers)"
-    (keys serial = keys one && keys one = keys two);
-  check "per-bound cumulative execution counts identical"
-    (bexec serial = bexec one && bexec one = bexec two);
-  check "execution and state totals identical"
-    (serial.executions = one.executions
-    && one.executions = two.executions
-    && serial.distinct_states = one.distinct_states
-    && one.distinct_states = two.distinct_states);
-  if !failed then exit 1 else print_endline "distributed equivalence: OK"
-
 let experiments =
   [
     ("table1", table1);
@@ -1410,43 +933,26 @@ let experiments =
     ("ablation-por", ablation_por);
     ("ablation-cache", ablation_cache);
     ("ablation-find", ablation_find);
-    ("timings", timings);
-    ("parallel", parallel_bench);
     ("repro", repro_bench);
     ("bounds", bounds_bench);
-    ("replay_cache", replay_cache_bench);
-    ("distributed", distributed_bench);
   ]
 
 let () =
-  (* pull --jobs N (or --jobs=N) out of argv; the rest are experiment
-     names *)
-  let rec parse_args acc = function
-    | [] -> List.rev acc
-    | "--jobs" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 ->
-        parallel_jobs := n;
-        parse_args acc rest
-      | _ ->
-        Printf.eprintf "bad --jobs value %S\n" n;
-        exit 2)
-    | arg :: rest
-      when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" -> (
-      match int_of_string_opt (String.sub arg 7 (String.length arg - 7)) with
-      | Some n when n >= 1 ->
-        parallel_jobs := n;
-        parse_args acc rest
-      | _ ->
-        Printf.eprintf "bad %s\n" arg;
-        exit 2)
-    | name :: rest -> parse_args (name :: acc) rest
-  in
   let requested =
-    match parse_args [] (List.tl (Array.to_list Sys.argv)) with
+    match List.tl (Array.to_list Sys.argv) with
     | [] -> List.map fst experiments
     | names -> names
   in
+  (* every name is checked before anything runs: a misspelt or retired
+     experiment must not pass as a run that did nothing *)
+  (match
+     List.find_opt (fun n -> not (List.mem_assoc n experiments)) requested
+   with
+  | None -> ()
+  | Some name ->
+    Printf.eprintf "unknown experiment %S; available: %s\n" name
+      (String.concat ", " (List.map fst experiments));
+    exit 2);
   let out_dir =
     match Sys.getenv_opt "BENCH_OUT_DIR" with
     | Some d when d <> "" -> d
@@ -1455,19 +961,10 @@ let () =
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun name ->
-      (* the CLI spelling `replaycache` is an alias; the canonical name
-         keeps the BENCH_replay_cache.json artifact readable *)
-      let name = if name = "replaycache" then "replay_cache" else name in
-      match List.assoc_opt name experiments with
-      | Some f ->
-        bench_data := [];
-        last_heading := name;
-        let e0 = Unix.gettimeofday () in
-        f ();
-        write_bench_json ~dir:out_dir ~name
-          ~wall:(Unix.gettimeofday () -. e0)
-      | None ->
-        Printf.printf "unknown experiment %S; available: %s\n" name
-          (String.concat ", " (List.map fst experiments)))
+      bench_data := [];
+      last_heading := name;
+      let e0 = Unix.gettimeofday () in
+      (List.assoc name experiments) ();
+      write_bench_json ~dir:out_dir ~name ~wall:(Unix.gettimeofday () -. e0))
     requested;
   Printf.printf "\ntotal wall time: %.1fs\n" (Unix.gettimeofday () -. t0)

@@ -45,6 +45,22 @@ let resolve_model name =
     Error
       (Printf.sprintf "unknown model %S; run `icb models` for the list" name)
 
+let die msg =
+  Format.eprintf "%s@." msg;
+  exit 2
+
+(* The program a fresh run names, as a source file or a bundled model,
+   with the [kind] and [target] its checkpoint meta records. *)
+let load_target = function
+  | `File path -> (
+    match load_program path with
+    | prog -> ("file", path, prog)
+    | exception Icb.Compile_error msg -> die msg)
+  | `Model name -> (
+    match resolve_model name with
+    | Ok prog -> ("model", name, prog)
+    | Error msg -> die msg)
+
 (* --- common options --------------------------------------------------------- *)
 
 let bound_arg =
@@ -298,13 +314,15 @@ let options_of ~no_deadlock ~timeout rt =
 
 (* One bundle per deduplicated bug, after the run; a failed write warns
    but never changes the search's own exit code. *)
-let drop_bundles ~repro_dir ~prog ~config ~no_deadlock ~gran ~kind ~target
-    ~strategy ~seed ~quiet (r : Icb_search.Sresult.t) =
+let drop_bundles ~repro_dir ~prog ~no_deadlock ~gran ~kind ~target ~strategy
+    ~seed ~quiet (r : Icb_search.Sresult.t) =
   match repro_dir with
   | None -> ()
   | Some dir -> (
     if r.Icb_search.Sresult.bugs <> [] then
-      let module E = (val Icb.engine ~config prog) in
+      let module E =
+        (val Icb.engine ~config:(config_of_granularity gran) prog)
+      in
       match
         Icb_repro.Store.drop
           (module E)
@@ -332,16 +350,18 @@ let report_bug prog (bug : Icb.bug) =
     Icb.pp_bug bug;
   List.iter (fun l -> Format.printf "  %s@." l) (Icb.explain prog bug)
 
+let print_summary (r : Icb_search.Sresult.t) =
+  Format.printf "%a@." Icb_search.Sresult.pp_summary r;
+  List.iter
+    (fun (bug : Icb.bug) -> Format.printf "@.%a@." Icb.pp_bug bug)
+    r.Icb_search.Sresult.bugs
+
 (* Shared driver behind check, check-model and resume: ICB stopping at the
    first bug, with optional deadline and checkpointing.  Exit codes:
    0 no bug, 1 bug found, 2 usage error, 3 interrupted (partial result). *)
 let run_check ~prog ~meta ~bound ~rt ~options ~gran ~checkpoint
     ~checkpoint_every ~resume_from ~jobs ~repro_dir ~seed ~no_cache () =
-  validate_checkpoint_path checkpoint;
-  if jobs < 1 then begin
-    Format.eprintf "--jobs must be at least 1@.";
-    exit 2
-  end;
+  if jobs < 1 then die "--jobs must be at least 1";
   let config = config_of_granularity gran in
   let options =
     { options with Icb_search.Collector.stop_at_first_bug = true }
@@ -354,22 +374,16 @@ let run_check ~prog ~meta ~bound ~rt ~options ~gran ~checkpoint
         Icb.resume ~config ~options ?checkpoint_out:checkpoint
           ~checkpoint_every ~checkpoint_meta:meta ?telemetry ~domains:jobs
           ~cache:(not no_cache) prog ckpt
-      with Invalid_argument msg ->
-        Format.eprintf "%s@." msg;
-        exit 2)
-    | None when jobs > 1 ->
-      Icb.run_parallel ~config ~options ?checkpoint_out:checkpoint
-        ~checkpoint_every ~checkpoint_meta:meta ?telemetry ~max_bound:bound
-        ~cache:false ~replay_cache:(not no_cache) ~domains:jobs prog
+      with Invalid_argument msg -> die msg)
     | None ->
       Icb.run ~config ~options ?checkpoint_out:checkpoint ~checkpoint_every
-        ~checkpoint_meta:meta ?telemetry ~cache:(not no_cache)
+        ~checkpoint_meta:meta ?telemetry ~domains:jobs ~cache:(not no_cache)
         ~strategy:
           (Icb_search.Explore.Icb { max_bound = Some bound; cache = false })
         prog
   in
   rt.rt_finish r;
-  drop_bundles ~repro_dir ~prog ~config
+  drop_bundles ~repro_dir ~prog
     ~no_deadlock:(not options.Icb_search.Collector.deadlock_is_error)
     ~gran
     ~kind:(Option.value (List.assoc_opt "kind" meta) ~default:"file")
@@ -397,31 +411,29 @@ let run_check ~prog ~meta ~bound ~rt ~options ~gran ~checkpoint
         | _ -> "");
       exit 3)
 
-let check_run path bound seed no_deadlock gran timeout checkpoint
+(* check FILE and check-model NAME: a fresh run of [run_check]. *)
+let check_run target bound seed no_deadlock gran timeout checkpoint
     checkpoint_every jobs progress trace metrics metrics_every quiet repro_dir
     no_cache =
-  match load_program path with
-  | exception Icb.Compile_error msg ->
-    Format.eprintf "%s@." msg;
-    exit 2
-  | prog ->
-    let meta =
-      [
-        ("kind", "file");
-        ("target", path);
-        ("bound", string_of_int bound);
-        ("seed", Int64.to_string seed);
-        ("granularity", granularity_name gran);
-        ("no-deadlock", string_of_bool no_deadlock);
-      ]
-    in
-    let rt =
-      make_runtime ~trace ~metrics ~metrics_every ~quiet ~progress ~timeout ()
-    in
-    run_check ~prog ~meta ~bound ~rt
-      ~options:(options_of ~no_deadlock ~timeout rt)
-      ~gran ~checkpoint ~checkpoint_every ~resume_from:None ~jobs ~repro_dir
-      ~seed ~no_cache ()
+  let kind, target, prog = load_target target in
+  let meta =
+    [
+      ("kind", kind);
+      ("target", target);
+      ("bound", string_of_int bound);
+      ("seed", Int64.to_string seed);
+      ("granularity", granularity_name gran);
+      ("no-deadlock", string_of_bool no_deadlock);
+    ]
+  in
+  let rt =
+    make_runtime ~trace ~metrics ~metrics_every ~quiet ~progress ~timeout ()
+  in
+  validate_checkpoint_path checkpoint;
+  run_check ~prog ~meta ~bound ~rt
+    ~options:(options_of ~no_deadlock ~timeout rt)
+    ~gran ~checkpoint ~checkpoint_every ~resume_from:None ~jobs ~repro_dir
+    ~seed ~no_cache ()
 
 let check_cmd =
   let path =
@@ -445,38 +457,13 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc ~man)
     Term.(
-      const check_run $ path $ bound_arg $ seed_arg $ no_deadlock_arg
+      const (fun path -> check_run (`File path))
+      $ path $ bound_arg $ seed_arg $ no_deadlock_arg
       $ granularity_arg $ timeout_arg $ checkpoint_arg $ checkpoint_every_arg
       $ jobs_arg $ progress_arg $ trace_arg $ metrics_arg $ metrics_every_arg
       $ quiet_arg $ repro_dir_arg $ no_cache_arg)
 
 (* --- check-model -------------------------------------------------------------- *)
-
-let check_model_run name bound seed no_deadlock gran timeout checkpoint
-    checkpoint_every jobs progress trace metrics metrics_every quiet repro_dir
-    no_cache =
-  match resolve_model name with
-  | Error msg ->
-    Format.eprintf "%s@." msg;
-    exit 2
-  | Ok prog ->
-    let meta =
-      [
-        ("kind", "model");
-        ("target", name);
-        ("bound", string_of_int bound);
-        ("seed", Int64.to_string seed);
-        ("granularity", granularity_name gran);
-        ("no-deadlock", string_of_bool no_deadlock);
-      ]
-    in
-    let rt =
-      make_runtime ~trace ~metrics ~metrics_every ~quiet ~progress ~timeout ()
-    in
-    run_check ~prog ~meta ~bound ~rt
-      ~options:(options_of ~no_deadlock ~timeout rt)
-      ~gran ~checkpoint ~checkpoint_every ~resume_from:None ~jobs ~repro_dir
-      ~seed ~no_cache ()
 
 let check_model_cmd =
   let model_name =
@@ -493,7 +480,8 @@ let check_model_cmd =
   Cmd.v
     (Cmd.info "check-model" ~doc)
     Term.(
-      const check_model_run $ model_name $ bound_arg $ seed_arg
+      const (fun name -> check_run (`Model name))
+      $ model_name $ bound_arg $ seed_arg
       $ no_deadlock_arg $ granularity_arg $ timeout_arg $ checkpoint_arg
       $ checkpoint_every_arg $ jobs_arg $ progress_arg $ trace_arg
       $ metrics_arg $ metrics_every_arg $ quiet_arg $ repro_dir_arg
@@ -501,124 +489,134 @@ let check_model_cmd =
 
 (* --- resume ------------------------------------------------------------------- *)
 
-let resume_run file timeout checkpoint checkpoint_every jobs progress trace
-    metrics metrics_every quiet repro_dir first_bug no_cache =
+let missing_meta file what =
+  die
+    (Printf.sprintf
+       "checkpoint %s does not record %s (not written by `icb check`?)" file
+       what)
+
+(* What `icb resume` and `icb serve --resume` take from a checkpoint.  A
+   checkpoint with no recorded mode was written by check or check-model,
+   and resumes as a check does: it stops at the first bug. *)
+type resumed = {
+  ckpt : Icb_search.Checkpoint.t;
+  check_mode : bool;
+  prog : Icb.prog;
+  gran : [ `Sync | `Every ];
+  no_deadlock : bool;
+  max_execs : int option;
+  first_bug : bool;
+  seed : int64;
+  out : string;  (* where new checkpoints go *)
+}
+
+let load_resume ~quiet ~checkpoint ~first_bug ?max_execs file =
+  validate_checkpoint_path checkpoint;
   match Icb_search.Checkpoint.load file with
-  | exception Icb_search.Checkpoint.Corrupt msg ->
-    Format.eprintf "%s@." msg;
-    exit 2
-  | ckpt -> (
+  | exception Icb_search.Checkpoint.Corrupt msg -> die msg
+  | ckpt ->
     let meta k = Icb_search.Checkpoint.meta_find ckpt k in
-    let missing what =
-      Format.eprintf
-        "checkpoint %s does not record %s (not written by `icb check`?)@."
-        file what;
-      exit 2
-    in
     let prog =
       match (meta "kind", meta "target") with
       | Some "model", Some name -> (
-        match resolve_model name with
-        | Ok p -> p
-        | Error msg ->
-          Format.eprintf "%s@." msg;
-          exit 2)
+        match resolve_model name with Ok p -> p | Error msg -> die msg)
       | Some "file", Some path -> (
         match load_program path with
         | p -> p
-        | exception Icb.Compile_error msg ->
-          Format.eprintf "%s@." msg;
-          exit 2
+        | exception Icb.Compile_error msg -> die msg
         | exception Sys_error msg ->
-          Format.eprintf
-            "cannot reload the checkpointed program: %s (the checkpoint \
-             records the model by path; restore the file or rerun `icb \
-             check`)@."
-            msg;
-          exit 2)
-      | _ -> missing "how to rebuild the program"
+          die
+            (Printf.sprintf
+               "cannot reload the checkpointed program: %s (the checkpoint \
+                records the model by path; restore the file or rerun `icb \
+                check`)"
+               msg))
+      | _ -> missing_meta file "how to rebuild the program"
     in
-    let gran = if meta "granularity" = Some "every" then `Every else `Sync in
-    let no_deadlock = meta "no-deadlock" = Some "true" in
     if not quiet then
       Format.eprintf "[icb] resuming %s@."
         (Icb_search.Checkpoint.describe ckpt);
-    (* Checkpoints written by `icb explore --checkpoint` carry the
-       strategy in the file itself, not a preemption bound; resume them
-       with explore's reporting (full search, no first-bug stop). *)
-    if meta "mode" = Some "explore" then begin
-      if jobs < 1 then begin
-        Format.eprintf "--jobs must be at least 1@.";
-        exit 2
-      end;
-      let config = config_of_granularity gran in
-      (* The original run's --max-executions is recorded in the file;
-         without it a resumed randomized strategy would run to its hard
-         walk cap rather than the horizon the user asked for. *)
-      let max_execs = Option.bind (meta "max-executions") int_of_string_opt in
-      let rt =
-        make_runtime ?max_execs ~trace ~metrics ~metrics_every ~quiet
-          ~progress ~timeout ()
-      in
-      (* --first-bug on the resume itself, or recorded by the original
-         `icb explore --first-bug` in the checkpoint *)
-      let first_bug = first_bug || meta "first-bug" = Some "true" in
-      let options =
-        {
-          (options_of ~no_deadlock ~timeout rt) with
-          Icb_search.Collector.max_executions = max_execs;
-          stop_at_first_bug = first_bug;
-        }
-      in
-      let r =
-        try
-          Icb.resume ~config ~options
-            ~checkpoint_out:(Option.value checkpoint ~default:file)
-            ~checkpoint_every ?telemetry:rt.rt_telemetry ~domains:jobs
-            ~cache:(not no_cache) prog ckpt
-        with Invalid_argument msg ->
-          Format.eprintf "%s@." msg;
-          exit 2
-      in
-      rt.rt_finish r;
-      drop_bundles ~repro_dir ~prog ~config ~no_deadlock ~gran
-        ~kind:(Option.value (meta "kind") ~default:"file")
-        ~target:(Option.value (meta "target") ~default:"?")
-        ~strategy:(Option.value (meta "strategy") ~default:"?")
-        ~seed:
-          (Option.value
-             (Option.bind (meta "seed") Int64.of_string_opt)
-             ~default:2007L)
-        ~quiet r;
-      Format.printf "%a@." Icb_search.Sresult.pp_summary r;
-      List.iter
-        (fun (bug : Icb.bug) -> Format.printf "@.%a@." Icb.pp_bug bug)
-        r.Icb_search.Sresult.bugs;
-      exit (if r.bugs <> [] then 1 else 0)
-    end;
+    let check_mode = meta "mode" <> Some "explore" in
+    {
+      ckpt;
+      check_mode;
+      prog;
+      gran = (if meta "granularity" = Some "every" then `Every else `Sync);
+      no_deadlock = meta "no-deadlock" = Some "true";
+      (* the recorded cap, so a resumed randomized strategy keeps the
+         horizon the user asked for instead of running to its hard walk
+         cap; serve's --max-executions overrides it, since a run its cap
+         stopped would otherwise stop again at once *)
+      max_execs =
+        (match max_execs with
+        | Some _ -> max_execs
+        | None -> Option.bind (meta "max-executions") int_of_string_opt);
+      first_bug = first_bug || check_mode || meta "first-bug" = Some "true";
+      seed =
+        Option.value
+          (Option.bind (meta "seed") Int64.of_string_opt)
+          ~default:2007L;
+      out = Option.value checkpoint ~default:file;
+    }
+
+let resume_run file timeout checkpoint checkpoint_every jobs progress trace
+    metrics metrics_every quiet repro_dir first_bug no_cache =
+  let res = load_resume ~quiet ~checkpoint ~first_bug file in
+  let meta k = Icb_search.Checkpoint.meta_find res.ckpt k in
+  if res.check_mode then begin
     let bound =
       match Option.bind (meta "bound") int_of_string_opt with
       | Some b -> b
-      | None -> missing "the preemption bound"
+      | None -> missing_meta file "the preemption bound"
     in
     let rt =
       make_runtime ~trace ~metrics ~metrics_every ~quiet ~progress ~timeout ()
     in
-    run_check ~prog
+    run_check ~prog:res.prog
       ~meta:
         (List.filter_map
            (fun k -> Option.map (fun v -> (k, v)) (meta k))
            [ "kind"; "target"; "bound"; "seed"; "granularity"; "no-deadlock" ])
       ~bound ~rt
-      ~options:(options_of ~no_deadlock ~timeout rt)
-      ~gran
-      ~checkpoint:(Some (Option.value checkpoint ~default:file))
-      ~checkpoint_every ~resume_from:(Some ckpt) ~jobs ~repro_dir
-      ~seed:
-        (Option.value
-           (Option.bind (meta "seed") Int64.of_string_opt)
-           ~default:2007L)
-      ~no_cache ())
+      ~options:(options_of ~no_deadlock:res.no_deadlock ~timeout rt)
+      ~gran:res.gran ~checkpoint:(Some res.out) ~checkpoint_every
+      ~resume_from:(Some res.ckpt) ~jobs ~repro_dir ~seed:res.seed ~no_cache
+      ()
+  end
+  else begin
+    (* Checkpoints written by `icb explore --checkpoint` carry the
+       strategy in the file itself, not a preemption bound; resume them
+       with explore's reporting. *)
+    if jobs < 1 then die "--jobs must be at least 1";
+    let rt =
+      make_runtime ?max_execs:res.max_execs ~trace ~metrics ~metrics_every
+        ~quiet ~progress ~timeout ()
+    in
+    let options =
+      {
+        (options_of ~no_deadlock:res.no_deadlock ~timeout rt) with
+        Icb_search.Collector.max_executions = res.max_execs;
+        stop_at_first_bug = res.first_bug;
+      }
+    in
+    let r =
+      try
+        Icb.resume ~config:(config_of_granularity res.gran) ~options
+          ~checkpoint_out:res.out ~checkpoint_every
+          ?telemetry:rt.rt_telemetry ~domains:jobs ~cache:(not no_cache)
+          res.prog res.ckpt
+      with Invalid_argument msg -> die msg
+    in
+    rt.rt_finish r;
+    drop_bundles ~repro_dir ~prog:res.prog ~no_deadlock:res.no_deadlock
+      ~gran:res.gran
+      ~kind:(Option.value (meta "kind") ~default:"file")
+      ~target:(Option.value (meta "target") ~default:"?")
+      ~strategy:(Option.value (meta "strategy") ~default:"?")
+      ~seed:res.seed ~quiet r;
+    print_summary r;
+    exit (if r.bugs <> [] then 1 else 0)
+  end
 
 let resume_cmd =
   let file =
@@ -676,95 +674,83 @@ let max_execs_arg =
   Arg.(
     value & opt (some int) None & info [ "max-executions" ] ~docv:"N" ~doc)
 
-let parse_strategy ~seed s = Icb_search.Explore.parse_strategy ~seed s
+let parse_strategy ~seed s =
+  match Icb_search.Explore.parse_strategy ~seed s with
+  | Ok strategy -> strategy
+  | Error msg -> die msg
+
+(* FILE or --model NAME, the program a fresh explore or serve run starts
+   from; [none] is the error when neither is given. *)
+let explore_target ~none path model =
+  match (path, model) with
+  | Some _, Some _ -> die "FILE and --model are mutually exclusive"
+  | None, None -> die none
+  | Some path, None -> load_target (`File path)
+  | None, Some name -> load_target (`Model name)
+
+(* The checkpoint meta of a fresh explore or serve run.  mode=explore
+   tells `icb resume` to resume it with explore's reporting. *)
+let explore_meta ~kind ~target ~strategy ~seed ~gran ~no_deadlock ~first_bug
+    ~max_execs =
+  [
+    ("mode", "explore");
+    ("kind", kind);
+    ("target", target);
+    ("strategy", strategy);
+    ("seed", Int64.to_string seed);
+    ("granularity", granularity_name gran);
+    ("no-deadlock", string_of_bool no_deadlock);
+  ]
+  @ (if first_bug then [ ("first-bug", "true") ] else [])
+  @
+  match max_execs with
+  | Some n -> [ ("max-executions", string_of_int n) ]
+  | None -> []
 
 let explore_run path model strategy_str seed no_deadlock gran max_execs
     timeout checkpoint checkpoint_every jobs progress trace metrics
     metrics_every quiet repro_dir first_bug no_cache =
   let kind, target, prog =
-    match (path, model) with
-    | Some _, Some _ ->
-      Format.eprintf "FILE and --model are mutually exclusive@.";
-      exit 2
-    | None, None ->
-      Format.eprintf "one of FILE or --model NAME is required@.";
-      exit 2
-    | Some path, None -> (
-      match load_program path with
-      | prog -> ("file", path, prog)
-      | exception Icb.Compile_error msg ->
-        Format.eprintf "%s@." msg;
-        exit 2)
-    | None, Some name -> (
-      match resolve_model name with
-      | Ok prog -> ("model", name, prog)
-      | Error msg ->
-        Format.eprintf "%s@." msg;
-        exit 2)
+    explore_target ~none:"one of FILE or --model NAME is required" path model
   in
-  match parse_strategy ~seed strategy_str with
-  | Error msg ->
-    Format.eprintf "%s@." msg;
-    exit 2
-  | Ok strategy ->
-    validate_checkpoint_path checkpoint;
-    if jobs < 1 then begin
-      Format.eprintf "--jobs must be at least 1@.";
-      exit 2
-    end;
-    let config = config_of_granularity gran in
-    let rt =
-      make_runtime ?max_execs ~trace ~metrics ~metrics_every ~quiet ~progress
-        ~timeout ()
-    in
-    let options =
-      {
-        (options_of ~no_deadlock ~timeout rt) with
-        Icb_search.Collector.max_executions = max_execs;
-        stop_at_first_bug = first_bug;
-      }
-    in
-    let meta =
-      [
-        ("mode", "explore");
-        ("kind", kind);
-        ("target", target);
-        ("strategy", strategy_str);
-        ("seed", Int64.to_string seed);
-        ("granularity", granularity_name gran);
-        ("no-deadlock", string_of_bool no_deadlock);
-      ]
-      @ (if first_bug then [ ("first-bug", "true") ] else [])
-      @
-      match max_execs with
-      | Some n -> [ ("max-executions", string_of_int n) ]
-      | None -> []
-    in
-    (* A strategy whose frontier does not shard rejects --jobs > 1 in
-       [Driver.run], and one whose frontier does not serialize rejects
-       --checkpoint the same way. *)
-    let r =
-      try
-        Icb.run ~config ~options ?checkpoint_out:checkpoint ~checkpoint_every
-          ~checkpoint_meta:meta ?telemetry:rt.rt_telemetry ~domains:jobs
-          ~cache:(not no_cache) ~strategy prog
-      with Invalid_argument msg ->
-        Format.eprintf "%s@." msg;
-        exit 2
-    in
-    rt.rt_finish r;
-    drop_bundles ~repro_dir ~prog ~config ~no_deadlock ~gran ~kind ~target
-      ~strategy:strategy_str ~seed ~quiet r;
-    Format.printf "%a@." Icb_search.Sresult.pp_summary r;
-    List.iter
-      (fun (bug : Icb.bug) ->
-        Format.printf "@.%a@." Icb.pp_bug bug)
-      r.Icb_search.Sresult.bugs;
-    (match (r.Icb_search.Sresult.stop_reason, checkpoint) with
-    | Some _, Some f when not quiet ->
-      Format.eprintf "continue with `icb resume %s`@." f
-    | _ -> ());
-    if r.bugs <> [] then exit 1
+  let strategy = parse_strategy ~seed strategy_str in
+  validate_checkpoint_path checkpoint;
+  if jobs < 1 then die "--jobs must be at least 1";
+  let rt =
+    make_runtime ?max_execs ~trace ~metrics ~metrics_every ~quiet ~progress
+      ~timeout ()
+  in
+  let options =
+    {
+      (options_of ~no_deadlock ~timeout rt) with
+      Icb_search.Collector.max_executions = max_execs;
+      stop_at_first_bug = first_bug;
+    }
+  in
+  let meta =
+    explore_meta ~kind ~target ~strategy:strategy_str ~seed ~gran
+      ~no_deadlock ~first_bug ~max_execs
+  in
+  (* A strategy whose frontier does not shard rejects --jobs > 1 in
+     [Driver.run], and one whose frontier does not serialize rejects
+     --checkpoint the same way. *)
+  let r =
+    try
+      Icb.run ~config:(config_of_granularity gran) ~options
+        ?checkpoint_out:checkpoint ~checkpoint_every ~checkpoint_meta:meta
+        ?telemetry:rt.rt_telemetry ~domains:jobs ~cache:(not no_cache)
+        ~strategy prog
+    with Invalid_argument msg -> die msg
+  in
+  rt.rt_finish r;
+  drop_bundles ~repro_dir ~prog ~no_deadlock ~gran ~kind ~target
+    ~strategy:strategy_str ~seed ~quiet r;
+  print_summary r;
+  (match (r.Icb_search.Sresult.stop_reason, checkpoint) with
+  | Some _, Some f when not quiet ->
+    Format.eprintf "continue with `icb resume %s`@." f
+  | _ -> ());
+  if r.bugs <> [] then exit 1
 
 let explore_cmd =
   let path =
@@ -827,168 +813,70 @@ let serve_resume_arg =
 let serve_run path model strategy_str seed no_deadlock gran max_execs timeout
     checkpoint checkpoint_every resume host port lease_timeout batch_size
     trace metrics metrics_every quiet first_bug no_cache =
-  validate_checkpoint_path checkpoint;
   validate_out_path "the event trace" trace;
   validate_out_path "metrics" metrics;
-  let telemetry = Obs.Telemetry.create () in
-  Option.iter (Obs.Telemetry.add_trace telemetry) trace;
-  Option.iter
-    (Obs.Telemetry.add_metrics_dump telemetry ~every:metrics_every)
-    metrics;
-  (* Everything a worker needs to rebuild the engine travels in the
-     checkpoint meta (= the job's provenance): kind/target like every
-     checkpoint, plus granularity.  mode=explore keeps the file readable
-     by plain `icb resume` too. *)
-  let fresh () =
-    let kind, target, prog =
-      match (path, model) with
-      | Some _, Some _ ->
-        Format.eprintf "FILE and --model are mutually exclusive@.";
-        exit 2
-      | None, None ->
-        Format.eprintf "one of FILE, --model NAME or --resume is required@.";
-        exit 2
-      | Some path, None -> (
-        match load_program path with
-        | prog -> ("file", path, prog)
-        | exception Icb.Compile_error msg ->
-          Format.eprintf "%s@." msg;
-          exit 2)
-      | None, Some name -> (
-        match resolve_model name with
-        | Ok prog -> ("model", name, prog)
-        | Error msg ->
-          Format.eprintf "%s@." msg;
-          exit 2)
+  let serve ~prog ~strategy ~meta ~gran ~no_deadlock ~max_execs ~first_bug
+      ?resume_from ?checkpoint_out () =
+    let telemetry = Obs.Telemetry.create () in
+    Option.iter (Obs.Telemetry.add_trace telemetry) trace;
+    Option.iter
+      (Obs.Telemetry.add_metrics_dump telemetry ~every:metrics_every)
+      metrics;
+    let options =
+      {
+        Icb_search.Collector.default_options with
+        deadlock_is_error = not no_deadlock;
+        deadline = Option.map Icb_search.Collector.deadline_in timeout;
+        max_executions = max_execs;
+        stop_at_first_bug = first_bug;
+      }
     in
-    match parse_strategy ~seed strategy_str with
-    | Error msg ->
-      Format.eprintf "%s@." msg;
-      exit 2
-    | Ok strategy ->
-      let meta =
-        [
-          ("mode", "explore");
-          ("kind", kind);
-          ("target", target);
-          ("strategy", strategy_str);
-          ("seed", Int64.to_string seed);
-          ("granularity", granularity_name gran);
-          ("no-deadlock", string_of_bool no_deadlock);
-        ]
-        @ (if first_bug then [ ("first-bug", "true") ] else [])
-        @
-        match max_execs with
-        | Some n -> [ ("max-executions", string_of_int n) ]
-        | None -> []
-      in
-      (prog, strategy, meta, gran, no_deadlock, max_execs, first_bug, None)
+    let r =
+      try
+        Icb.serve ~config:(config_of_granularity gran) ~options
+          ?checkpoint_out ~checkpoint_every ~checkpoint_meta:meta ?resume_from
+          ~host ~port ~lease_timeout ~batch_size ~telemetry
+          ~cache:(not no_cache)
+          ~on_coordinator:(fun c ->
+            Format.printf "coordinator listening on %s:%d@." host
+              (Icb.Dist.Coord.port c))
+          ~strategy prog
+      with Invalid_argument msg -> die msg
+    in
+    Obs.Telemetry.close telemetry;
+    print_summary r;
+    (match (r.Icb_search.Sresult.stop_reason, checkpoint_out) with
+    | Some _, Some f when not quiet ->
+      Format.eprintf "continue with `icb serve --resume %s`@." f
+    | _ -> ());
+    if r.Icb_search.Sresult.bugs <> [] then exit 1
   in
-  let resumed file =
-    match Icb_search.Checkpoint.load file with
-    | exception Icb_search.Checkpoint.Corrupt msg ->
-      Format.eprintf "%s@." msg;
-      exit 2
-    | ckpt ->
-      let meta k = Icb_search.Checkpoint.meta_find ckpt k in
-      let prog =
-        match (meta "kind", meta "target") with
-        | Some "model", Some name -> (
-          match resolve_model name with
-          | Ok p -> p
-          | Error msg ->
-            Format.eprintf "%s@." msg;
-            exit 2)
-        | Some "file", Some path -> (
-          match load_program path with
-          | p -> p
-          | exception Icb.Compile_error msg ->
-            Format.eprintf "%s@." msg;
-            exit 2
-          | exception Sys_error msg ->
-            Format.eprintf "cannot reload the checkpointed program: %s@." msg;
-            exit 2)
-        | _ ->
-          Format.eprintf
-            "checkpoint %s does not record how to rebuild the program@." file;
-          exit 2
-      in
-      let gran =
-        if meta "granularity" = Some "every" then `Every else `Sync
-      in
-      let no_deadlock = meta "no-deadlock" = Some "true" in
-      (* the file's recorded cap, unless the user raises it explicitly:
-         a run stopped by --max-executions would otherwise stop again
-         immediately on resume *)
-      let max_execs =
-        match max_execs with
-        | Some _ -> max_execs
-        | None -> Option.bind (meta "max-executions") int_of_string_opt
-      in
-      let first_bug = first_bug || meta "first-bug" = Some "true" in
-      let strategy =
-        match Icb_search.Explore.strategy_of_checkpoint ckpt with
-        | Ok s -> s
-        | Error msg ->
-          Format.eprintf "%s@." msg;
-          exit 2
-      in
-      if not quiet then
-        Format.eprintf "[icb] resuming %s@."
-          (Icb_search.Checkpoint.describe ckpt);
-      ( prog,
-        strategy,
-        ckpt.Icb_search.Checkpoint.meta,
-        gran,
-        no_deadlock,
-        max_execs,
-        first_bug,
-        Some (file, ckpt) )
-  in
-  let prog, strategy, meta, gran, no_deadlock, max_execs, first_bug, res =
-    match resume with Some file -> resumed file | None -> fresh ()
-  in
-  let config = config_of_granularity gran in
-  let options =
-    {
-      Icb_search.Collector.default_options with
-      deadlock_is_error = not no_deadlock;
-      deadline = Option.map Icb_search.Collector.deadline_in timeout;
-      max_executions = max_execs;
-      stop_at_first_bug = first_bug;
-    }
-  in
-  let checkpoint_out =
-    match (checkpoint, res) with
-    | Some f, _ -> Some f
-    | None, Some (file, _) -> Some file (* overwrite, like icb resume *)
-    | None, None -> None
-  in
-  let r =
-    try
-      Icb.serve ~config ~options ?checkpoint_out ~checkpoint_every
-        ~checkpoint_meta:meta
-        ?resume_from:(Option.map snd res)
-        ~host ~port ~lease_timeout ~batch_size ~telemetry
-        ~cache:(not no_cache)
-        ~on_coordinator:(fun c ->
-          Format.printf "coordinator listening on %s:%d@." host
-            (Icb.Dist.Coord.port c))
-        ~strategy prog
-    with Invalid_argument msg ->
-      Format.eprintf "%s@." msg;
-      exit 2
-  in
-  Obs.Telemetry.close telemetry;
-  Format.printf "%a@." Icb_search.Sresult.pp_summary r;
-  List.iter
-    (fun (bug : Icb.bug) -> Format.printf "@.%a@." Icb.pp_bug bug)
-    r.Icb_search.Sresult.bugs;
-  (match (r.Icb_search.Sresult.stop_reason, checkpoint_out) with
-  | Some _, Some f when not quiet ->
-    Format.eprintf "continue with `icb serve --resume %s`@." f
-  | _ -> ());
-  if r.Icb_search.Sresult.bugs <> [] then exit 1
+  match resume with
+  | Some file ->
+    let res = load_resume ~quiet ~checkpoint ~first_bug ?max_execs file in
+    let strategy =
+      match Icb_search.Explore.strategy_of_checkpoint res.ckpt with
+      | Ok s -> s
+      | Error msg -> die msg
+    in
+    serve ~prog:res.prog ~strategy ~meta:res.ckpt.Icb_search.Checkpoint.meta
+      ~gran:res.gran ~no_deadlock:res.no_deadlock ~max_execs:res.max_execs
+      ~first_bug:res.first_bug ~resume_from:res.ckpt ~checkpoint_out:res.out ()
+  | None ->
+    (* Everything a worker needs to rebuild the engine travels in the
+       checkpoint meta (= the job's provenance): kind/target like every
+       checkpoint, plus granularity. *)
+    let kind, target, prog =
+      explore_target ~none:"one of FILE, --model NAME or --resume is required"
+        path model
+    in
+    let strategy = parse_strategy ~seed strategy_str in
+    validate_checkpoint_path checkpoint;
+    serve ~prog ~strategy
+      ~meta:
+        (explore_meta ~kind ~target ~strategy:strategy_str ~seed ~gran
+           ~no_deadlock ~first_bug ~max_execs)
+      ~gran ~no_deadlock ~max_execs ~first_bug ?checkpoint_out:checkpoint ()
 
 let serve_cmd =
   let path =

@@ -59,8 +59,9 @@ val run :
     [checkpoint_out]/[resume_from] make every strategy but [Sleep_dfs]
     interruptible and resumable.  [domains] shards any strategy whose
     frontier shards ([Icb], the DFS family, [Random_walk], [Pct],
-    [Variable_bound], [Thread_bound], [Icb_vb]) across OCaml domains; for ICB specifically, {!run_parallel} additionally
-    shares engine states across workers instead of replaying prefixes.
+    [Variable_bound], [Thread_bound], [Icb_vb]) across OCaml domains; the
+    machine engine's states are snapshots, so work items carry them
+    across domains instead of replaying their prefixes.
     [cache] (default [true]) is the prefix-snapshot replay cache
     (docs/REPLAY_CACHE.md); [~cache:false] forces every schedule prefix to
     replay from the initial state, with identical results.

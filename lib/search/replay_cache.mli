@@ -17,7 +17,7 @@
     See docs/REPLAY_CACHE.md. *)
 
 (** Replay accounting, shared by cached and uncached materialization so the
-    two modes can be compared ([bench/main.exe replaycache]). *)
+    two modes can be compared (the replay table of [test/test_cache.ml]). *)
 type stats = {
   mutable hits : int;       (** materializations served at least partly from a snapshot *)
   mutable misses : int;     (** materializations replayed entirely from the initial state *)

@@ -27,9 +27,10 @@ type 's item = {
   i_sched : int list;  (* replayable schedule prefix *)
   i_payload : int;     (* tid to run, [visit], or a walk index *)
   i_state : 's option;
-      (* the prefix's state, when already materialized; never serialized,
-         and stripped when an item crosses domains without
-         [share_states] *)
+      (* the prefix's state, when already materialized; never serialized.
+         [Driver.run] strips it when the replay cache is off, and when an
+         item crosses domains unless the engine has the snapshot
+         capability or the caller passed [share_states] *)
 }
 
 (* Payload marker: don't step anywhere — expand the replayed state

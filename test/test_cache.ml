@@ -226,6 +226,130 @@ let stats_tests =
         check Alcotest.int "no steps saved" 0 !stats.Replay_cache.steps_saved);
   ]
 
+(* --- exact replay work, cached vs uncached -------------------------------- *)
+
+(* Serial ICB with the seen-state cache off, run once with the replay
+   cache and once without.  The counts are deterministic, so each row pins
+   them exactly.  A fresh run materializes every item from the state its
+   parent retained and never asks the snapshot LRU; only items that carry
+   no state, such as a resumed frontier's, reach it.  So the fresh rows
+   pin state retention and the resumed row pins what the LRU saves. *)
+type replay_row = {
+  name : string;
+  prog : unit -> Icb.prog;
+  bound : int;
+  resume_at : int option;
+      (* resume from a checkpoint taken after this many executions *)
+  deep : bool;  (* the uncached run executes at least 3x the steps *)
+  executions : int;
+  total_steps : int;
+  hits : int;
+  misses : int;
+  saved : int;
+  replayed : int;
+}
+
+let transaction () =
+  Icb_models.Transaction.program Icb_models.Transaction.Correct
+
+let replay_rows =
+  [
+    { name = "replay counts (peterson, icb:7)";
+      prog = (fun () -> Icb_models.Peterson.program Icb_models.Peterson.Correct);
+      bound = 7; resume_at = None; deep = true;
+      executions = 120_197; total_steps = 921_962;
+      hits = 91_536; misses = 0; saved = 1_936_597; replayed = 0 };
+    { name = "replay counts (transaction, icb:5)"; prog = transaction;
+      bound = 5; resume_at = None; deep = true;
+      executions = 40_839; total_steps = 287_352;
+      hits = 30_754; misses = 0; saved = 640_457; replayed = 0 };
+    { name = "replay counts (work-stealing, icb:3)";
+      prog =
+        (fun () ->
+          Icb_models.Workstealing.program Icb_models.Workstealing.Correct);
+      bound = 3; resume_at = None; deep = false;
+      executions = 10_673; total_steps = 178_947;
+      hits = 7_877; misses = 0; saved = 196_210; replayed = 0 };
+    { name = "replay counts (bluetooth, icb:3)";
+      prog = (fun () -> Icb_models.Bluetooth.program ~bug:false);
+      bound = 3; resume_at = None; deep = false;
+      executions = 56; total_steps = 400;
+      hits = 49; misses = 0; saved = 301; replayed = 0 };
+    { name = "replay counts (file system, icb:2)";
+      prog = (fun () -> Icb_models.Filesystem.program ~threads:3);
+      bound = 2; resume_at = None; deep = false;
+      executions = 187; total_steps = 1_071;
+      hits = 113; misses = 0; saved = 806; replayed = 0 };
+    { name = "replay counts (transaction, resumed)"; prog = transaction;
+      bound = 5; resume_at = Some 20_000; deep = false;
+      executions = 40_840; total_steps = 287_355;
+      hits = 15_708; misses = 3; saved = 305_909; replayed = 22_203 };
+  ]
+
+let replay_case row () =
+  let prog = row.prog () in
+  let strategy = Explore.Icb { max_bound = Some row.bound; cache = false } in
+  let resume_from =
+    Option.map
+      (fun n ->
+        let path = Filename.temp_file "icb-cache" ".ckpt" in
+        ignore
+          (Icb.run ~checkpoint_out:path ~strategy
+             ~options:
+               { Collector.default_options with
+                 Collector.max_executions = Some n
+               }
+             prog);
+        let ck = Checkpoint.load path in
+        Sys.remove path;
+        ck)
+      row.resume_at
+  in
+  let run cache =
+    let stats = ref (Replay_cache.zero ()) in
+    let r =
+      Icb.run ?resume_from ~cache
+        ~on_cache_stats:(fun s -> stats := s)
+        ~strategy prog
+    in
+    (r, !stats)
+  in
+  let rc, sc = run true and ru, su = run false in
+  check (Alcotest.list Alcotest.string) "same bug set" (bug_keys ru)
+    (bug_keys rc);
+  check Alcotest.int "same states" ru.Sresult.distinct_states
+    rc.Sresult.distinct_states;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "same executions per bound"
+    (Array.to_list ru.Sresult.bound_executions)
+    (Array.to_list rc.Sresult.bound_executions);
+  List.iter
+    (fun (r : Sresult.t) ->
+      check Alcotest.int "executions" row.executions r.Sresult.executions;
+      check Alcotest.int "total steps" row.total_steps r.Sresult.total_steps)
+    [ rc; ru ];
+  check Alcotest.int "cached hits" row.hits sc.Replay_cache.hits;
+  check Alcotest.int "cached misses" row.misses sc.Replay_cache.misses;
+  check Alcotest.int "cached steps saved" row.saved sc.Replay_cache.steps_saved;
+  check Alcotest.int "cached steps replayed" row.replayed
+    sc.Replay_cache.steps_replayed;
+  (* the cache moves replay work; it never adds or drops any *)
+  check Alcotest.int "uncached hits" 0 su.Replay_cache.hits;
+  check Alcotest.int "uncached misses" (row.hits + row.misses)
+    su.Replay_cache.misses;
+  check Alcotest.int "uncached steps replayed" (row.saved + row.replayed)
+    su.Replay_cache.steps_replayed;
+  if row.deep then
+    check Alcotest.bool "the uncached run executes >= 3x the steps" true
+      (row.total_steps + su.Replay_cache.steps_replayed
+      >= 3 * (row.total_steps + sc.Replay_cache.steps_replayed))
+
+let replay_tests =
+  List.map
+    (fun row -> Alcotest.test_case row.name `Quick (replay_case row))
+    replay_rows
+
 (* --- checkpoints are identical modulo timing ------------------------------ *)
 
 (* A cached run interrupted mid-search must checkpoint the very same
@@ -322,7 +446,7 @@ let () =
     [
       ("snapshot", snapshot_tests);
       ("equivalence", equivalence_tests);
-      ("stats", stats_tests);
+      ("stats", stats_tests @ replay_tests);
       ("checkpoint", checkpoint_tests);
       ("fixtures", fixture_tests);
     ]

@@ -135,6 +135,22 @@ let equivalence_tests =
       else if r.Explore.reg_bounded then Some (bounded_case r)
       else Some (equivalence_case r))
     (Explore.registry ~seed:11L ())
+  @ [
+      (* a deeper search than Peterson's, in batches of 16 items *)
+      Alcotest.test_case
+        "icb:3 on the work-stealing queue (pop reads head first), batch 16"
+        `Quick (fun () ->
+          let p =
+            Icb_models.Workstealing.program
+              Icb_models.Workstealing.Bug_pop_reads_head_first
+          in
+          let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
+          let s = serial p strategy in
+          let d1, _ = distributed ~workers:1 ~batch_size:16 p strategy in
+          assert_equivalent "1 worker vs serial" s d1;
+          let d2, _ = distributed ~workers:2 ~batch_size:16 p strategy in
+          assert_equivalent "2 workers vs serial" s d2);
+    ]
 
 let transaction_tests =
   [

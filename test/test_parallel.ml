@@ -71,6 +71,11 @@ let equivalence_tests =
       ~max_bound:2
       (Icb_models.Workstealing.program
          Icb_models.Workstealing.Bug_pop_reads_head_first);
+    equivalence_case
+      "bound 3: work-stealing queue (pop reads head first) matches serially"
+      ~max_bound:3
+      (Icb_models.Workstealing.program
+         Icb_models.Workstealing.Bug_pop_reads_head_first);
     Alcotest.test_case "first bug carries the same preemption bound" `Quick
       (fun () ->
         let prog =
