@@ -923,7 +923,7 @@ let serve_cmd =
       $ metrics_arg $ metrics_every_arg $ quiet_arg $ first_bug_arg
       $ no_cache_arg)
 
-let worker_run addr connect_timeout quiet no_cache =
+let worker_run addr connect_timeout quiet =
   let host, port =
     match String.rindex_opt addr ':' with
     | Some i -> (
@@ -960,7 +960,7 @@ let worker_run addr connect_timeout quiet no_cache =
      until --connect-timeout expires *)
   let deadline = Unix.gettimeofday () +. connect_timeout in
   let rec attempt () =
-    match Icb.worker ~cache:(not no_cache) ~resolve ~host ~port () with
+    match Icb.worker ~resolve ~host ~port () with
     | Ok batches ->
       if not quiet then
         Format.eprintf "[icb] worker done after %d batches@." batches
@@ -1001,15 +1001,15 @@ let worker_cmd =
          source path — the file must exist on this machine too), then \
          leases work-item batches and streams back bugs, counters and \
          buffered telemetry until the coordinator reports the search \
-         done.  Workers keep a local prefix-snapshot replay cache; \
-         killing a worker at any point loses nothing.  See \
-         docs/DISTRIBUTED.md.";
+         done.  Workers keep a local prefix-snapshot replay cache, \
+         which the coordinator's $(b,--no-cache) switches off; killing \
+         a worker at any point loses nothing.  See docs/DISTRIBUTED.md.";
     ]
   in
   Cmd.v
     (Cmd.info "worker" ~doc ~man)
     Term.(
-      const worker_run $ addr $ connect_timeout $ quiet_arg $ no_cache_arg)
+      const worker_run $ addr $ connect_timeout $ quiet_arg)
 
 (* --- report ------------------------------------------------------------------- *)
 

@@ -39,15 +39,13 @@ let run ?config ?options ?checkpoint_out ?checkpoint_every ?checkpoint_meta
 
 let run_parallel ?config ?options ?checkpoint_out ?checkpoint_every
     ?checkpoint_meta ?resume_from ?telemetry ?max_bound ?(cache = false)
-    ?replay_cache ?on_cache_stats ~domains prog =
+    ?on_cache_stats ~domains prog =
   (* Each worker gets its own machine-engine instance, and machine states
-     are persistent plain data any instance can step, so deferred work
-     items carry their live states across the barrier instead of being
-     replayed. *)
+     are snapshots any instance can step, so deferred work items carry
+     their live states across the barrier instead of being replayed. *)
   let engines _ = engine ?config prog in
   Icb_search.Driver.run engines ?options ?checkpoint_out ?checkpoint_every
-    ?checkpoint_meta ?resume_from ?telemetry ~share_states:true ?replay_cache
-    ?on_cache_stats ~domains
+    ?checkpoint_meta ?resume_from ?telemetry ?on_cache_stats ~domains
     (Icb_search.Strategies.icb (engines 0) ~max_bound ~cache)
 
 let resume ?config ?options ?checkpoint_out ?checkpoint_every ?checkpoint_meta
@@ -74,7 +72,7 @@ let serve ?config ?options ?checkpoint_out ?checkpoint_every ?checkpoint_meta
         ~env:(Icb_search.Strategy.env_of_prog prog)
         ?cache strategy)
 
-let worker ?config ?cache ?resolve ~host ~port () =
+let worker ?config ?resolve ~host ~port () =
   (* the default resolver only knows file provenance; callers with a
      model registry (the CLI) pass their own *)
   let default_resolve meta =
@@ -91,7 +89,7 @@ let worker ?config ?cache ?resolve ~host ~port () =
         "the job's provenance metadata names no model file (need \
          kind=file with a target path; pass ~resolve for other kinds)"
   in
-  Icb_dist.Worker.run ?cache ~host ~port
+  Icb_dist.Worker.run ~host ~port
     ~resolve:(Option.value resolve ~default:default_resolve)
     ()
 

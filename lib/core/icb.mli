@@ -79,7 +79,6 @@ val run_parallel :
   ?telemetry:Icb_obs.Telemetry.t ->
   ?max_bound:int ->
   ?cache:bool ->
-  ?replay_cache:bool ->
   ?on_cache_stats:(Icb_search.Replay_cache.stats -> unit) ->
   domains:int ->
   prog ->
@@ -91,10 +90,9 @@ val run_parallel :
     serial [run ~strategy:(Icb ...)] of the same program when
     [cache = false] (the default: the seen-state cache prunes per worker,
     so a cached parallel run may explore more executions; see
-    docs/PARALLEL.md).  [cache] is the strategy's seen-state pruning cache;
-    [replay_cache] (default [true]) is the orthogonal prefix-snapshot
-    replay cache of docs/REPLAY_CACHE.md, which never changes what is
-    explored.  Checkpoints written here are resumable both serially
+    docs/PARALLEL.md).  [cache] is the strategy's seen-state pruning cache,
+    not the replay cache of docs/REPLAY_CACHE.md ({!run}'s [cache]).
+    Checkpoints written here are resumable both serially
     ({!resume}) and in parallel ({!resume} with [~domains], or
     [run_parallel ~resume_from]). *)
 
@@ -130,7 +128,6 @@ val serve :
 
 val worker :
   ?config:Icb_search.Mach_engine.config ->
-  ?cache:bool ->
   ?resolve:
     ((string * string) list ->
     (Icb_dist.Worker.packed_engine, string) Stdlib.result) ->

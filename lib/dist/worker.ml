@@ -23,7 +23,7 @@ type packed_engine =
    when the coordinator has a stream consumer ([j_events]); otherwise a
    local metrics projection reads them, and only its values travel. *)
 let process_batch (type s) (module E : Icb_search.Engine.S with type state = s)
-    ~(rp : s Search_core.replayer) ~(job : Proto.job) ~clock
+    ~(mz : s Search_core.materializer) ~(job : Proto.job) ~clock
     (b : Proto.batch) : (Proto.report, string) result =
   let v3 =
     {
@@ -66,21 +66,13 @@ let process_batch (type s) (module E : Icb_search.Engine.S with type state = s)
     let w = S.wstate () in
     let queue = ref (List.map Driver.of_prefix work) in
     let deferred = ref [] in
-    let materialize it =
-      match rp.Search_core.rp_run it with
-      | Ok st -> Some st
-      | Error (st, t, exn) ->
-        Search_core.record_crash (module E) lcol st t exn;
-        None
-    in
     let ctx =
       {
         Strategy.c_col = lcol;
-        c_push = (fun it -> queue := it :: !queue);
-        c_defer =
-          (fun it ->
-            deferred := { it with Strategy.i_state = None } :: !deferred);
-        c_materialize = materialize;
+        c_push = (fun it -> queue := mz.Search_core.mz_stay it :: !queue);
+        (* a deferred item leaves the process as its prefix *)
+        c_defer = (fun it -> deferred := Strategy.prefix_of it :: !deferred);
+        c_materialize = Search_core.contained (module E) mz lcol;
       }
     in
     let expand = S.expand (module E) w in
@@ -103,7 +95,7 @@ let process_batch (type s) (module E : Icb_search.Engine.S with type state = s)
       {
         Proto.r_params = params;
         r_snapshot = Collector.snapshot_to_json (Collector.snapshot lcol);
-        r_deferred = List.rev_map Strategy.prefix_of !deferred;
+        r_deferred = List.rev !deferred;
         r_events = List.rev_map Icb_obs.Event.to_json !buf;
         r_metrics =
           Option.map
@@ -132,7 +124,7 @@ let recv_s2c ic =
   | Error (`Malformed m) -> Error ("protocol error: " ^ m)
   | Ok j -> Proto.s2c_of_json j
 
-let run ?(cache = true) ~host ~port ~resolve () =
+let run ~host ~port ~resolve () =
   let ( let* ) = Result.bind in
   let* fd = connect ~host ~port in
   let ic = Unix.in_channel_of_descr fd in
@@ -164,13 +156,9 @@ let run ?(cache = true) ~host ~port ~resolve () =
              fingerprint mismatch)"
         else Ok ()
       in
-      (* the replay cache persists across batches: consecutive batches of
-         a sorted frontier share schedule prefixes *)
-      let rp =
-        Search_core.replayer
-          (module E)
-          ~cache:(cache && job.Proto.j_cache) ()
-      in
+      (* the path memo persists across batches: consecutive batches of a
+         sorted frontier share schedule prefixes *)
+      let mz = Search_core.materializer (module E) ~cache:job.Proto.j_cache in
       let epoch = Unix.gettimeofday () in
       let clock () = Unix.gettimeofday () -. epoch in
       let ack () =
@@ -200,7 +188,7 @@ let run ?(cache = true) ~host ~port ~resolve () =
       and busy batches b ~owed =
         let ahead = b.Proto.b_pending > 0 in
         if ahead then Proto.send oc (Proto.c2s_to_json Proto.Request);
-        let* report = process_batch (module E) ~rp ~job ~clock b in
+        let* report = process_batch (module E) ~mz ~job ~clock b in
         let* () = if owed then ack () else Ok () in
         Proto.send oc
           (Proto.c2s_to_json

@@ -16,7 +16,6 @@ type packed_engine =
       -> packed_engine
 
 val run :
-  ?cache:bool ->
   host:string ->
   port:int ->
   resolve:((string * string) list -> (packed_engine, string) result) ->
@@ -26,8 +25,8 @@ val run :
     builds the engine from the job's provenance metadata (the
     checkpoint-style ["kind"]/["target"] pairs); the worker then verifies
     the engine's initial-state fingerprint against the coordinator's
-    before touching any work.  [cache] (default [true]) gates the local
-    replay cache on top of the job's own cache flag.
+    before touching any work.  The job's [cache] flag (set by the
+    coordinator) is the replay cache's only switch.
 
     Returns the number of batches processed, or an error on connection
     failure, protocol violation, or a program mismatch. *)

@@ -495,8 +495,8 @@ let rounds (type s w) ses (module E : Engine.S with type state = s)
 
          The batched-replay round: restored items carry no states, so
          sort them — lexicographic order groups the frontier by longest
-         common prefix, and consecutive materializations hit the
-         snapshot cache.  The round's result is a multiset, insensitive
+         common prefix, and each materialization restores the previous
+         one's path.  The round's result is a multiset, insensitive
          to this order. *)
       let work, carry = S.of_prefixes master f in
       loop (sorted_items (List.map of_prefix work)) (List.map of_prefix carry)
@@ -518,8 +518,7 @@ let rounds (type s w) ses (module E : Engine.S with type state = s)
    interrupted exactly at their execution's end, whose resume is exact. *)
 let serial (type s w) ses (module E : Engine.S with type state = s)
     (module S : Strategy.S with type state = s and type wstate = w)
-    ~(wstates : w array)
-    ~(rp : s Search_core.replayer) ~retain =
+    ~(wstates : w array) ~(mz : s Search_core.materializer) =
   let master = ses.master in
   let expand = S.expand (module E) wstates.(0) in
   (* Strict replay: a prefix that no longer replays means the checkpoint
@@ -528,7 +527,7 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
      deterministic engine: they only contain steps that already succeeded
      once.) *)
   let materialize it =
-    match rp.Search_core.rp_run it with
+    match mz.Search_core.mz_run it with
     | Ok st -> Some st
     | Error (_, _, exn) ->
       invalid_arg
@@ -538,9 +537,6 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
             nondeterministic program"
            (Printexc.to_string exn))
   in
-  (* [--no-cache]: drop the snapshot slot at every hand-off, restoring the
-     pure stateless discipline — every item pays the full prefix replay. *)
-  let keep it = if retain then it else { it with Strategy.i_state = None } in
   (* Under the [`Rank] discipline an item's priority needs its state;
      materialize before insertion. *)
   let prep it =
@@ -560,10 +556,10 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
   let ctx =
     {
       Strategy.c_col = master;
-      c_push = (fun it -> sq.sq_push (prep (keep it)));
+      c_push = (fun it -> sq.sq_push (prep (mz.Search_core.mz_stay it)));
       c_defer =
         (fun it ->
-          deferred := keep it :: !deferred;
+          deferred := mz.Search_core.mz_stay it :: !deferred;
           incr defer_len);
       c_materialize = materialize;
     }
@@ -608,7 +604,7 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
   in
   fun items ~carry ->
     List.iter ctx.Strategy.c_defer carry;
-    sq.sq_seed (List.map (fun it -> prep (keep it)) items);
+    sq.sq_seed (List.map (fun it -> prep (mz.Search_core.mz_stay it)) items);
     match drain () with
     | None ->
       let next = List.rev !deferred in
@@ -639,8 +635,7 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
    state. *)
 let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
     (module S : Strategy.S with type state = s and type wstate = w)
-    ~(wstates : w array) ~tel
-    ~(rps : s Search_core.replayer array) ~retain =
+    ~(wstates : w array) ~tel ~(mzs : s Search_core.materializer array) =
   let domains = Array.length engs in
   let master = ses.master in
   (* every deque is empty between rounds: a round ends only once all
@@ -653,16 +648,14 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
     Array.init domains (fun _ -> Icb_util.Rng.split base)
   in
   let user_cb_m = Mutex.create () in
-  let strip it = if retain then it else { it with Strategy.i_state = None } in
   fun work ~carry ->
-    let work = sorted_items work in
-    let work = if retain then work else List.map strip work in
+    let work = List.map mzs.(0).Search_core.mz_move (sorted_items work) in
     (* Batched replay: the sort above is lexicographic on schedules, i.e.
        the round is grouped by longest common prefix.  Shard it in
        contiguous chunks (not round-robin) so each worker's run of items
-       shares prefixes and consecutive materializations hit its snapshot
-       cache; the barrier merge is independent of the assignment, and the
-       assignment itself stays deterministic. *)
+       shares prefixes and each materialization restores the previous
+       one's path; the barrier merge is independent of the assignment,
+       and the assignment itself stays deterministic. *)
     let n_work = List.length work in
     let chunk = max 1 ((n_work + domains - 1) / domains) in
     List.iteri
@@ -816,29 +809,17 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
       let (module E : Engine.S with type state = s) = engs.(i) in
       let lcol = lcols.(i) in
       let expand = S.expand (module E) wstates.(i) in
-      (* Materialization goes through the worker's replayer (snapshot
-         cache when the engine offers it, from-the-root replay otherwise)
-         and never touches the collector: the prefix's states were
-         already counted by whoever deferred or checkpointed this item.
-         A prefix that no longer replays means the program is
-         nondeterministic (or the checkpoint is foreign); contain it as a
-         replayable bug, like any other engine crash. *)
-      let materialize it =
-        match rps.(i).Search_core.rp_run it with
-        | Ok st -> Some st
-        | Error (st, t, exn) ->
-          Search_core.record_crash (module E) lcol st t exn;
-          None
-      in
+      let mz = mzs.(i) in
       let ctx =
         {
           Strategy.c_col = lcol;
           (* own current-round follow-ups run depth-first from the front;
-             their states stay attached — they never leave this domain
-             except via [steal], which strips them *)
-          c_push = (fun it -> Dq.push_front deques.(i) it);
-          c_defer = (fun it -> nexts.(i) := strip it :: !(nexts.(i)));
-          c_materialize = materialize;
+             they leave this domain only through [steal] *)
+          c_push =
+            (fun it -> Dq.push_front deques.(i) (mz.Search_core.mz_stay it));
+          c_defer =
+            (fun it -> nexts.(i) := mz.Search_core.mz_move it :: !(nexts.(i)));
+          c_materialize = Search_core.contained (module E) mz lcol;
         }
       in
       let take () =
@@ -853,7 +834,7 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
               if j = i then go (k + 1)
               else
                 match Dq.steal deques.(j) with
-                | Some it -> Some (strip it)
+                | Some it -> Some (mz.Search_core.mz_move it)
                 | None -> go (k + 1)
           in
           go 0
@@ -907,10 +888,16 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
 
 (* --- entry --------------------------------------------------------------- *)
 
+(* [replay_cache = false] is the debugging escape hatch: every hand-off
+   drops the item's state and every prefix replays from the root.
+   [share_states] is ignored; it is kept only for callers that still pass
+   it.  Whether a state may cross domains is the engine's to say, through
+   its snapshot capability ({!Search_core.materializer}). *)
 let run (type s) (engines : int -> (module Engine.S with type state = s))
     ?options ?checkpoint_out ?checkpoint_every ?checkpoint_meta ?resume_from
-    ?telemetry ?(share_states = false) ?(replay_cache = true) ?on_cache_stats
-    ~domains (module S : Strategy.S with type state = s) : Sresult.t =
+    ?telemetry ?share_states:(_ : bool option) ?(replay_cache = true)
+    ?on_cache_stats ~domains (module S : Strategy.S with type state = s) :
+    Sresult.t =
   if domains < 1 then invalid_arg "Driver.run: domains must be at least 1";
   if domains > 1 && not S.shardable then
     invalid_arg
@@ -928,24 +915,8 @@ let run (type s) (engines : int -> (module Engine.S with type state = s))
   (* Engine instances are created sequentially here, before any domain
      exists, and each is thereafter used by a single worker at a time. *)
   let engs = Array.init domains engines in
-  let has_snap =
-    let (module E0 : Engine.S with type state = s) = engs.(0) in
-    Option.is_some E0.snapshot
-  in
-  (* Replay-cache policy.  Serial mode retains the snapshot slot on every
-     hand-off exactly as before (for any engine — the stateless engine's
-     states hand their live run forward); parallel mode additionally
-     shares states across domains whenever the engine certifies them as
-     restorable snapshots (or the caller opted in explicitly).
-     [replay_cache = false] is the debugging escape hatch: drop every
-     snapshot, disable the per-worker caches, replay everything. *)
-  let retain =
-    replay_cache && (domains = 1 || share_states || has_snap)
-  in
-  let rps =
-    Array.map
-      (fun e -> Search_core.replayer e ~cache:replay_cache ())
-      engs
+  let mzs =
+    Array.map (fun e -> Search_core.materializer e ~cache:replay_cache) engs
   in
   let ses =
     session engs.(0) (module S) ?options ?checkpoint_out ?checkpoint_every
@@ -953,15 +924,14 @@ let run (type s) (engines : int -> (module Engine.S with type state = s))
   in
   let wstates = Array.init domains (fun _ -> S.wstate ()) in
   rounds ses engs.(0) (module S) ~wstates
-    (if domains = 1 then
-       serial ses engs.(0) (module S) ~wstates ~rp:rps.(0) ~retain
-     else pool ses engs (module S) ~wstates ~tel:telemetry ~rps ~retain);
+    (if domains = 1 then serial ses engs.(0) (module S) ~wstates ~mz:mzs.(0)
+     else pool ses engs (module S) ~wstates ~tel:telemetry ~mzs);
   let cstats = Replay_cache.zero () in
   Array.iter
-    (fun rp -> Replay_cache.accum ~into:cstats rp.Search_core.rp_stats)
-    rps;
+    (fun mz -> Replay_cache.accum ~into:cstats mz.Search_core.mz_stats)
+    mzs;
   (match on_cache_stats with None -> () | Some f -> f cstats);
-  if Icb_obs.Emit.enabled ses.emit && replay_cache && has_snap then
+  if Icb_obs.Emit.enabled ses.emit && mzs.(0).Search_core.mz_memo then
     Icb_obs.Emit.emit ses.emit
       (Icb_obs.Event.Cache_stats
          {

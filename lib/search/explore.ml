@@ -320,11 +320,10 @@ let default_checkpoint_every = Search_core.default_checkpoint_every
    which is safe for modules without module-level mutable state (the
    machine engine; the CHESS engine's only module-level mutable is a
    stats counter).  States cross domains only when the engine has the
-   snapshot capability, which certifies them restorable anywhere:
-   [Driver.run] then retains them, as it does the machine engine's.  An
-   engine without it, whose states may be bound to a domain, hands its
-   items over as bare schedule prefixes, and each worker replays them on
-   its own states. *)
+   snapshot capability, which certifies them restorable anywhere
+   ([Search_core.materializer]).  An engine without it, whose states may
+   be bound to a domain, hands its items over as bare schedule prefixes,
+   and each worker replays them on its own states. *)
 let run (type s) (module E : Engine.S with type state = s) ?options
     ?checkpoint_out ?checkpoint_every ?checkpoint_meta ?resume_from
     ?telemetry ?(domains = 1) ?env ?cache ?on_cache_stats strategy =

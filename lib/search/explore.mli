@@ -119,11 +119,11 @@ val run :
     nondeterministic program).
 
     [cache] (default [true]) enables the prefix-snapshot replay cache
-    (docs/REPLAY_CACHE.md): engines with the {!Engine.S.snapshot}
-    capability memoize the state reached at every replayed prefix, states
-    ride along on work items across rounds and domains, and
-    materializing an item costs only the steps past its longest cached
-    ancestor.  [~cache:false] restores the pure stateless discipline —
+    (docs/REPLAY_CACHE.md): work items carry their states, across rounds
+    and (for engines with the {!Engine.S.snapshot} capability) domains,
+    and an item without one restores the snapshot at its longest common
+    prefix with the previous item's path and replays only the rest.
+    [~cache:false] restores the pure stateless discipline —
     every item replays its full prefix from the initial state — which is
     the one-flag way to check a suspected cache divergence; bug sets,
     execution counts and checkpoints are identical either way.

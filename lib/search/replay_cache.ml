@@ -13,72 +13,69 @@ let accum ~into s =
   into.steps_saved <- into.steps_saved + s.steps_saved;
   into.steps_replayed <- into.steps_replayed + s.steps_replayed
 
-(* An entry remembers the exact (reversed) prefix it snapshots, so a
-   lookup that matches by hash is verified element-wise before the
-   snapshot is trusted: collisions degrade to misses. *)
-type 'v entry = { e_rev : int list; e_snap : 'v }
+(* The path's first [len] steps are [tids.(i)], with [snaps.(i)] the state
+   after step [i + 1].  [len] never covers a slot that a later schedule
+   has not rewritten, so the path is always one replayable schedule. *)
+type ('a, 'v) memo = {
+  capture : 'a -> 'v;
+  restore : 'v -> 'a;
+  mutable tids : int array;
+  mutable snaps : 'v array;
+  mutable len : int;
+}
 
-type 'v t = { lru : (int * int64, 'v entry) Icb_util.Lru.t }
+let memo ~capture ~restore =
+  { capture; restore; tids = [||]; snaps = [||]; len = 0 }
 
-let default_capacity = 4096
+(* Write step [k] of the path, growing the arrays on demand. *)
+let record m k tid st =
+  let v = m.capture st in
+  if k >= Array.length m.tids then begin
+    let cap = max 32 (2 * k) in
+    let tids = Array.make cap 0 and snaps = Array.make cap v in
+    Array.blit m.tids 0 tids 0 k;
+    Array.blit m.snaps 0 snaps 0 k;
+    m.tids <- tids;
+    m.snaps <- snaps
+  end;
+  m.tids.(k) <- tid;
+  m.snaps.(k) <- v;
+  m.len <- k + 1
 
-let create ?(capacity = default_capacity) () =
-  { lru = Icb_util.Lru.create ~capacity }
-
-let length t = Icb_util.Lru.length t.lru
-let clear t = Icb_util.Lru.clear t.lru
-
-let replay (type v a) (t : v t) ~stats ~sched ~(init : unit -> a)
-    ~(step : a -> int -> a) ~(capture : a -> v) ~(restore : v -> a) :
-    (a, a * int * exn) result =
+let replay memo ~stats ~init ~step sched =
   match sched with
   | [] -> Ok (init ())
   | _ ->
-    (* Rolling FNV-1a hash and reversed prefix for every cut point; the
-       reversed prefixes share structure, so this is O(n) allocation. *)
-    let n = List.length sched in
-    let hashes = Array.make (n + 1) Icb_util.Fnv.basis in
-    let revs = Array.make (n + 1) [] in
-    List.iteri
-      (fun i tid ->
-        hashes.(i + 1) <- Icb_util.Fnv.int hashes.(i) tid;
-        revs.(i + 1) <- tid :: revs.(i))
-      sched;
-    (* Longest verified cached prefix, probing longest first. *)
-    let rec probe k =
-      if k <= 0 then None
-      else
-        match Icb_util.Lru.find t.lru (k, hashes.(k)) with
-        | Some e when e.e_rev = revs.(k) -> Some (k, e)
-        | Some _ | None -> probe (k - 1)
+    let k, rest =
+      match memo with
+      | None -> (0, sched)
+      | Some m ->
+        let rec common k = function
+          | tid :: rest when k < m.len && m.tids.(k) = tid -> common (k + 1) rest
+          | rest -> (k, rest)
+        in
+        let k, rest = common 0 sched in
+        m.len <- k;
+        (k, rest)
     in
-    let base, st0 =
-      match probe n with
-      | Some (k, e) ->
+    let st0 =
+      match memo with
+      | Some m when k > 0 ->
         stats.hits <- stats.hits + 1;
         stats.steps_saved <- stats.steps_saved + k;
-        (k, restore e.e_snap)
-      | None ->
+        m.restore m.snaps.(k - 1)
+      | Some _ | None ->
         stats.misses <- stats.misses + 1;
-        (0, init ())
+        init ()
     in
-    (* Replay the suffix, snapshotting after every new step so the next
-       item sharing this prefix resumes further along. *)
-    let rec go st k rest =
-      match rest with
+    let rec go st k = function
       | [] -> Ok st
       | tid :: rest -> (
         match step st tid with
         | st' ->
           stats.steps_replayed <- stats.steps_replayed + 1;
-          let k = k + 1 in
-          Icb_util.Lru.add t.lru (k, hashes.(k))
-            { e_rev = revs.(k); e_snap = capture st' };
-          go st' k rest
+          (match memo with Some m -> record m k tid st' | None -> ());
+          go st' (k + 1) rest
         | exception exn -> Error (st, tid, exn))
     in
-    let rec drop n l =
-      if n <= 0 then l
-      else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
-    in
-    go st0 base (drop base sched)
+    go st0 k rest

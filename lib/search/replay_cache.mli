@@ -1,18 +1,18 @@
-(** Prefix-snapshot replay cache.
+(** Prefix-snapshot replay.
 
     A work item in the stateless search discipline is a replayable schedule
-    prefix; a round's frontier is a {e tree} of shared prefixes.  Engines
-    with the snapshot capability ({!Engine.S.snapshot}) let the driver
-    memoize the state reached at every prefix it replays, so materializing
-    the next item costs only the steps past its longest cached ancestor —
-    execution scales with new steps, not prefix length.
+    prefix.  Engines with the snapshot capability ({!Engine.S.snapshot})
+    let a worker keep a {!memo} of the path it materialized last: that
+    item's schedule and the snapshot after each of its steps.  The next
+    item restores the snapshot at its longest common prefix with the path
+    and replays only the rest.  Items that reach the memo arrive sorted
+    (a resumed frontier, a distributed worker's batches), and in sorted
+    order the longest prefix an item shares with {e any} earlier item is
+    the one it shares with the item just before — so the previous path is
+    all a cache needs to hold.
 
-    One cache per worker (no locking); bounded LRU ({!Icb_util.Lru}) keyed
-    by the FNV-1a hash of the prefix, with the prefix itself stored and
-    compared on lookup so hash collisions degrade to misses, never to wrong
-    states.  Entries are only ever created from states the current run
-    actually reached, so there is no invalidation problem: a snapshot for a
-    prefix is eternally valid for this engine instance.
+    One memo per worker (no locking).  Its path only ever holds states the
+    current run actually reached, so there is no invalidation problem.
 
     See docs/REPLAY_CACHE.md. *)
 
@@ -30,28 +30,25 @@ val zero : unit -> stats
 val accum : into:stats -> stats -> unit
 (** Saturation-free accumulation of one worker's counters into a total. *)
 
-type 'v t
-(** A cache holding snapshots of type ['v]. *)
+type ('a, 'v) memo
+(** The previous materialization's path, over states ['a] and their
+    snapshots ['v]. *)
 
-val default_capacity : int
-
-val create : ?capacity:int -> unit -> 'v t
-val length : 'v t -> int
-val clear : 'v t -> unit
+val memo : capture:('a -> 'v) -> restore:('v -> 'a) -> ('a, 'v) memo
+(** An empty path. *)
 
 val replay :
-  'v t ->
+  ('a, 'v) memo option ->
   stats:stats ->
-  sched:int list ->
   init:(unit -> 'a) ->
   step:('a -> int -> 'a) ->
-  capture:('a -> 'v) ->
-  restore:('v -> 'a) ->
+  int list ->
   ('a, 'a * int * exn) result
-(** Materialize the state reached by [sched]: restore the longest cached
-    prefix of [sched] (verified element-wise, not just by hash) and replay
-    only the remaining suffix, inserting a snapshot after every new step so
-    the next item sharing this prefix starts further along.  [Error
-    (st, tid, exn)] reports a step that raised, with the state and thread
-    at the point of failure — the caller decides between crash containment
-    (parallel workers) and strict rejection (serial resume). *)
+(** Materialize the state a schedule reaches: restore the memo's snapshot
+    at the schedule's longest common prefix with the path, replay the
+    rest, and make the schedule the new path (an empty schedule is
+    [init ()] and leaves the path alone).  With no memo, every schedule
+    replays from [init ()].  [Error (st, tid, exn)] reports a
+    step that raised, with the state and thread at the point of failure —
+    the caller decides between crash containment (parallel workers) and
+    strict rejection (serial resume); the path then ends at [st]. *)

@@ -1,7 +1,8 @@
 (* Machinery shared by the strategies and every round runner of
    [Driver] (serial queue, domain pool, distributed lease server):
-   execution accounting, crash containment, checkpoint write control and
-   — most importantly — the per-work-item ICB exploration.
+   execution accounting, crash containment, checkpoint write control, the
+   per-worker materializer that turns work items into states and — most
+   importantly — the per-work-item ICB exploration.
 
    Every runner replays the very same code path per work item, so they
    provably explore identical subtrees; the equivalence test suites
@@ -135,69 +136,80 @@ let item_cache ~cache table =
         let k = (sg, tid) in
         Hashtbl.mem table k || (Hashtbl.add table k (); false))
 
-(* --- cache-aware prefix materialization ---------------------------------- *)
+(* --- turning a work item into a state ----------------------------------- *)
 
-(* One per worker: turns a work item back into an engine state.  The
-   retained state slot ([i_state]) always wins; a stateless item is
-   rebuilt either through the per-worker prefix-snapshot cache (engines
-   with the snapshot capability, cache enabled) or by the classic
-   from-the-root replay.  Both paths share one [Replay_cache.stats]
-   record, so cached and uncached runs report comparable step counts.
+(* One per worker: how a work item becomes an engine state, and what state
+   an item may carry when it is handed off.
 
-   Replays never touch the collector: the prefix's states were already
-   counted by whoever deferred or checkpointed the item.  [Error
-   (st, tid, exn)] surfaces a step that raised, for the caller to either
-   contain (parallel workers) or reject (serial resume). *)
-type 's replayer = {
-  rp_run : 's Strategy.item -> ('s, 's * int * exn) result;
-  rp_stats : Replay_cache.stats;
+   The hand-off rule: an item keeps its state only while the replay cache
+   is on, and only if it stays on its domain ([mz_stay]: the serial queue,
+   a worker's own follow-ups) or the engine's states are snapshots
+   ([mz_move]: a round's seed, a steal, a deferred item).  An engine
+   without snapshots may pin a state to the domain that made it (the
+   CHESS engine's live run), so such a state never moves.
+
+   A carried state wins.  An item without one replays its prefix, through
+   the worker's path memo when the cache is on and the engine takes
+   snapshots, else from the root; both share one [Replay_cache.stats], so
+   cached and uncached runs report comparable step counts.  Replays never
+   touch the collector: the prefix's states were already counted by
+   whoever deferred or checkpointed the item.  [mz_run]'s [Error (st,
+   tid, exn)] surfaces a step that raised, for the caller to either
+   contain ({!contained}) or reject (serial resume). *)
+type 's materializer = {
+  mz_run : 's Strategy.item -> ('s, 's * int * exn) result;
+  mz_stay : 's Strategy.item -> 's Strategy.item;
+  mz_move : 's Strategy.item -> 's Strategy.item;
+  mz_stats : Replay_cache.stats;
+  mz_memo : bool;  (* the cache is on and the engine takes snapshots *)
 }
 
-let replayer (type s) ((module E) : (module Engine.S with type state = s))
-    ?(cache = true) ?(capacity = Replay_cache.default_capacity) () :
-    s replayer =
+let materializer (type s) ((module E) : (module Engine.S with type state = s))
+    ~cache : s materializer =
   let stats = Replay_cache.zero () in
-  let plain sched =
-    (match sched with
-    | [] -> ()
-    | _ :: _ -> stats.Replay_cache.misses <- stats.Replay_cache.misses + 1);
-    let rec go st = function
-      | [] -> Ok st
-      | t :: rest -> (
-        match E.step st t with
-        | st' ->
-          stats.Replay_cache.steps_replayed <-
-            stats.Replay_cache.steps_replayed + 1;
-          go st' rest
-        | exception exn -> Error (st, t, exn))
-    in
-    go (E.initial ()) sched
+  let memo =
+    match E.snapshot with
+    | Some capture when cache ->
+      Some (Replay_cache.memo ~capture ~restore:E.restore)
+    | Some _ | None -> None
   in
-  let rebuild =
-    match (if cache then E.snapshot else None) with
-    | None -> plain
-    | Some capture ->
-      let rc : E.snap Replay_cache.t = Replay_cache.create ~capacity () in
-      fun sched ->
-        Replay_cache.replay rc ~stats ~sched ~init:E.initial ~step:E.step
-          ~capture ~restore:E.restore
-  in
+  let strip it = { it with Strategy.i_state = None } in
   let run it =
     match it.Strategy.i_state with
     | Some st ->
-      (* the snapshot slot taken at the item's fork point.  A state
-         retained by an engine without snapshots saves no replay:
-         stepping it again makes the engine replay the prefix itself *)
-      (match (E.snapshot, it.Strategy.i_sched) with
+      (* a hit only with the memo on: without snapshots, stepping the
+         state again makes the engine replay the prefix itself; with the
+         cache off, the only carried states are the serial runner's
+         ranked items, whose replay was counted when they were ranked *)
+      (match (memo, it.Strategy.i_sched) with
       | None, _ | Some _, [] -> ()
       | Some _, sched ->
         stats.Replay_cache.hits <- stats.Replay_cache.hits + 1;
         stats.Replay_cache.steps_saved <-
           stats.Replay_cache.steps_saved + List.length sched);
       Ok st
-    | None -> rebuild it.Strategy.i_sched
+    | None ->
+      Replay_cache.replay memo ~stats ~init:E.initial ~step:E.step
+        it.Strategy.i_sched
   in
-  { rp_run = run; rp_stats = stats }
+  {
+    mz_run = run;
+    mz_stay = (if cache then Fun.id else strip);
+    mz_move = (if Option.is_some memo then Fun.id else strip);
+    mz_stats = stats;
+    mz_memo = Option.is_some memo;
+  }
+
+(* The domain pool's and a distributed worker's materialization: a prefix
+   that no longer replays means the program is nondeterministic (or the
+   checkpoint is foreign), contained as a replayable bug like any other
+   engine crash. *)
+let contained (type s) (module E : Engine.S with type state = s) mz col it =
+  match mz.mz_run it with
+  | Ok st -> Some st
+  | Error (st, t, exn) ->
+    record_crash (module E) col st t exn;
+    None
 
 let icb_strategy_name ~max_bound =
   match max_bound with

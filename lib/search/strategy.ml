@@ -28,9 +28,10 @@ type 's item = {
   i_payload : int;     (* tid to run, [visit], or a walk index *)
   i_state : 's option;
       (* the prefix's state, when already materialized; never serialized.
-         [Driver.run] strips it when the replay cache is off, and when an
-         item crosses domains unless the engine has the snapshot
-         capability or the caller passed [share_states] *)
+         Every hand-off goes through the worker's
+         [Search_core.materializer], which strips it when the replay cache
+         is off, and when the item leaves its domain unless the engine has
+         the snapshot capability *)
 }
 
 (* Payload marker: don't step anywhere — expand the replayed state

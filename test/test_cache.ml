@@ -2,9 +2,10 @@
    invisible: a cached run explores exactly what the stateless run
    explores, for every strategy in the registry, serially and sharded
    across domains, fresh or resumed from a checkpoint of any format
-   version.  These suites pin that contract, plus the engine capability
-   it rests on — snapshot/restore round-tripping the machine engine's
-   states exactly. *)
+   version.  These suites pin that contract, plus what it rests on: the
+   engine capability (snapshot/restore round-tripping the machine
+   engine's states exactly) and the path memo, which must materialize
+   every schedule exactly as a replay from the root does. *)
 
 module Explore = Icb_search.Explore
 module Collector = Icb_search.Collector
@@ -197,6 +198,39 @@ let stats_tests =
         check Alcotest.int "no snapshot hits" 0 !stats.Replay_cache.hits;
         check Alcotest.bool "replayed prefixes from the root" true
           (!stats.Replay_cache.steps_replayed > 0));
+    Alcotest.test_case "an uncached 2-domain run replays what serial does"
+      `Quick (fun () ->
+        (* the DFS family hands its own follow-ups to the same domain:
+           with the cache off they must travel stateless there too *)
+        let prog = equivalence_prog () in
+        let run domains =
+          let stats = ref (Replay_cache.zero ()) in
+          ignore
+            (Icb.run ~cache:false ~domains
+               ~on_cache_stats:(fun s -> stats := s)
+               ~strategy:(Explore.Dfs { cache = false })
+               prog);
+          !stats
+        in
+        let serial = run 1 and pool = run 2 in
+        check Alcotest.int "serial steps replayed" 233_811
+          serial.Replay_cache.steps_replayed;
+        check Alcotest.int "no snapshot hits" 0 pool.Replay_cache.hits;
+        check Alcotest.int "no steps saved" 0 pool.Replay_cache.steps_saved;
+        check Alcotest.int "the serial run's steps replayed"
+          serial.Replay_cache.steps_replayed pool.Replay_cache.steps_replayed);
+    Alcotest.test_case "an uncached ranked run reports no snapshot hits"
+      `Quick (fun () ->
+        (* most-enabled materializes an item to rank it; with the cache off
+           that replay is a miss, and expanding the item saves nothing *)
+        let stats = ref (Replay_cache.zero ()) in
+        ignore
+          (Icb.run ~cache:false
+             ~on_cache_stats:(fun s -> stats := s)
+             ~strategy:(Explore.Most_enabled { cache = false })
+             (equivalence_prog ()));
+        check Alcotest.int "no snapshot hits" 0 !stats.Replay_cache.hits;
+        check Alcotest.int "no steps saved" 0 !stats.Replay_cache.steps_saved);
     Alcotest.test_case "a CHESS-engine run reports no snapshot hits" `Quick
       (fun () ->
         (* deferred items keep their CHESS states, but stepping one again
@@ -231,9 +265,9 @@ let stats_tests =
 (* Serial ICB with the seen-state cache off, run once with the replay
    cache and once without.  The counts are deterministic, so each row pins
    them exactly.  A fresh run materializes every item from the state its
-   parent retained and never asks the snapshot LRU; only items that carry
-   no state, such as a resumed frontier's, reach it.  So the fresh rows
-   pin state retention and the resumed row pins what the LRU saves. *)
+   parent retained and never asks the path memo; only items that carry no
+   state, such as a resumed frontier's, reach it.  So the fresh rows pin
+   state retention and the resumed row pins what the memo saves. *)
 type replay_row = {
   name : string;
   prog : unit -> Icb.prog;
@@ -283,7 +317,7 @@ let replay_rows =
     { name = "replay counts (transaction, resumed)"; prog = transaction;
       bound = 5; resume_at = Some 20_000; deep = false;
       executions = 40_840; total_steps = 287_355;
-      hits = 15_708; misses = 3; saved = 305_909; replayed = 22_203 };
+      hits = 15_710; misses = 1; saved = 305_912; replayed = 22_200 };
   ]
 
 let replay_case row () =
@@ -349,6 +383,134 @@ let replay_tests =
   List.map
     (fun row -> Alcotest.test_case row.name `Quick (replay_case row))
     replay_rows
+
+(* --- the path memo against from-the-root replay --------------------------- *)
+
+(* Random schedule sets on the transaction manager, fed to one memo.  A
+   schedule is a random walk — choice [c] runs the state's [(c mod n)]-th
+   enabled thread — and choices below 3 make the walks share prefixes.
+   Every materialized state must be the one its schedule reaches from the
+   root, and the counters must account for every prefix step. *)
+let memo_tests =
+  let module E = (val Icb.engine (transaction ())) in
+  let capture = Option.get E.snapshot in
+  let walk choices =
+    let rec go st acc = function
+      | c :: cs when E.status st = Engine.Running && E.enabled st <> [] ->
+        let en = E.enabled st in
+        let t = List.nth en (c mod List.length en) in
+        go (E.step st t) (t :: acc) cs
+      | _ -> List.rev acc
+    in
+    go (E.initial ()) [] choices
+  in
+  let schedules =
+    QCheck.make
+      ~print:QCheck.Print.(list (list int))
+      QCheck.Gen.(
+        map (List.map walk)
+          (list_size (int_range 1 24) (list_size (int_bound 30) (int_bound 2))))
+  in
+  let rec lcp a b =
+    match (a, b) with x :: a, y :: b when x = y -> 1 + lcp a b | _ -> 0
+  in
+  let show s = String.concat " " (List.map string_of_int s) in
+  let expect what want got =
+    if want <> got then
+      QCheck.Test.fail_reportf "%s: expected %d, got %d" what want got
+  in
+  let same_as_root s st =
+    let r = List.fold_left E.step (E.initial ()) s in
+    if
+      E.signature st <> E.signature r
+      || E.schedule st <> E.schedule r
+      || E.enabled st <> E.enabled r
+    then QCheck.Test.fail_reportf "[%s] differs from its root replay" (show s)
+  in
+  let materialize memo stats ?(step = E.step) s =
+    Replay_cache.replay (Some memo) ~stats ~init:E.initial ~step s
+  in
+  let stream ~sorted =
+    QCheck.Test.make ~count:100
+      ~name:
+        (if sorted then "a sorted stream materializes every schedule"
+         else "a stream in random order materializes every schedule")
+      schedules
+      (fun scheds ->
+        let scheds = if sorted then List.sort compare scheds else scheds in
+        let memo = Replay_cache.memo ~capture ~restore:E.restore in
+        let stats = Replay_cache.zero () in
+        List.iter
+          (fun s ->
+            match materialize memo stats s with
+            | Ok st -> same_as_root s st
+            | Error (_, _, e) ->
+              QCheck.Test.fail_reportf "[%s] raised %s" (show s)
+                (Printexc.to_string e))
+          scheds;
+        let sum f = List.fold_left (fun acc s -> acc + f s) 0 scheds in
+        expect "hits + misses"
+          (sum (fun s -> if s = [] then 0 else 1))
+          (stats.Replay_cache.hits + stats.Replay_cache.misses);
+        expect "steps saved + replayed" (sum List.length)
+          (stats.Replay_cache.steps_saved + stats.Replay_cache.steps_replayed);
+        if sorted then
+          expect "steps replayed"
+            (fst
+               (List.fold_left
+                  (fun (acc, prev) s -> (acc + List.length s - lcp s prev, s))
+                  (0, []) scheds))
+            stats.Replay_cache.steps_replayed;
+        true)
+  in
+  (* One materialization runs a step that raises at every depth >= [p]:
+     its first replayed step at or past [p] must come back as [Error] with
+     the state before it, and the path then ends there — every later
+     materialization restores exactly its common prefix with that shorter
+     path and still reaches the right state. *)
+  let raising =
+    QCheck.Test.make ~count:100
+      ~name:"a raising step is reported and the memo recovers"
+      QCheck.(pair schedules (pair small_nat (int_bound 30)))
+      (fun (scheds, (i, p)) ->
+        let poisoned = i mod List.length scheds in
+        let memo = Replay_cache.memo ~capture ~restore:E.restore in
+        let stats = Replay_cache.zero () in
+        let path = ref [] in
+        List.iteri
+          (fun j s ->
+            let k = lcp s !path in
+            let saved = stats.Replay_cache.steps_saved in
+            if j <> poisoned then begin
+              (match materialize memo stats s with
+              | Ok st -> same_as_root s st
+              | Error _ -> QCheck.Test.fail_reportf "[%s] raised" (show s));
+              expect "steps saved" k (stats.Replay_cache.steps_saved - saved);
+              if s <> [] then path := s
+            end
+            else
+              let q = max p k in
+              let step st t =
+                if E.depth st >= p then raise Exit else E.step st t
+              in
+              match materialize memo stats ~step s with
+              | Error (st, t, Exit) when q < List.length s ->
+                let upto = List.filteri (fun n _ -> n < q) s in
+                if E.schedule st <> upto || t <> List.nth s q then
+                  QCheck.Test.fail_reportf "[%s] failed at the wrong step"
+                    (show s);
+                path := upto
+              | Ok st when q >= List.length s ->
+                same_as_root s st;
+                if s <> [] then path := s
+              | Ok _ | Error _ ->
+                QCheck.Test.fail_reportf "[%s] poisoned at %d: wrong outcome"
+                  (show s) p)
+          scheds;
+        true)
+  in
+  List.map QCheck_alcotest.to_alcotest
+    [ stream ~sorted:true; stream ~sorted:false; raising ]
 
 (* --- checkpoints are identical modulo timing ------------------------------ *)
 
@@ -447,6 +609,7 @@ let () =
       ("snapshot", snapshot_tests);
       ("equivalence", equivalence_tests);
       ("stats", stats_tests @ replay_tests);
+      ("memo", memo_tests);
       ("checkpoint", checkpoint_tests);
       ("fixtures", fixture_tests);
     ]

@@ -62,14 +62,14 @@ let spawn_worker ~port p =
    loopback.  [keep] leaves the port up (and skips shutdown) so a test
    can poke the HTTP endpoints after the run. *)
 let distributed ?(workers = 2) ?(batch_size = 4) ?(lease_timeout = 5.0)
-    ?telemetry ?options ?checkpoint_out ?checkpoint_every ?resume_from
+    ?telemetry ?options ?checkpoint_out ?checkpoint_every ?resume_from ?cache
     ?(keep = false) p strategy =
   let coord = Coord.create ~batch_size ~lease_timeout ?telemetry () in
   let port = Coord.port coord in
   let ws = List.init workers (fun _ -> spawn_worker ~port p) in
   match
     Coord.run coord (Icb.engine p) ?options ?checkpoint_out ?checkpoint_every
-      ?resume_from
+      ?resume_from ?cache
       ~env:(Strategy.env_of_prog p)
       strategy
   with
@@ -149,7 +149,11 @@ let equivalence_tests =
           let d1, _ = distributed ~workers:1 ~batch_size:16 p strategy in
           assert_equivalent "1 worker vs serial" s d1;
           let d2, _ = distributed ~workers:2 ~batch_size:16 p strategy in
-          assert_equivalent "2 workers vs serial" s d2);
+          assert_equivalent "2 workers vs serial" s d2;
+          let d0, _ =
+            distributed ~cache:false ~workers:2 ~batch_size:16 p strategy
+          in
+          assert_equivalent "replay cache off: 2 workers vs serial" s d0);
     ]
 
 let transaction_tests =
