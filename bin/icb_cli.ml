@@ -49,6 +49,27 @@ let die msg =
   Format.eprintf "%s@." msg;
   exit 2
 
+(* The program a checkpoint, a worker's job or a repro bundle records:
+   [kind] "model" (a registry name) or "file" (a source path), the
+   [target], and the granularity it ran at.  [`Unreadable] is a recorded
+   file that cannot be read, [`Unrecorded] provenance naming neither;
+   each caller words those its own way. *)
+let recorded_program meta =
+  let gran =
+    if List.assoc_opt "granularity" meta = Some "every" then `Every else `Sync
+  in
+  match (List.assoc_opt "kind" meta, List.assoc_opt "target" meta) with
+  | Some "model", Some name -> (
+    match resolve_model name with
+    | Ok p -> Ok (p, gran)
+    | Error msg -> Error (`Msg msg))
+  | Some "file", Some path -> (
+    match load_program path with
+    | p -> Ok (p, gran)
+    | exception Icb.Compile_error msg -> Error (`Msg msg)
+    | exception Sys_error msg -> Error (`Unreadable msg))
+  | _ -> Error `Unrecorded
+
 (* The program a fresh run names, as a source file or a bundled model,
    with the [kind] and [target] its checkpoint meta records. *)
 let load_target = function
@@ -516,22 +537,18 @@ let load_resume ~quiet ~checkpoint ~first_bug ?max_execs file =
   | exception Icb_search.Checkpoint.Corrupt msg -> die msg
   | ckpt ->
     let meta k = Icb_search.Checkpoint.meta_find ckpt k in
-    let prog =
-      match (meta "kind", meta "target") with
-      | Some "model", Some name -> (
-        match resolve_model name with Ok p -> p | Error msg -> die msg)
-      | Some "file", Some path -> (
-        match load_program path with
-        | p -> p
-        | exception Icb.Compile_error msg -> die msg
-        | exception Sys_error msg ->
-          die
-            (Printf.sprintf
-               "cannot reload the checkpointed program: %s (the checkpoint \
-                records the model by path; restore the file or rerun `icb \
-                check`)"
-               msg))
-      | _ -> missing_meta file "how to rebuild the program"
+    let prog, gran =
+      match recorded_program ckpt.Icb_search.Checkpoint.meta with
+      | Ok pg -> pg
+      | Error (`Msg msg) -> die msg
+      | Error (`Unreadable msg) ->
+        die
+          (Printf.sprintf
+             "cannot reload the checkpointed program: %s (the checkpoint \
+              records the model by path; restore the file or rerun `icb \
+              check`)"
+             msg)
+      | Error `Unrecorded -> missing_meta file "how to rebuild the program"
     in
     if not quiet then
       Format.eprintf "[icb] resuming %s@."
@@ -541,7 +558,7 @@ let load_resume ~quiet ~checkpoint ~first_bug ?max_execs file =
       ckpt;
       check_mode;
       prog;
-      gran = (if meta "granularity" = Some "every" then `Every else `Sync);
+      gran;
       no_deadlock = meta "no-deadlock" = Some "true";
       (* the recorded cap, so a resumed randomized strategy keeps the
          horizon the user asked for instead of running to its hard walk
@@ -939,22 +956,14 @@ let worker_run addr connect_timeout quiet =
   (* rebuild the engine from the job's provenance: bundled models by
      registry name, files by path, with the recorded granularity *)
   let resolve meta =
-    let gran =
-      if List.assoc_opt "granularity" meta = Some "every" then `Every
-      else `Sync
-    in
-    let config = config_of_granularity gran in
-    match (List.assoc_opt "kind" meta, List.assoc_opt "target" meta) with
-    | Some "model", Some name ->
-      Result.map
-        (fun p -> Icb.Dist.Worker.Packed (Icb.engine ~config p))
-        (resolve_model name)
-    | Some "file", Some path -> (
-      match load_program path with
-      | p -> Ok (Icb.Dist.Worker.Packed (Icb.engine ~config p))
-      | exception Icb.Compile_error msg -> Error msg
-      | exception Sys_error msg -> Error msg)
-    | _ -> Error "the job's provenance metadata names no model or file"
+    match recorded_program meta with
+    | Ok (p, gran) ->
+      Ok
+        (Icb.Dist.Worker.Packed
+           (Icb.engine ~config:(config_of_granularity gran) p))
+    | Error (`Msg msg | `Unreadable msg) -> Error msg
+    | Error `Unrecorded ->
+      Error "the job's provenance metadata names no model or file"
   in
   (* the coordinator may still be starting; retry connection refusals
      until --connect-timeout expires *)
@@ -1094,45 +1103,25 @@ let models_cmd =
 let load_bundle path =
   match Icb_repro.Bundle.load path with
   | t -> t
-  | exception Icb_repro.Bundle.Corrupt msg ->
-    Format.eprintf "%s@." msg;
-    exit 2
-  | exception Sys_error msg ->
-    Format.eprintf "%s@." msg;
-    exit 2
+  | exception Icb_repro.Bundle.Corrupt msg -> die msg
 
 (* Rebuild the program a bundle records (checkpoint provenance
    conventions) and its engine at the recorded granularity. *)
 let engine_of_bundle (t : Icb_repro.Bundle.t) =
-  let prog =
-    match t.kind with
-    | "model" -> (
-      match resolve_model t.target with
-      | Ok p -> p
-      | Error msg ->
-        Format.eprintf "%s@." msg;
-        exit 2)
-    | "file" -> (
-      match load_program t.target with
-      | p -> p
-      | exception Icb.Compile_error msg ->
-        Format.eprintf "%s@." msg;
-        exit 2
-      | exception Sys_error msg ->
-        Format.eprintf
-          "cannot reload the bundled program: %s (the bundle records the \
-           model by path)@."
-          msg;
-        exit 2)
-    | kind ->
-      Format.eprintf "bundle records unknown program kind %S@." kind;
-      exit 2
-  in
-  let gran =
-    if List.assoc_opt "granularity" t.meta = Some "every" then `Every
-    else `Sync
-  in
-  (Icb.engine ~config:(config_of_granularity gran) prog, prog)
+  match
+    recorded_program (("kind", t.kind) :: ("target", t.target) :: t.meta)
+  with
+  | Ok (prog, gran) ->
+    (Icb.engine ~config:(config_of_granularity gran) prog, prog)
+  | Error (`Msg msg) -> die msg
+  | Error (`Unreadable msg) ->
+    die
+      (Printf.sprintf
+         "cannot reload the bundled program: %s (the bundle records the \
+          model by path)"
+         msg)
+  | Error `Unrecorded ->
+    die (Printf.sprintf "bundle records unknown program kind %S" t.kind)
 
 let bundle_pos =
   Arg.(

@@ -48,6 +48,7 @@ type mx = {
   mx_reissued : Metrics.counter;
   mx_stale : Metrics.counter;
   mx_rounds : Metrics.counter;
+  mx_dropped : Metrics.counter;
 }
 
 type t = {
@@ -97,13 +98,15 @@ let requeue t rs batches =
     m_add t t.mx.mx_reissued (List.length batches)
   end
 
+(* whether the connection held any *)
 let void_conn_leases t conn =
   match t.round with
-  | None -> ()
+  | None -> false
   | Some rs ->
     let mine, rest = List.partition (fun l -> l.l_conn = conn) rs.rs_leases in
     rs.rs_leases <- rest;
-    requeue t rs (List.map (fun l -> l.l_batch) mine)
+    requeue t rs (List.map (fun l -> l.l_batch) mine);
+    mine <> []
 
 let reclaim_expired t rs =
   let now = Unix.gettimeofday () in
@@ -241,6 +244,9 @@ let reply_to t ~conn ~greeted msg =
   | Proto.Request -> lease_for t ~conn
   | Proto.Result { lease; report } -> absorb t ~lease ~report
 
+(* Whether the connection ended cleanly: the peer hung up on a frame
+   boundary holding no lease.  A reset mid-frame, a malformed frame or
+   message, a failed send, or a hang-up that abandons a lease is a drop. *)
 let serve_protocol t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
@@ -252,31 +258,30 @@ let serve_protocol t fd =
       c)
   in
   let greeted = ref false in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.protect t.m (fun () ->
-          void_conn_leases t conn;
-          if !greeted then begin
-            t.workers <- t.workers - 1;
-            m_set t t.mx.mx_workers t.workers
-          end;
-          Condition.broadcast t.cv))
-    (fun () ->
-      let rec loop () =
-        match Proto.recv ic with
-        | Error (`Closed | `Malformed _) -> ()
-        | Ok j -> (
-          match Proto.c2s_of_json j with
-          | Error _ -> ()
-          | Ok msg ->
-            let reply =
-              Mutex.protect t.m (fun () -> reply_to t ~conn ~greeted msg)
-            in
-            (match Proto.send oc (Proto.s2c_to_json reply) with
-            | () -> loop ()
-            | exception Sys_error _ -> ()))
-      in
-      loop ())
+  let rec loop () =
+    match Proto.recv ic with
+    | Error `Closed -> true
+    | Error (`Malformed _) -> false
+    | Ok j -> (
+      match Proto.c2s_of_json j with
+      | Error _ -> false
+      | Ok msg -> (
+        let reply =
+          Mutex.protect t.m (fun () -> reply_to t ~conn ~greeted msg)
+        in
+        match Proto.send oc (Proto.s2c_to_json reply) with
+        | () -> loop ()
+        | exception Sys_error _ -> false))
+  in
+  let clean = loop () in
+  Mutex.protect t.m (fun () ->
+      let abandoned = void_conn_leases t conn in
+      if !greeted then begin
+        t.workers <- t.workers - 1;
+        m_set t t.mx.mx_workers t.workers
+      end;
+      Condition.broadcast t.cv;
+      clean && not abandoned)
 
 (* --- HTTP handling -------------------------------------------------------- *)
 
@@ -326,27 +331,31 @@ let status_json t =
          ]
         @ batches @ counters))
 
+(* Whether the request was read and answered. *)
 let serve_http t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   set_binary_mode_in ic true;
   set_binary_mode_out oc true;
   match Http.read_request ic with
-  | Error _ -> ()
+  | Error _ -> false
   | Ok { Http.meth; path } -> (
     let head = meth = "HEAD" in
-    match (meth, path) with
-    | ("GET" | "HEAD"), "/metrics" ->
-      let body =
-        Telemetry.locked t.tel (fun () ->
-            Metrics.to_prometheus (Telemetry.metrics t.tel))
-      in
-      Http.respond oc ~head ~content_type:"text/plain; version=0.0.4" body
-    | ("GET" | "HEAD"), "/status" ->
-      Http.respond oc ~head ~content_type:"application/json"
-        (Json.to_string (status_json t))
-    | ("GET" | "HEAD"), _ -> Http.not_found ~head oc
-    | _ -> Http.method_not_allowed oc)
+    let answer () =
+      match (meth, path) with
+      | ("GET" | "HEAD"), "/metrics" ->
+        let body =
+          Telemetry.locked t.tel (fun () ->
+              Metrics.to_prometheus (Telemetry.metrics t.tel))
+        in
+        Http.respond oc ~head ~content_type:"text/plain; version=0.0.4" body
+      | ("GET" | "HEAD"), "/status" ->
+        Http.respond oc ~head ~content_type:"application/json"
+          (Json.to_string (status_json t))
+      | ("GET" | "HEAD"), _ -> Http.not_found ~head oc
+      | _ -> Http.method_not_allowed oc
+    in
+    match answer () with () -> true | exception Sys_error _ -> false)
 
 (* --- accept loop ---------------------------------------------------------- *)
 
@@ -399,14 +408,17 @@ let sniff fd =
   in
   go ()
 
+(* Every connection ends here, counted when it ended abnormally; neither
+   handler lets an exception out of its thread. *)
 let handle_conn t fd =
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      match sniff fd with
-      | Some `Protocol -> serve_protocol t fd
-      | Some `Http -> serve_http t fd
-      | None -> ())
+  let clean =
+    match sniff fd with
+    | Some `Protocol -> serve_protocol t fd
+    | Some `Http -> serve_http t fd
+    | None -> false
+  in
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  if not clean then m_inc t t.mx.mx_dropped
 
 let acceptor t () =
   let rec loop () =
@@ -448,6 +460,8 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(lease_timeout = 30.)
     match telemetry with Some t -> t | None -> Telemetry.create ()
   in
   Telemetry.track_metrics tel;
+  (* a peer that vanishes makes a write fail with EPIPE, not kill us *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let mx =
     Telemetry.locked tel (fun () ->
         let m = Telemetry.metrics tel in
@@ -471,6 +485,9 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(lease_timeout = 30.)
           mx_rounds =
             Metrics.counter m ~help:"Completed distributed rounds"
               "icb_dist_rounds";
+          mx_dropped =
+            Metrics.counter m ~help:"Connections closed abnormally"
+              "icb_dist_dropped_connections";
         })
   in
   let addr = resolve_host host in

@@ -53,15 +53,9 @@ let recv ic =
     Framing.read_frame ~check_version:(fun v -> v = version) ic ~magic
   with
   | Error (Framing.Truncated Framing.Magic) ->
-    (* EOF on a frame boundary: the peer hung up cleanly *)
+    (* the input ended on a frame boundary: the peer hung up *)
     Error `Closed
-  | Error (Framing.Truncated _) -> Error (`Malformed "truncated frame")
-  | Error Framing.Bad_magic -> Error (`Malformed "bad frame magic")
-  | Error (Framing.Bad_version v) ->
-    Error (`Malformed (Printf.sprintf "unsupported protocol version %d" v))
-  | Error Framing.Negative_length -> Error (`Malformed "negative frame length")
-  | Error Framing.Digest_mismatch -> Error (`Malformed "frame digest mismatch")
-  | Error (Framing.Cannot_open _) -> Error (`Malformed "unreadable stream")
+  | Error e -> Error (`Malformed (Framing.message ~what:"protocol frame" e))
   | Ok (_, payload) -> (
     match Json.parse payload with
     | j -> Ok j
@@ -71,59 +65,16 @@ let recv ic =
 
 let ( let* ) = Result.bind
 
-let field j key =
-  match Json.find j key with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "message: missing field %S" key)
-
-let int_field j key =
-  let* v = field j key in
-  match Json.to_int v with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "message: field %S is not an int" key)
-
-let str_field j key =
-  let* v = field j key in
-  match Json.to_str v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "message: field %S is not a string" key)
-
-let bool_field j key =
-  let* v = field j key in
-  match Json.to_bool v with
-  | Some b -> Ok b
-  | None -> Error (Printf.sprintf "message: field %S is not a bool" key)
-
-let list_field j key =
-  let* v = field j key in
-  match v with
-  | Json.List l -> Ok l
-  | _ -> Error (Printf.sprintf "message: field %S is not a list" key)
-
-let map_result f l =
-  List.fold_left
-    (fun acc x ->
-      let* acc = acc in
-      let* y = f x in
-      Ok (y :: acc))
-    (Ok []) l
-  |> Result.map List.rev
-
 let params_to_json ps =
   Json.List
     (List.map (fun (k, v) -> Json.List [ Json.String k; Json.String v ]) ps)
 
-let params_of_json key j =
-  let* l =
-    match j with
-    | Json.List l -> Ok l
-    | _ -> Error (Printf.sprintf "message: field %S is not a list" key)
-  in
-  map_result
+let params_of_json j key =
+  let* l = Json.list j key in
+  Json.map_result
     (function
       | Json.List [ Json.String k; Json.String v ] -> Ok (k, v)
-      | _ ->
-        Error (Printf.sprintf "message: field %S holds a bad param pair" key))
+      | _ -> Error (Printf.sprintf "field %S holds a bad param pair" key))
     l
 
 let items_to_json items =
@@ -137,26 +88,19 @@ let items_to_json items =
            ])
        items)
 
-let items_of_json key j =
-  let* l =
-    match j with
-    | Json.List l -> Ok l
-    | _ -> Error (Printf.sprintf "message: field %S is not a list" key)
-  in
-  map_result
+let items_of_json j key =
+  let bad what = Error (Printf.sprintf "field %S holds a bad %s" key what) in
+  let* l = Json.list j key in
+  Json.map_result
     (function
       | Json.List [ Json.List sched; Json.Int payload ] ->
         let* sched =
-          map_result
-            (function
-              | Json.Int t -> Ok t
-              | _ ->
-                Error
-                  (Printf.sprintf "message: field %S holds a bad schedule" key))
+          Json.map_result
+            (function Json.Int t -> Ok t | _ -> bad "schedule")
             sched
         in
         Ok (sched, payload)
-      | _ -> Error (Printf.sprintf "message: field %S holds a bad item" key))
+      | _ -> bad "item")
     l
 
 (* --- messages ------------------------------------------------------------- *)
@@ -172,18 +116,16 @@ let report_to_json r =
     ]
 
 let report_of_json j =
-  let* params = field j "params" in
-  let* r_params = params_of_json "params" params in
-  let* r_snapshot = field j "snapshot" in
-  let* deferred = field j "deferred" in
-  let* r_deferred = items_of_json "deferred" deferred in
-  let* r_events = list_field j "events" in
+  let* r_params = params_of_json j "params" in
+  let* r_snapshot = Json.field j "snapshot" in
+  let* r_deferred = items_of_json j "deferred" in
+  let* r_events = Json.list j "events" in
   let* r_metrics =
-    let* m = field j "metrics" in
+    let* m = Json.field j "metrics" in
     match m with
     | Json.Null -> Ok None
     | Json.Obj _ -> Ok (Some m)
-    | _ -> Error "message: field \"metrics\" is not an object"
+    | _ -> Error "field \"metrics\" is not an object"
   in
   Ok { r_params; r_snapshot; r_deferred; r_events; r_metrics }
 
@@ -199,16 +141,15 @@ let c2s_to_json = function
       ]
 
 let c2s_of_json j =
-  let* ty = str_field j "type" in
+  let* ty = Json.string j "type" in
   match ty with
   | "hello" -> Ok Hello
   | "request" -> Ok Request
   | "result" ->
-    let* lease = int_field j "lease" in
-    let* rj = field j "report" in
-    let* report = report_of_json rj in
+    let* lease = Json.int j "lease" in
+    let* report = Result.bind (Json.field j "report") report_of_json in
     Ok (Result { lease; report })
-  | ty -> Error (Printf.sprintf "message: unknown client type %S" ty)
+  | ty -> Error (Printf.sprintf "unknown client message type %S" ty)
 
 let s2c_to_json = function
   | Job job ->
@@ -242,17 +183,16 @@ let s2c_to_json = function
   | Stale -> Json.Obj [ ("type", Json.String "stale") ]
 
 let s2c_of_json j =
-  let* ty = str_field j "type" in
+  let* ty = Json.string j "type" in
   match ty with
   | "job" ->
-    let* meta = field j "meta" in
-    let* j_meta = params_of_json "meta" meta in
-    let* j_root_sig = str_field j "root_sig" in
-    let* j_deadlock_is_error = bool_field j "deadlock_is_error" in
-    let* j_terminal_states_only = bool_field j "terminal_states_only" in
-    let* j_cache = bool_field j "cache" in
-    let* j_events = bool_field j "events" in
-    let* j_worker = int_field j "worker" in
+    let* j_meta = params_of_json j "meta" in
+    let* j_root_sig = Json.string j "root_sig" in
+    let* j_deadlock_is_error = Json.bool j "deadlock_is_error" in
+    let* j_terminal_states_only = Json.bool j "terminal_states_only" in
+    let* j_cache = Json.bool j "cache" in
+    let* j_events = Json.bool j "events" in
+    let* j_worker = Json.int j "worker" in
     Ok
       (Job
          {
@@ -265,20 +205,18 @@ let s2c_of_json j =
            j_worker;
          })
   | "batch" ->
-    let* b_lease = int_field j "lease" in
-    let* b_id = int_field j "id" in
-    let* b_tag = str_field j "tag" in
-    let* params = field j "params" in
-    let* b_params = params_of_json "params" params in
-    let* b_round = int_field j "round" in
-    let* items = field j "items" in
-    let* b_items = items_of_json "items" items in
-    let* b_pending = int_field j "pending" in
+    let* b_lease = Json.int j "lease" in
+    let* b_id = Json.int j "id" in
+    let* b_tag = Json.string j "tag" in
+    let* b_params = params_of_json j "params" in
+    let* b_round = Json.int j "round" in
+    let* b_items = items_of_json j "items" in
+    let* b_pending = Json.int j "pending" in
     Ok (Batch { b_lease; b_id; b_tag; b_params; b_round; b_items; b_pending })
   | "wait" ->
-    let* ms = int_field j "ms" in
+    let* ms = Json.int j "ms" in
     Ok (Wait { ms })
   | "done" -> Ok Done
   | "accepted" -> Ok Accepted
   | "stale" -> Ok Stale
-  | ty -> Error (Printf.sprintf "message: unknown server type %S" ty)
+  | ty -> Error (Printf.sprintf "unknown server message type %S" ty)

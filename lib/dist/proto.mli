@@ -93,6 +93,8 @@ type s2c =
 
 val send : out_channel -> Icb_obs.Json.t -> unit
 val recv : in_channel -> (Icb_obs.Json.t, [ `Closed | `Malformed of string ]) result
+(** Never raises: [`Closed] when the input ends on a frame boundary,
+    [`Malformed] for anything else short of one whole JSON frame. *)
 
 val c2s_to_json : c2s -> Icb_obs.Json.t
 val c2s_of_json : Icb_obs.Json.t -> (c2s, string) result

@@ -6,6 +6,7 @@ module Driver = Icb_search.Driver
 module Explore = Icb_search.Explore
 module Checkpoint = Icb_search.Checkpoint
 module Search_core = Icb_search.Search_core
+module Replay_cache = Icb_search.Replay_cache
 
 type packed_engine =
   | Packed :
@@ -21,7 +22,9 @@ type packed_engine =
    batches are the unit of both work and accounting, and stopping is the
    coordinator's call.  The batch's events are buffered for the wire
    when the coordinator has a stream consumer ([j_events]); otherwise a
-   local metrics projection reads them, and only its values travel. *)
+   local metrics projection reads them, and only its values travel.
+   Either way they end with the batch's share of the replay accounting,
+   since [mz]'s counters run on across batches. *)
 let process_batch (type s) (module E : Icb_search.Engine.S with type state = s)
     ~(mz : s Search_core.materializer) ~(job : Proto.job) ~clock
     (b : Proto.batch) : (Proto.report, string) result =
@@ -76,6 +79,8 @@ let process_batch (type s) (module E : Icb_search.Engine.S with type state = s)
       }
     in
     let expand = S.expand (module E) w in
+    let stats = mz.Search_core.mz_stats in
+    let before = { stats with Replay_cache.hits = stats.Replay_cache.hits } in
     let rec loop () =
       match !queue with
       | [] -> ()
@@ -88,6 +93,15 @@ let process_batch (type s) (module E : Icb_search.Engine.S with type state = s)
     | () -> ()
     | exception Collector.Stop -> ()
       (* local collectors carry no limits, but a strategy may still raise *));
+    if mz.Search_core.mz_memo then
+      Icb_obs.Emit.emit emit
+        (Icb_obs.Event.Cache_stats
+           {
+             hits = stats.hits - before.hits;
+             misses = stats.misses - before.misses;
+             steps_saved = stats.steps_saved - before.steps_saved;
+             steps_replayed = stats.steps_replayed - before.steps_replayed;
+           });
     let params =
       (S.to_prefixes ~wstates:[| w |] ~work:[] ~next:[]).Checkpoint.v3_params
     in
@@ -118,14 +132,25 @@ let connect ~host ~port =
         (Printf.sprintf "cannot connect to %s:%d: %s" host port
            (Unix.error_message e)))
 
+let closed = "coordinator closed the connection"
+
+(* A send to a coordinator that is gone fails like a read from it. *)
+let send oc msg =
+  match Proto.send oc (Proto.c2s_to_json msg) with
+  | () -> Ok ()
+  | exception Sys_error _ -> Error closed
+
 let recv_s2c ic =
   match Proto.recv ic with
-  | Error `Closed -> Error "coordinator closed the connection"
+  | Error `Closed -> Error closed
   | Error (`Malformed m) -> Error ("protocol error: " ^ m)
   | Ok j -> Proto.s2c_of_json j
 
 let run ~host ~port ~resolve () =
   let ( let* ) = Result.bind in
+  (* a coordinator that vanishes makes a write fail with EPIPE, not kill
+     the process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let* fd = connect ~host ~port in
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
@@ -136,7 +161,7 @@ let run ~host ~port ~resolve () =
     (fun () ->
       (* hello until the coordinator has a job to describe *)
       let rec handshake () =
-        Proto.send oc (Proto.c2s_to_json Proto.Hello);
+        let* () = send oc Proto.Hello in
         let* reply = recv_s2c ic in
         match reply with
         | Proto.Job job -> Ok job
@@ -175,7 +200,7 @@ let run ~host ~port ~resolve () =
          nothing left pending when this batch was leased, asking ahead
          would only earn a wait; ask after the result instead. *)
       let rec idle batches ~owed =
-        Proto.send oc (Proto.c2s_to_json Proto.Request);
+        let* () = send oc Proto.Request in
         let* () = if owed then ack () else Ok () in
         let* reply = recv_s2c ic in
         match reply with
@@ -187,12 +212,12 @@ let run ~host ~port ~resolve () =
         | _ -> Error "protocol error: expected batch/wait/done"
       and busy batches b ~owed =
         let ahead = b.Proto.b_pending > 0 in
-        if ahead then Proto.send oc (Proto.c2s_to_json Proto.Request);
+        let* () = if ahead then send oc Proto.Request else Ok () in
         let* report = process_batch (module E) ~mz ~job ~clock b in
         let* () = if owed then ack () else Ok () in
-        Proto.send oc
-          (Proto.c2s_to_json
-             (Proto.Result { lease = b.Proto.b_lease; report }));
+        let* () =
+          send oc (Proto.Result { lease = b.Proto.b_lease; report })
+        in
         if ahead then ahead_reply (batches + 1)
         else idle (batches + 1) ~owed:true
       and ahead_reply batches =

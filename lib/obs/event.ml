@@ -168,88 +168,82 @@ let to_json { ts; worker; ev } =
     :: fields_of ev)
 
 let of_json j =
-  let str k = Option.bind (Json.find j k) Json.to_str in
-  let int k = Option.bind (Json.find j k) Json.to_int in
-  let num k = Option.bind (Json.find j k) Json.to_float in
-  let bool k = Option.bind (Json.find j k) Json.to_bool in
-  let req what = function
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or ill-typed field %S" what)
-  in
   let ( let* ) = Result.bind in
-  let* ts = req "ts" (num "ts") in
-  let* worker = req "worker" (int "worker") in
-  let* kind = req "ev" (str "ev") in
+  let* ts = Json.float j "ts" in
+  let* worker = Json.int j "worker" in
+  let* kind = Json.string j "ev" in
   let* ev =
     match kind with
     | "run-started" ->
-      let* strategy = req "strategy" (str "strategy") in
-      let* domains = req "domains" (int "domains") in
-      let* resumed = req "resumed" (bool "resumed") in
+      let* strategy = Json.string j "strategy" in
+      let* domains = Json.int j "domains" in
+      let* resumed = Json.bool j "resumed" in
       Ok (Run_started { strategy; domains; resumed })
     | "bound-started" ->
-      let* bound = req "bound" (int "bound") in
-      let* items = req "items" (int "items") in
+      let* bound = Json.int j "bound" in
+      let* items = Json.int j "items" in
       Ok (Bound_started { bound; items })
     | "item-started" ->
-      let* prefix = req "prefix" (int "prefix") in
-      let* payload = req "payload" (int "payload") in
+      let* prefix = Json.int j "prefix" in
+      let* payload = Json.int j "payload" in
       Ok (Item_started { prefix; payload })
     | "item-finished" ->
-      let* seconds = req "seconds" (num "seconds") in
-      let* executions = req "executions" (int "executions") in
-      let* steps = req "steps" (int "steps") in
+      let* seconds = Json.float j "seconds" in
+      let* executions = Json.int j "executions" in
+      let* steps = Json.int j "steps" in
       Ok (Item_finished { seconds; executions; steps })
     | "execution-done" ->
-      let* steps = req "steps" (int "steps") in
-      let* preemptions = req "preemptions" (int "preemptions") in
-      let* status = req "status" (str "status") in
-      let* executions = req "executions" (int "executions") in
-      Ok (Execution_done { bound = int "bound"; steps; preemptions; status; executions })
+      let* steps = Json.int j "steps" in
+      let* preemptions = Json.int j "preemptions" in
+      let* status = Json.string j "status" in
+      let* executions = Json.int j "executions" in
+      let bound = Result.to_option (Json.int j "bound") in
+      Ok (Execution_done { bound; steps; preemptions; status; executions })
     | "bug-found" ->
-      let* key = req "key" (str "key") in
-      let* preemptions = req "preemptions" (int "preemptions") in
-      let* execution = req "execution" (int "execution") in
+      let* key = Json.string j "key" in
+      let* preemptions = Json.int j "preemptions" in
+      let* execution = Json.int j "execution" in
       Ok (Bug_found { key; preemptions; execution })
     | "checkpoint-written" ->
-      let* path = req "path" (str "path") in
-      let* executions = req "executions" (int "executions") in
+      let* path = Json.string j "path" in
+      let* executions = Json.int j "executions" in
       Ok (Checkpoint_written { path; executions })
     | "worker-stats" ->
-      let* stats_for = req "stats_for" (int "stats_for") in
-      let* executions = req "executions" (int "executions") in
-      let* steps = req "steps" (int "steps") in
-      let* bugs = req "bugs" (int "bugs") in
+      let* stats_for = Json.int j "stats_for" in
+      let* executions = Json.int j "executions" in
+      let* steps = Json.int j "steps" in
+      let* bugs = Json.int j "bugs" in
       Ok (Worker_stats { stats_for; executions; steps; bugs })
     | "cache-stats" ->
-      let* hits = req "hits" (int "hits") in
-      let* misses = req "misses" (int "misses") in
-      let* steps_saved = req "steps_saved" (int "steps_saved") in
-      let* steps_replayed = req "steps_replayed" (int "steps_replayed") in
+      let* hits = Json.int j "hits" in
+      let* misses = Json.int j "misses" in
+      let* steps_saved = Json.int j "steps_saved" in
+      let* steps_replayed = Json.int j "steps_replayed" in
       Ok (Cache_stats { hits; misses; steps_saved; steps_replayed })
     | "run-finished" ->
-      let* executions = req "executions" (int "executions") in
-      let* states = req "states" (int "states") in
-      let* bugs = req "bugs" (int "bugs") in
-      let* complete = req "complete" (bool "complete") in
-      Ok (Run_finished { executions; states; bugs; complete; stop_reason = str "stop_reason" })
+      let* executions = Json.int j "executions" in
+      let* states = Json.int j "states" in
+      let* bugs = Json.int j "bugs" in
+      let* complete = Json.bool j "complete" in
+      let stop_reason = Result.to_option (Json.string j "stop_reason") in
+      Ok (Run_finished { executions; states; bugs; complete; stop_reason })
     | "minimize-started" ->
-      let* key = req "key" (str "key") in
-      let* length = req "length" (int "length") in
-      let* preemptions = req "preemptions" (int "preemptions") in
+      let* key = Json.string j "key" in
+      let* length = Json.int j "length" in
+      let* preemptions = Json.int j "preemptions" in
       Ok (Minimize_started { key; length; preemptions })
     | "minimize-improved" ->
-      let* phase = req "phase" (str "phase") in
-      let* candidates = req "candidates" (int "candidates") in
-      let* length = req "length" (int "length") in
-      let* preemptions = req "preemptions" (int "preemptions") in
+      let* phase = Json.string j "phase" in
+      let* candidates = Json.int j "candidates" in
+      let* length = Json.int j "length" in
+      let* preemptions = Json.int j "preemptions" in
       Ok (Minimize_improved { phase; candidates; length; preemptions })
     | "minimize-finished" ->
-      let* key = req "key" (str "key") in
-      let* candidates = req "candidates" (int "candidates") in
-      let* length = req "length" (int "length") in
-      let* preemptions = req "preemptions" (int "preemptions") in
-      let* proven = req "proven" (bool "proven") in
+      let* key = Json.string j "key" in
+      let* candidates = Json.int j "candidates" in
+      let* length = Json.int j "length" in
+      let* preemptions = Json.int j "preemptions" in
+      let* proven = Json.bool j "proven" in
       Ok (Minimize_finished { key; candidates; length; preemptions; proven })
     | other -> Error (Printf.sprintf "unknown event kind %S" other)
   in

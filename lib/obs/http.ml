@@ -3,8 +3,9 @@ type request = { meth : string; path : string }
 (* Longest request or header line accepted, terminator excluded. *)
 let max_line = 8192
 
-(* One line without its CRLF/LF; [None] at end of input or when the line
-   runs past [max_line], so a peer cannot make us buffer without bound. *)
+(* One line without its CRLF/LF; [None] at end of input, on a failed read
+   (a reset socket), or when the line runs past [max_line], so a peer
+   cannot make us buffer without bound. *)
 let read_line_crlf ic =
   let b = Buffer.create 128 in
   let rec go () =
@@ -18,7 +19,7 @@ let read_line_crlf ic =
     | c ->
       Buffer.add_char b c;
       go ()
-    | exception End_of_file -> None
+    | exception (End_of_file | Sys_error _) -> None
   in
   go ()
 

@@ -10,8 +10,9 @@ type request = {
 
 val read_request : in_channel -> (request, string) result
 (** Parse the request line and consume the header block.  [Error] on
-    malformed or truncated input, or on a request line longer than 8 KiB;
-    a longer header line ends the block.  Reading is bounded in memory,
+    malformed, truncated or unreadable input, or on a request line
+    longer than 8 KiB; a longer header line ends the block.  Never
+    raises.  Reading is bounded in memory,
     not in time: a caller facing untrusted peers waits for the whole head
     first. *)
 

@@ -296,3 +296,30 @@ let to_int = function
 let to_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None
 let to_str = function String s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
+
+(* --- typed field reads --------------------------------------------------- *)
+
+let field t key =
+  match find t key with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing field %S" key)
+
+let typed what conv t key =
+  Result.bind (field t key) (fun v ->
+      match conv v with
+      | Some x -> Ok x
+      | None -> Error (Printf.sprintf "field %S is not %s" key what))
+
+let int = typed "an int" to_int
+let float = typed "a number" to_float
+let string = typed "a string" to_str
+let bool = typed "a bool" to_bool
+let list = typed "a list" (function List l -> Some l | _ -> None)
+
+let map_result f l =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+      match f x with Ok y -> go (y :: acc) rest | Error m -> Error m)
+  in
+  go [] l

@@ -32,3 +32,21 @@ val to_float : t -> float option
 
 val to_str : t -> string option
 val to_bool : t -> bool option
+
+(** {2 Typed field reads}
+
+    The one set of readers for JSON this process did not write.  Each
+    reads [key] of an object, and its [Error] names the key (["missing
+    field \"k\""], ["field \"k\" is not an int"]).  [int] and [float]
+    convert like {!to_int} and {!to_float}. *)
+
+val field : t -> string -> (t, string) result
+val int : t -> string -> (int, string) result
+val float : t -> string -> (float, string) result
+val string : t -> string -> (string, string) result
+val bool : t -> string -> (bool, string) result
+val list : t -> string -> (t list, string) result
+
+val map_result :
+  ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
+(** [f] over a list, in order, stopping at the first [Error]. *)

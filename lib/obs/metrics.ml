@@ -111,16 +111,16 @@ let merge_values t j =
       | None -> bad name "counter delta is not a number")
     | Some { v = Histogram h; _ } -> (
       let counts =
-        match Json.find vj "counts" with
-        | Some (Json.List l) ->
-          List.filter_map
-            (fun c ->
-              match Json.to_int c with Some n when n >= 0 -> Some n | _ -> None)
-            l
-        | _ -> []
+        let* l = Json.list vj "counts" in
+        Json.map_result
+          (fun c ->
+            match Json.to_int c with
+            | Some n when n >= 0 -> Ok n
+            | _ -> Error "a bucket count is not a count")
+          l
       in
-      match Option.bind (Json.find vj "sum") Json.to_float with
-      | Some sum when List.length counts = Array.length h.counts ->
+      match (counts, Json.float vj "sum") with
+      | Ok counts, Ok sum when List.length counts = Array.length h.counts ->
         let counts = Array.of_list counts in
         Ok
           (fun () ->
@@ -129,15 +129,8 @@ let merge_values t j =
             h.total <- h.total + Array.fold_left ( + ) 0 counts)
       | _ -> bad name "histogram delta does not match the bucket layout")
   in
-  let* updates =
-    List.fold_left
-      (fun acc f ->
-        let* acc = acc in
-        let* u = update f in
-        Ok (u :: acc))
-      (Ok []) fields
-  in
-  List.iter (fun u -> u ()) (List.rev updates);
+  let* updates = Json.map_result update fields in
+  List.iter (fun u -> u ()) updates;
   Ok ()
 
 (* --- rendering ----------------------------------------------------------- *)

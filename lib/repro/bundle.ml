@@ -1,13 +1,5 @@
-(* Repro bundle files.  Same framing discipline as Checkpoint (v3):
-
-     bytes 0..7    magic "ICBREPR\x01"
-     bytes 8..11   format version (big-endian int, output_binary_int)
-     bytes 12..27  MD5 digest of the payload
-     bytes 28..31  payload length
-     bytes 32..    payload (Marshal of [t])
-
-   Temp-file write + atomic rename; the digest rejects truncated or
-   bit-rotted files with a clear error instead of a Marshal crash. *)
+(* Repro bundle files, the checkpoint discipline: one [Icb_util.Framing]
+   frame, magic "ICBREPR\x01", whose payload is the Marshal of [t]. *)
 
 type t = {
   kind : string;
@@ -32,7 +24,6 @@ type t = {
 
 exception Corrupt of string
 
-let corrupt fmt = Format.kasprintf (fun s -> raise (Corrupt s)) fmt
 let magic = "ICBREPR\x01"
 let version = 1
 
@@ -41,30 +32,17 @@ let save ~path t =
     ~payload:(Marshal.to_string t [])
 
 let load path =
-  match
-    Icb_util.Framing.read_file
-      ~check_version:(fun v -> v = version)
-      ~path ~magic ()
-  with
-  | Error (Cannot_open msg) -> corrupt "cannot open repro bundle: %s" msg
-  | Error (Truncated section) ->
-    corrupt "repro bundle %s is truncated (while reading %s)" path
-      (match section with
-      | Magic -> "the magic number"
-      | Version -> "the version"
-      | Digest -> "the digest"
-      | Length -> "the length"
-      | Payload -> "the payload")
-  | Error Bad_magic -> corrupt "%s is not a repro bundle (bad magic)" path
-  | Error (Bad_version v) ->
-    corrupt "repro bundle %s has unsupported format version %d (this \
-             build reads version %d)"
-      path v version
-  | Error Negative_length ->
-    corrupt "repro bundle %s has a negative length" path
-  | Error Digest_mismatch ->
-    corrupt "repro bundle %s is corrupt (digest mismatch)" path
-  | Ok (_, payload) -> (Marshal.from_string payload 0 : t)
+  let what = "repro bundle " ^ path in
+  let decoded =
+    match
+      Icb_util.Framing.read_file
+        ~check_version:(fun v -> v = version)
+        ~path ~magic ()
+    with
+    | Error e -> Error (Icb_util.Framing.message ~what e)
+    | Ok (_, payload) -> Icb_util.Framing.unmarshal ~what payload
+  in
+  match decoded with Ok t -> t | Error msg -> raise (Corrupt msg)
 
 let verify (type s) (module E : Icb_search.Engine.S with type state = s) t =
   match

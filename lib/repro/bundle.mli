@@ -41,7 +41,7 @@ exception Corrupt of string
 val save : path:string -> t -> unit
 val load : string -> t
 (** Raises {!Corrupt} on wrong magic, unsupported version, digest
-    mismatch or truncation. *)
+    mismatch, truncation or a payload that does not unmarshal. *)
 
 val verify :
   (module Icb_search.Engine.S with type state = 's) ->

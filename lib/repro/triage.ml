@@ -87,15 +87,10 @@ let scan ?(known = []) dir =
   { dir; clusters; total = List.length loaded; corrupt }
 
 let known_fingerprints json =
-  match Json.find json "clusters" with
-  | Some (Json.List cs) ->
-    List.concat_map
-      (fun c ->
-        match Json.find c "fingerprints" with
-        | Some (Json.List fps) -> List.filter_map Json.to_str fps
-        | _ -> [])
-      cs
-  | _ -> []
+  let list j key = Result.value (Json.list j key) ~default:[] in
+  List.concat_map
+    (fun c -> List.filter_map Json.to_str (list c "fingerprints"))
+    (list json "clusters")
 
 let to_json r =
   Json.Obj

@@ -6,18 +6,11 @@
    continuations (the CHESS engine) or large persistent structures, and
    replaying a prefix through [Engine.S.step] rebuilds them exactly.
 
-   File layout:
-     bytes 0..7    magic "ICBCKPT\x01"
-     bytes 8..11   format version (big-endian int, output_binary_int)
-     bytes 12..27  MD5 digest of the payload
-     bytes 28..31  payload length
-     bytes 32..    payload (Marshal of [t])
-
-   Writes go to a temporary file in the same directory followed by an
-   atomic rename, so a killed writer can never leave a half-written file
-   under the checkpoint's name; the digest additionally rejects files
-   truncated or corrupted by other means with a clear error instead of a
-   crash or a silently wrong resume.
+   A file is one [Icb_util.Framing] frame, magic "ICBCKPT\x01", whose
+   payload is the Marshal of [t].  [Framing] writes it atomically and
+   reads it back without raising, so a truncated or damaged file, or a
+   payload that does not unmarshal, is a [Corrupt] rather than a crash
+   or a wrong resume.
 
    Version history:
      v1  ICB/random-walk frontiers; collector snapshots without the
@@ -66,8 +59,6 @@ type t = {
 
 exception Corrupt of string
 
-let corrupt fmt = Format.kasprintf (fun s -> raise (Corrupt s)) fmt
-
 let magic = "ICBCKPT\x01"
 
 (* v3: the strategy-agnostic frontier. *)
@@ -89,50 +80,27 @@ let save ~path t =
     ~payload:(Marshal.to_string t [])
 
 let load path =
-  match
-    Icb_util.Framing.read_file
-      ~check_version:(fun v -> v >= 1 && v <= version)
-      ~path ~magic ()
-  with
-  | Error (Cannot_open msg) -> corrupt "cannot open checkpoint: %s" msg
-  | Error (Truncated section) ->
-    corrupt "checkpoint %s is truncated (while reading %s)" path
-      (match section with
-      | Magic -> "the magic header"
-      | Version -> "the version"
-      | Digest -> "the payload digest"
-      | Length -> "the length"
-      | Payload -> "the payload")
-  | Error Bad_magic ->
-    corrupt "%s is not an icb checkpoint (bad magic header)" path
-  | Error (Bad_version v) ->
-    corrupt
-      "checkpoint %s has format version %d but this build reads only \
-       versions 1..%d; re-run the original search"
-      path v version
-  | Error Negative_length ->
-    corrupt "checkpoint %s declares a negative length" path
-  | Error Digest_mismatch ->
-    corrupt
-      "checkpoint %s is corrupted (payload checksum mismatch); it was \
-       probably damaged after being written"
-      path
-  | Ok (1, payload) -> (
-    match (Marshal.from_string payload 0 : t_v1) with
-    | old ->
-      {
-        strategy = old.v1_strategy;
-        meta = old.v1_meta;
-        collector = Collector.snapshot_of_v1 old.v1_collector;
-        frontier = old.v1_frontier;
-      }
-    | exception Failure msg ->
-      corrupt "checkpoint %s payload does not unmarshal: %s" path msg)
-  | Ok (_, payload) -> (
-    match (Marshal.from_string payload 0 : t) with
-    | t -> t
-    | exception Failure msg ->
-      corrupt "checkpoint %s payload does not unmarshal: %s" path msg)
+  let what = "checkpoint " ^ path in
+  let decoded =
+    match
+      Icb_util.Framing.read_file
+        ~check_version:(fun v -> v >= 1 && v <= version)
+        ~path ~magic ()
+    with
+    | Error e -> Error (Icb_util.Framing.message ~what e)
+    | Ok (1, payload) ->
+      Result.map
+        (fun (old : t_v1) ->
+          {
+            strategy = old.v1_strategy;
+            meta = old.v1_meta;
+            collector = Collector.snapshot_of_v1 old.v1_collector;
+            frontier = old.v1_frontier;
+          })
+        (Icb_util.Framing.unmarshal ~what payload)
+    | Ok (_, payload) -> Icb_util.Framing.unmarshal ~what payload
+  in
+  match decoded with Ok t -> t | Error msg -> raise (Corrupt msg)
 
 (* Upgrade a legacy frontier in memory.  The random-walk conversion drops
    the saved sequential RNG state: walks are now derived from (seed, walk

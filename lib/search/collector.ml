@@ -445,59 +445,27 @@ let snapshot_to_json (s : snapshot) =
 
 let ( let* ) = Result.bind
 
-let field j key =
-  match J.find j key with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "snapshot: missing field %S" key)
-
-let as_int key = function
-  | J.Int i -> Ok i
-  | _ -> Error (Printf.sprintf "snapshot: field %S is not an int" key)
-
-let int_field j key =
-  let* v = field j key in
-  as_int key v
-
-let as_list key = function
-  | J.List l -> Ok l
-  | _ -> Error (Printf.sprintf "snapshot: field %S is not a list" key)
-
-let list_field j key =
-  let* v = field j key in
-  as_list key v
-
-let map_result f l =
-  List.fold_left
-    (fun acc x ->
-      let* acc = acc in
-      let* y = f x in
-      Ok (y :: acc))
-    (Ok []) l
-  |> Result.map List.rev
-
-let pairs_of_json key j =
-  let* l = as_list key j in
-  map_result
+let pairs_of_json j key =
+  let* l = J.list j key in
+  J.map_result
     (function
       | J.List [ J.Int a; J.Int b ] -> Ok (a, b)
-      | _ -> Error (Printf.sprintf "snapshot: field %S is not int pairs" key))
+      | _ -> Error (Printf.sprintf "field %S is not int pairs" key))
     l
 
 let bug_of_json j =
-  let str key =
-    let* v = field j key in
-    match v with
-    | J.String s -> Ok s
-    | _ -> Error (Printf.sprintf "snapshot: bug field %S is not a string" key)
+  let* key = J.string j "key" in
+  let* msg = J.string j "msg" in
+  let* sched = J.list j "schedule" in
+  let* schedule =
+    J.map_result
+      (function J.Int t -> Ok t | _ -> Error "a bug schedule holds a non-int")
+      sched
   in
-  let* key = str "key" in
-  let* msg = str "msg" in
-  let* sched = list_field j "schedule" in
-  let* schedule = map_result (as_int "schedule") sched in
-  let* preemptions = int_field j "preemptions" in
-  let* context_switches = int_field j "context_switches" in
-  let* depth = int_field j "depth" in
-  let* execution = int_field j "execution" in
+  let* preemptions = J.int j "preemptions" in
+  let* context_switches = J.int j "context_switches" in
+  let* depth = J.int j "depth" in
+  let* execution = J.int j "execution" in
   Ok
     {
       Sresult.key;
@@ -510,37 +478,26 @@ let bug_of_json j =
     }
 
 let snapshot_of_json j : (snapshot, string) result =
-  let* visited = list_field j "visited" in
+  let* visited = J.list j "visited" in
   let* visited =
-    map_result
-      (function
-        | J.String s -> (
-          match Int64.of_string_opt s with
-          | Some v -> Ok v
-          | None -> Error "snapshot: bad visited signature")
-        | _ -> Error "snapshot: visited entries must be strings")
+    J.map_result
+      (fun v ->
+        match Option.bind (J.to_str v) Int64.of_string_opt with
+        | Some v -> Ok v
+        | None -> Error "field \"visited\" holds a bad signature")
       visited
   in
-  let* bugs = list_field j "bugs" in
-  let* bugs = map_result bug_of_json bugs in
-  let* executions = int_field j "executions" in
-  let* total_steps = int_field j "total_steps" in
-  let* max_steps = int_field j "max_steps" in
-  let* max_blocks = int_field j "max_blocks" in
-  let* max_preemptions = int_field j "max_preemptions" in
-  let* max_threads = int_field j "max_threads" in
-  let* complete =
-    let* v = field j "complete" in
-    match v with
-    | J.Bool b -> Ok b
-    | _ -> Error "snapshot: field \"complete\" is not a bool"
-  in
-  let* growth = field j "growth" in
-  let* growth = pairs_of_json "growth" growth in
-  let* bound_coverage = field j "bound_coverage" in
-  let* bound_coverage = pairs_of_json "bound_coverage" bound_coverage in
-  let* bound_executions = field j "bound_executions" in
-  let* bound_executions = pairs_of_json "bound_executions" bound_executions in
+  let* bugs = Result.bind (J.list j "bugs") (J.map_result bug_of_json) in
+  let* executions = J.int j "executions" in
+  let* total_steps = J.int j "total_steps" in
+  let* max_steps = J.int j "max_steps" in
+  let* max_blocks = J.int j "max_blocks" in
+  let* max_preemptions = J.int j "max_preemptions" in
+  let* max_threads = J.int j "max_threads" in
+  let* complete = J.bool j "complete" in
+  let* growth = pairs_of_json j "growth" in
+  let* bound_coverage = pairs_of_json j "bound_coverage" in
+  let* bound_executions = pairs_of_json j "bound_executions" in
   Ok
     {
       s_visited = Array.of_list visited;

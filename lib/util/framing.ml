@@ -19,6 +19,8 @@ let write_frame oc ~magic ~version ~payload =
    actually received rather than the length a peer declares. *)
 let chunk = 65536
 
+(* A read that fails (a reset socket, a directory) ends the input just
+   as end-of-file does: the frame is truncated at that section. *)
 let read_frame ?(check_version = fun _ -> true) ic ~magic =
   let ( let* ) = Result.bind in
   let read_exactly n section =
@@ -29,14 +31,14 @@ let read_frame ?(check_version = fun _ -> true) ic ~magic =
         let k = min left chunk in
         match Buffer.add_channel b ic k with
         | () -> go (left - k)
-        | exception End_of_file -> Error (Truncated section)
+        | exception (End_of_file | Sys_error _) -> Error (Truncated section)
     in
     go n
   in
   let read_int section =
     match input_binary_int ic with
     | v -> Ok v
-    | exception End_of_file -> Error (Truncated section)
+    | exception (End_of_file | Sys_error _) -> Error (Truncated section)
   in
   let* m = read_exactly (String.length magic) Magic in
   if m <> magic then Error Bad_magic
@@ -75,3 +77,29 @@ let read_file ?check_version ~path ~magic () =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> read_frame ?check_version ic ~magic)
+
+let message ~what = function
+  | Cannot_open msg -> Printf.sprintf "cannot open %s: %s" what msg
+  | Truncated section ->
+    Printf.sprintf "%s is truncated (while reading %s)" what
+      (match section with
+      | Magic -> "the magic header"
+      | Version -> "the version"
+      | Digest -> "the payload digest"
+      | Length -> "the length"
+      | Payload -> "the payload")
+  | Bad_magic -> Printf.sprintf "%s has a bad magic header" what
+  | Bad_version v ->
+    Printf.sprintf "%s has format version %d, which this build does not read"
+      what v
+  | Negative_length -> Printf.sprintf "%s declares a negative length" what
+  | Digest_mismatch ->
+    Printf.sprintf
+      "%s fails its payload checksum (it was damaged after being written)"
+      what
+
+let unmarshal ~what payload =
+  match Marshal.from_string payload 0 with
+  | v -> Ok v
+  | exception (Failure msg | Invalid_argument msg) ->
+    Error (Printf.sprintf "%s payload does not unmarshal: %s" what msg)

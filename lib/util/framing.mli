@@ -10,14 +10,16 @@
       rest           payload bytes
     v}
 
-    Errors are structured so each caller keeps its own message wording;
-    [read_frame]/[read_file] never raise on malformed input. *)
+    The one reader of the frame: [read_frame]/[read_file] never raise,
+    {!message} words their errors and {!unmarshal} decodes a Marshal
+    payload, so a caller only picks its own exception or variant. *)
 
 type section = Magic | Version | Digest | Length | Payload
 
 type error =
   | Cannot_open of string  (** [Sys_error] message from [open_in_bin] *)
-  | Truncated of section   (** input ended while reading this section *)
+  | Truncated of section
+      (** input ended or failed (a reset socket) in this section *)
   | Bad_magic
   | Bad_version of int     (** rejected by [check_version] *)
   | Negative_length
@@ -30,7 +32,9 @@ val write_frame :
 (** Read one frame, validating magic and digest.  [check_version]
     (default: accept all) rejects unsupported versions before the
     payload is read, so a bad version is reported even on a file whose
-    payload is also damaged.  Returns [(version, payload)]. *)
+    payload is also damaged.  Returns [(version, payload)].  The payload
+    is read in chunks, so memory follows the bytes that arrive, not the
+    length the header declares. *)
 val read_frame :
   ?check_version:(int -> bool) ->
   in_channel ->
@@ -49,3 +53,15 @@ val read_file :
   magic:string ->
   unit ->
   (int * string, error) result
+
+val message : what:string -> error -> string
+(** One line naming [what] was read (["checkpoint c.ckpt"], ["protocol
+    frame"]) and, for a truncation, the section. *)
+
+val unmarshal : what:string -> string -> ('a, string) result
+(** Decode a Marshal payload read from a frame.  Anything
+    [Marshal.from_string] rejects, a payload shorter than a Marshal
+    header included, is an [Error] naming [what].  The frame's digest
+    only proves the bytes are the ones written: the caller fixes ['a],
+    and a crafted payload with a recomputed digest is trusted as far as
+    Marshal trusts it. *)

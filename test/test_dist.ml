@@ -228,6 +228,20 @@ let coord_in_background coord p strategy =
     | Some r -> r
     | None -> Alcotest.fail "the coordinator run raised"
 
+(* Close [fd] with a TCP reset instead of an orderly shutdown, the way a
+   crashed host or a middlebox ends a connection. *)
+let reset fd =
+  Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+  Unix.close fd
+
+(* Poll [cond] for up to [secs]. *)
+let eventually ?(secs = 5.0) cond =
+  let until = Unix.gettimeofday () +. secs in
+  let rec go () =
+    cond () || (Unix.gettimeofday () < until && (Unix.sleepf 0.01; go ()))
+  in
+  go ()
+
 let lease_tests =
   [
     (* A worker killed mid-batch: lease round 0's only batch on a raw
@@ -297,6 +311,26 @@ let lease_tests =
           (dist_metric coord "icb_dist_stale_reports" >= 1.0);
         Coord.shutdown coord;
         assert_equivalent "the zombie never double-counts" s d);
+    Alcotest.test_case "a reset holding a lease is one dropped connection"
+      `Quick (fun () ->
+        let p = prog () in
+        let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
+        let s = serial p strategy in
+        let coord = Coord.create ~batch_size:1 ~lease_timeout:30.0 () in
+        let port = Coord.port coord in
+        let finish = coord_in_background coord p strategy in
+        let fd, ic, oc = raw_connect port in
+        let _job = wait_for_job ic oc in
+        ignore (lease_batch ic oc);
+        reset fd;
+        let w = spawn_worker ~port p in
+        let d = finish () in
+        Thread.join w;
+        let dropped () = dist_metric coord "icb_dist_dropped_connections" in
+        ignore (eventually (fun () -> dropped () >= 1.0));
+        check (Alcotest.float 0.0) "dropped connections" 1.0 (dropped ());
+        Coord.shutdown coord;
+        assert_equivalent "after a reset mid-lease" s d);
   ]
 
 (* --- pipelined leases ----------------------------------------------------- *)
@@ -639,6 +673,30 @@ let telemetry_tests =
              d.Sresult.executions every)
           true
           (!saves <= (d.Sresult.executions / every) + 1));
+    (* Each worker's replay memo reports per batch; summed at the
+       coordinator, every materialization and every prefix step is
+       counted once, as in a serial run (where and how they split
+       between hits and misses depends on the batching). *)
+    Alcotest.test_case "an untraced run reports serial's replay accounting"
+      `Quick (fun () ->
+        let p = Icb_models.Transaction.program Icb_models.Transaction.Correct in
+        let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
+        let stats = ref (Icb_search.Replay_cache.zero ()) in
+        let s = Icb.run ~on_cache_stats:(fun c -> stats := c) ~strategy p in
+        let d, coord = distributed ~batch_size:16 p strategy in
+        assert_equivalent "2 workers vs serial" s d;
+        let m name = int_of_float (dist_metric coord name) in
+        let c = !stats in
+        check Alcotest.bool "the serial run materialized items" true
+          (c.Icb_search.Replay_cache.hits > 0);
+        check Alcotest.int "hits + misses"
+          (c.Icb_search.Replay_cache.hits + c.Icb_search.Replay_cache.misses)
+          (m "icb_replay_cache_hits_total" + m "icb_replay_cache_misses_total");
+        check Alcotest.int "steps saved + replayed"
+          (c.Icb_search.Replay_cache.steps_saved
+          + c.Icb_search.Replay_cache.steps_replayed)
+          (m "icb_replay_cache_steps_saved_total"
+          + m "icb_replay_cache_steps_replayed_total"));
   ]
 
 (* --- coordinator interrupt/resume ------------------------------------------ *)
@@ -885,6 +943,15 @@ let http_tests =
 
 (* --- wire encoding --------------------------------------------------------- *)
 
+(* A listening loopback socket on an ephemeral port. *)
+let listener () =
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 1;
+  match Unix.getsockname lsock with
+  | Unix.ADDR_INET (_, port) -> (lsock, port)
+  | Unix.ADDR_UNIX _ -> assert false
+
 let proto_tests =
   [
     Alcotest.test_case "protocol messages survive a json round trip" `Quick
@@ -1030,6 +1097,65 @@ let proto_tests =
           check Alcotest.bool (msg ^ " names max_bound") true
             (contains msg "max_bound")
         | Ok _ -> Alcotest.fail "the worker ran the batch");
+    Alcotest.test_case "a reset mid-frame is a closed or malformed frame"
+      `Quick (fun () ->
+        let lsock, port = listener () in
+        let peer =
+          Thread.create
+            (fun () ->
+              let fd, _, oc = raw_connect port in
+              (* the magic and the version, then nothing *)
+              output_string oc Proto.magic;
+              output_binary_int oc Proto.version;
+              flush oc;
+              Unix.sleepf 0.1;
+              reset fd)
+            ()
+        in
+        let fd, _ = Unix.accept lsock in
+        let r = Proto.recv (Unix.in_channel_of_descr fd) in
+        Thread.join peer;
+        Unix.close fd;
+        Unix.close lsock;
+        match r with
+        | Error (`Closed | `Malformed _) -> ()
+        | Ok _ -> Alcotest.fail "a torn frame decoded");
+    Alcotest.test_case "a coordinator reset after the job is the worker's error"
+      `Quick (fun () ->
+        let e = Icb.engine (prog ()) in
+        let lsock, port = listener () in
+        let server =
+          Thread.create
+            (fun () ->
+              let fd, _ = Unix.accept lsock in
+              let ic = Unix.in_channel_of_descr fd in
+              let oc = Unix.out_channel_of_descr fd in
+              ignore (Proto.recv ic);
+              Proto.send oc
+                (Proto.s2c_to_json
+                   (Proto.Job
+                      {
+                        Proto.j_meta = [];
+                        j_root_sig = Icb_search.Driver.fingerprint e;
+                        j_deadlock_is_error = true;
+                        j_terminal_states_only = false;
+                        j_cache = true;
+                        j_events = false;
+                        j_worker = 1;
+                      }));
+              reset fd)
+            ()
+        in
+        let r =
+          Worker.run ~host:"127.0.0.1" ~port
+            ~resolve:(fun _ -> Ok (Worker.Packed e))
+            ()
+        in
+        Thread.join server;
+        Unix.close lsock;
+        match r with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "the worker finished against a reset");
   ]
 
 let () =

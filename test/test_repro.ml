@@ -394,6 +394,23 @@ let bundle_tests =
         match Bundle.verify (module E) { t with Bundle.bug_key = "other" } with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "wrong key accepted");
+    Alcotest.test_case "a checksummed payload that is not Marshal data is \
+                        rejected" `Quick (fun () ->
+        let dir = temp_dir "bundle" in
+        let path = Filename.concat dir "x.repro" in
+        let payload = String.make 64 'x' in
+        let b = Buffer.create 128 in
+        Buffer.add_string b "ICBREPR\x01";
+        Buffer.add_int32_be b 1l;
+        Buffer.add_string b (Digest.string payload);
+        Buffer.add_int32_be b (Int32.of_int (String.length payload));
+        Buffer.add_string b payload;
+        let oc = open_out_bin path in
+        Buffer.output_buffer oc b;
+        close_out oc;
+        match Bundle.load path with
+        | exception Bundle.Corrupt _ -> ()
+        | _ -> Alcotest.fail "garbage payload accepted");
   ]
 
 (* --- store + triage -------------------------------------------------------- *)

@@ -253,6 +253,17 @@ let read_file path =
   close_in ic;
   s
 
+(* A frame around [payload] whose digest is right: bytes that only a
+   writer recomputing the digest could produce. *)
+let frame ~magic ~version payload =
+  let b = Buffer.create (String.length payload + 40) in
+  Buffer.add_string b magic;
+  Buffer.add_int32_be b (Int32.of_int version);
+  Buffer.add_string b (Digest.string payload);
+  Buffer.add_int32_be b (Int32.of_int (String.length payload));
+  Buffer.add_string b payload;
+  Buffer.contents b
+
 let expect_corrupt path =
   match Checkpoint.load path with
   | exception Checkpoint.Corrupt msg ->
@@ -384,6 +395,13 @@ let format_tests =
              (Icb_models.Dryad.program Icb_models.Dryad.Correct));
         refused "another strategy's checkpoint"
           (stopped (Explore.Dfs { cache = false }) bluetooth));
+    (* shorter than a Marshal header, under a valid digest *)
+    Alcotest.test_case "a checksummed 4-byte payload is rejected" `Quick
+      (fun () ->
+        let path = tmp_ckpt () in
+        write_file path (frame ~magic:"ICBCKPT\x01" ~version:3 "junk");
+        expect_corrupt path;
+        Sys.remove path);
   ]
 
 (* --- crash containment ---------------------------------------------------- *)
@@ -549,6 +567,217 @@ let addressing_tests =
           (Registry.disambiguate [ "x"; "y" ]));
   ]
 
+
+(* --- decoder fuzzing ----------------------------------------------------- *)
+
+module Proto = Icb_dist.Proto
+module Http = Icb_obs.Http
+module Json = Icb_obs.Json
+module Event = Icb_obs.Event
+module Metrics = Icb_obs.Metrics
+module Telemetry = Icb_obs.Telemetry
+module Bundle = Icb_repro.Bundle
+
+(* Every decoder of bytes this process did not write answers with its
+   typed error whatever the bytes: [Checkpoint.Corrupt], [Bundle.Corrupt],
+   [`Closed]/[`Malformed] from [Proto.recv], [Error] from the message,
+   snapshot, event and metric decoders and from [Http.read_request].  Any
+   other exception fails the property.  Whole files and frames get the
+   four mutations; JSON payloads are mutated under a recomputed digest,
+   so the mutations reach the JSON decoders.  (A recomputed digest over
+   a mutated Marshal payload is the one input the formats do not defend
+   against.) *)
+
+type mutation = Truncate of int | Flip of int | Append of string | Huge_length
+
+(* uniform, so that an offset taken modulo an input's length can land
+   anywhere in it *)
+let offset = QCheck.Gen.int_bound (1 lsl 30)
+
+let mutation =
+  QCheck.make
+    ~print:(function
+      | Truncate n -> Printf.sprintf "truncate at %d" n
+      | Flip n -> Printf.sprintf "flip bit %d" n
+      | Append s -> Printf.sprintf "append %S" s
+      | Huge_length -> "declare length 0x7fffffff")
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun n -> Truncate n) offset);
+          (3, map (fun n -> Flip n) offset);
+          (2, map (fun s -> Append s) (string_size ~gen:char (int_range 1 64)));
+          (1, return Huge_length);
+        ])
+
+(* [m] applied to [s]; a frame's length field follows the 8-byte magic,
+   the version and the digest.  Offsets wrap around [s]. *)
+let mutate s m =
+  let b = Bytes.of_string s in
+  match m with
+  | Truncate n -> String.sub s 0 (n mod String.length s)
+  | Flip n ->
+    let i = n mod (8 * Bytes.length b) in
+    Bytes.set b (i / 8)
+      (Char.chr (Char.code (Bytes.get b (i / 8)) lxor (1 lsl (i mod 8))));
+    Bytes.to_string b
+  | Append extra -> s ^ extra
+  | Huge_length ->
+    if Bytes.length b >= 32 then Bytes.set_int32_be b 28 0x7fffffffl;
+    Bytes.to_string b
+
+let with_file bytes f =
+  let path = Filename.temp_file "icb-fuzz" ".bin" in
+  write_file path bytes;
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let with_channel bytes f =
+  with_file bytes (fun path ->
+      let ic = open_in_bin path in
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic))
+
+(* Real inputs: a checkpoint, its run's events and metric values, a
+   bundle of its bug, and a wire report built from them. *)
+let corpus =
+  lazy
+    (let prog =
+       Icb_models.Peterson.program Icb_models.Peterson.Bug_check_before_set
+     in
+     let tel = Telemetry.create () in
+     Telemetry.track_metrics tel;
+     let events = ref [] in
+     Telemetry.add_consumer tel (fun env -> events := env :: !events);
+     let path = tmp_ckpt () in
+     let r =
+       Icb.run ~telemetry:tel
+         ~options:{ Collector.default_options with stop_at_first_bug = true }
+         ~checkpoint_out:path ~strategy:icb_unbounded prog
+     in
+     Telemetry.close tel;
+     let ckpt_bytes = read_file path in
+     let ckpt = Checkpoint.load path in
+     Sys.remove path;
+     let dir = Filename.temp_file "icb-fuzz" "" in
+     Sys.remove dir;
+     let bundle_bytes =
+       match
+         Icb_repro.Store.drop (Icb.engine prog) ~dir ~deadlock_is_error:true
+           ~kind:"model" ~target:"peterson:check-before-set" ~strategy:"icb"
+           ~seed:1L r.Sresult.bugs
+       with
+       | Ok (p :: _) ->
+         let b = read_file p in
+         Array.iter
+           (fun f -> Sys.remove (Filename.concat dir f))
+           (Sys.readdir dir);
+         Sys.rmdir dir;
+         b
+       | Ok [] | Error _ -> Alcotest.fail "no bundle was written"
+     in
+     let v3 = Checkpoint.to_v3 ckpt in
+     let report =
+       {
+         Proto.r_params = v3.Checkpoint.v3_params;
+         r_snapshot = Collector.snapshot_to_json ckpt.Checkpoint.collector;
+         r_deferred = v3.Checkpoint.v3_work @ v3.Checkpoint.v3_next;
+         r_events = List.rev_map Event.to_json !events;
+         r_metrics = Some (Metrics.values_to_json (Telemetry.metrics tel));
+       }
+     in
+     let json m = Json.to_string m in
+     ( ckpt_bytes,
+       bundle_bytes,
+       [
+         json (Proto.c2s_to_json (Proto.Result { lease = 3; report }));
+         json
+           (Proto.s2c_to_json
+              (Proto.Batch
+                 {
+                   Proto.b_lease = 3;
+                   b_id = 0;
+                   b_tag = v3.Checkpoint.v3_tag;
+                   b_params = v3.Checkpoint.v3_params;
+                   b_round = v3.Checkpoint.v3_round;
+                   b_items = v3.Checkpoint.v3_work;
+                   b_pending = 2;
+                 }));
+       ] ))
+
+let wire payload = frame ~magic:Proto.magic ~version:Proto.version payload
+
+(* What the coordinator and a worker do with a received frame, down to
+   the report's snapshot, events and metric image. *)
+let decode_frame ic =
+  match Proto.recv ic with
+  | Error (`Closed | `Malformed _) -> true
+  | Ok j -> (
+    ignore (Proto.s2c_of_json j);
+    match Proto.c2s_of_json j with
+    | Ok (Proto.Result { report; _ }) ->
+      ignore (Collector.snapshot_of_json report.Proto.r_snapshot);
+      List.iter (fun e -> ignore (Event.of_json e)) report.Proto.r_events;
+      let tel = Telemetry.create () in
+      Telemetry.track_metrics tel;
+      Option.iter
+        (fun m -> ignore (Telemetry.merge_deltas tel m ~bugs:[]))
+        report.Proto.r_metrics;
+      false
+    | Ok _ -> false
+    | Error _ -> true)
+
+(* [load] says whether the input was rejected.  A declared 2 GiB payload
+   must be rejected having allocated about what the file holds. *)
+let file_property name ~count input load =
+  QCheck.Test.make ~count ~name mutation (fun m ->
+      let bytes = mutate (input ()) m in
+      let before = Gc.allocated_bytes () in
+      let rejected = load bytes in
+      m <> Huge_length
+      || (rejected && Gc.allocated_bytes () -. before < 4194304.))
+
+let corrupt_file load bytes =
+  with_file bytes (fun path ->
+      match load path with
+      | _ -> false
+      | exception (Checkpoint.Corrupt _ | Bundle.Corrupt _) -> true)
+
+let fuzz_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      file_property "a mutated checkpoint is Corrupt or loads" ~count:300
+        (fun () ->
+          let c, _, _ = Lazy.force corpus in
+          c)
+        (corrupt_file (fun p -> ignore (Checkpoint.load p)));
+      file_property "a mutated bundle is Corrupt or loads" ~count:300
+        (fun () ->
+          let _, b, _ = Lazy.force corpus in
+          b)
+        (corrupt_file (fun p -> ignore (Bundle.load p)));
+      file_property "a mutated wire frame is refused or decodes" ~count:300
+        (fun () ->
+          let _, _, msgs = Lazy.force corpus in
+          wire (List.hd msgs))
+        (fun bytes -> with_channel bytes decode_frame);
+      QCheck.Test.make ~count:1000
+        ~name:"a mutated JSON payload under a valid digest decodes or errs"
+        QCheck.(pair bool mutation)
+        (fun (first, m) ->
+          let _, _, msgs = Lazy.force corpus in
+          let payload = if first then List.hd msgs else List.nth msgs 1 in
+          let payload =
+            if m = Huge_length then payload else mutate payload m
+          in
+          ignore (with_channel (wire payload) decode_frame);
+          true);
+      QCheck.Test.make ~count:1000
+        ~name:"a mutated HTTP head is read or refused" mutation
+        (fun m ->
+          let head = "GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n" in
+          with_channel (mutate head m) (fun ic ->
+              match Http.read_request ic with Ok _ | Error _ -> true));
+    ]
+
 let () =
   Alcotest.run "resilience"
     [
@@ -558,4 +787,5 @@ let () =
       ("crash", crash_tests);
       ("divergence", divergence_tests);
       ("addressing", addressing_tests);
+      ("fuzz", fuzz_tests);
     ]
