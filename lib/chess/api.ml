@@ -41,12 +41,14 @@ type run_t = {
   mutable last_blocking : bool;
 }
 
-(* The runtime is single-threaded; the run being advanced is held here so
-   the shim primitives can reach it. *)
-let active : run_t option ref = ref None
+(* The run being advanced, so the shim primitives can reach it: one cell
+   per domain, since each domain of a parallel search advances its own
+   runs. *)
+let active : run_t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
 
 let the_run () =
-  match !active with
+  match !(Domain.DLS.get active) with
   | Some r -> r
   | None -> misuse "Chess primitives must run under Icb_chess exploration"
 
@@ -356,8 +358,9 @@ module Run = struct
     done;
     r.current <- t;
     r.events <- [];
-    let saved = !active in
-    active := Some r;
+    let cell = Domain.DLS.get active in
+    let saved = !cell in
+    cell := Some r;
     let was_yield, blocking =
       match th.st with
       | T_not_started body ->
@@ -370,7 +373,7 @@ module Run = struct
         (pt.is_yield, pt.blocking)
       | T_done -> assert false
     in
-    active := saved;
+    cell := saved;
     if was_yield then th.yielded <- true;
     (List.rev r.events, blocking)
 

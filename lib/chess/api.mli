@@ -118,7 +118,9 @@ module Run : sig
   (** Execute one scheduling step of the given enabled thread: its pending
       synchronization operation, then on through ordinary code and data
       accesses to its next scheduling point.  Returns the step's event log
-      and whether the executed operation was potentially blocking. *)
+      and whether the executed operation was potentially blocking.  Runs
+      stepped on different domains are independent: the shims find the
+      run being stepped through domain-local storage. *)
 
   val thread_count : t -> int
 

@@ -2,9 +2,11 @@ module Engine = Icb_search.Engine
 module Hbsig = Icb_race.Hbsig
 module Vcdetect = Icb_race.Vcdetect
 
-let replay_count = ref 0
+(* Every run of a test body the engine starts, on any domain: one per
+   initial state and one per replayed prefix. *)
+let run_count = Atomic.make 0
 
-let replays () = !replay_count
+let replays () = Atomic.get run_count
 
 type state = {
   sched_rev : int list;
@@ -36,8 +38,12 @@ end) : Icb_search.Engine.S with type state = state = struct
       | Api.Run.Deadlock blocked -> Engine.Deadlock blocked
       | Api.Run.Failed msg -> Engine.Failed { key = msg; msg })
 
+  let start () =
+    Atomic.incr run_count;
+    Api.Run.create T.test
+
   let initial () =
-    let r = Api.Run.create T.test in
+    let r = start () in
     {
       sched_rev = [];
       depth = 0;
@@ -61,8 +67,7 @@ end) : Icb_search.Engine.S with type state = state = struct
       raise (Engine.Nondeterministic_program detail)) fmt
 
   let replay_prefix s =
-    incr replay_count;
-    let r = Api.Run.create T.test in
+    let r = start () in
     let stepno = ref 0 in
     List.iter
       (fun t ->

@@ -55,6 +55,9 @@ val shared_env : ?max_steps:int -> (unit -> unit) -> Icb_search.Strategy.env
     env. *)
 
 val replays : unit -> int
-(** Number of from-scratch replays performed since the program started —
-    exposed so tests and benchmarks can report the stateless exploration's
-    replay overhead. *)
+(** Number of test-body runs the engine has started since the program
+    started, on every domain: one per initial state, including each
+    rebuild of a dropped state from the root, and one per prefix the
+    engine replays itself — exposed so tests and benchmarks can report
+    the stateless exploration's replay overhead.  The body's profiling
+    run ({!shared_env}) is not counted. *)

@@ -139,7 +139,12 @@ let rank_queue (type a) ~(rank : a -> int) =
   { sq_push = push; sq_seed = List.iter push; sq_pop = pop; sq_items = items }
 
 let of_prefix (sched, payload) =
-  { Strategy.i_sched = sched; i_payload = payload; i_state = None }
+  {
+    Strategy.i_sched = sched;
+    i_payload = payload;
+    i_state = None;
+    i_witness = Strategy.no_witness;
+  }
 
 let sorted_items its =
   List.sort
@@ -521,14 +526,17 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
     ~(wstates : w array) ~(mz : s Search_core.materializer) =
   let master = ses.master in
   let expand = S.expand (module E) wstates.(0) in
-  (* Strict replay: a prefix that no longer replays means the checkpoint
-     belongs to a different (or nondeterministic) program — surface it,
-     don't guess.  (Prefixes generated by this very run always replay on a
-     deterministic engine: they only contain steps that already succeeded
-     once.) *)
+  (* A prefix this run took and witnessed that no longer replays is a
+     nondeterministic program, recorded as a bug like any engine crash.
+     A resumed prefix carries no witness: if it no longer replays, the
+     checkpoint belongs to a different (or nondeterministic) program —
+     surface it, don't guess. *)
   let materialize it =
     match mz.Search_core.mz_run it with
     | Ok st -> Some st
+    | Error (st, t, exn) when it.Strategy.i_witness <> Strategy.no_witness ->
+      Search_core.record_crash (module E) master st t exn;
+      None
     | Error (_, _, exn) ->
       invalid_arg
         (Printf.sprintf
@@ -538,12 +546,14 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
            (Printexc.to_string exn))
   in
   (* Under the [`Rank] discipline an item's priority needs its state;
-     materialize before insertion. *)
+     materialize before insertion, and drop an item whose prefix failed
+     (already recorded). *)
   let prep it =
     match S.discipline with
     | `Rank when it.Strategy.i_state = None ->
-      { it with Strategy.i_state = materialize it }
-    | _ -> it
+      Option.map (fun st -> { it with Strategy.i_state = Some st })
+        (materialize it)
+    | _ -> Some it
   in
   let sq =
     match S.discipline with
@@ -556,10 +566,11 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
   let ctx =
     {
       Strategy.c_col = master;
-      c_push = (fun it -> sq.sq_push (prep (mz.Search_core.mz_stay it)));
+      c_push =
+        (fun it -> Option.iter sq.sq_push (prep (mz.Search_core.mz_stay it)));
       c_defer =
         (fun it ->
-          deferred := mz.Search_core.mz_stay it :: !deferred;
+          deferred := mz.Search_core.mz_move it :: !deferred;
           incr defer_len);
       c_materialize = materialize;
     }
@@ -604,7 +615,8 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
   in
   fun items ~carry ->
     List.iter ctx.Strategy.c_defer carry;
-    sq.sq_seed (List.map (fun it -> prep (mz.Search_core.mz_stay it)) items);
+    sq.sq_seed
+      (List.filter_map (fun it -> prep (mz.Search_core.mz_stay it)) items);
     match drain () with
     | None ->
       let next = List.rev !deferred in

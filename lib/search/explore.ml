@@ -317,10 +317,11 @@ let registry ?(seed = 2007L) () =
 let default_checkpoint_every = Search_core.default_checkpoint_every
 
 (* The single engine module is shared by every worker when [domains > 1],
-   which is safe for modules without module-level mutable state (the
-   machine engine; the CHESS engine's only module-level mutable is a
-   stats counter).  States cross domains only when the engine has the
-   snapshot capability, which certifies them restorable anywhere
+   which is safe for modules whose module-level mutable state is
+   domain-safe (the machine engine has none; the CHESS engine keeps an
+   atomic run counter, and each domain's active run in domain-local
+   storage).  States cross domains only when the engine has the snapshot
+   capability, which certifies them restorable anywhere
    ([Search_core.materializer]).  An engine without it, whose states may
    be bound to a domain, hands its items over as bare schedule prefixes,
    and each worker replays them on its own states. *)

@@ -119,10 +119,11 @@ val run :
     nondeterministic program).
 
     [cache] (default [true]) enables the prefix-snapshot replay cache
-    (docs/REPLAY_CACHE.md): work items carry their states, across rounds
-    and (for engines with the {!Engine.S.snapshot} capability) domains,
-    and an item without one restores the snapshot at its longest common
-    prefix with the previous item's path and replays only the rest.
+    (docs/REPLAY_CACHE.md): work items carry their states within a
+    worker's round and (for engines with the {!Engine.S.snapshot}
+    capability) across rounds and domains, and an item without one
+    restores the snapshot at its longest common prefix with the previous
+    item's path and replays only the rest.
     [~cache:false] restores the pure stateless discipline —
     every item replays its full prefix from the initial state — which is
     the one-flag way to check a suspected cache divergence; bug sets,

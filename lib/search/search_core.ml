@@ -142,11 +142,18 @@ let item_cache ~cache table =
    an item may carry when it is handed off.
 
    The hand-off rule: an item keeps its state only while the replay cache
-   is on, and only if it stays on its domain ([mz_stay]: the serial queue,
-   a worker's own follow-ups) or the engine's states are snapshots
-   ([mz_move]: a round's seed, a steal, a deferred item).  An engine
-   without snapshots may pin a state to the domain that made it (the
-   CHESS engine's live run), so such a state never moves.
+   is on, and only if it stays on its domain ([mz_stay]: the serial
+   queue's and a worker's own current-round follow-ups) or the engine's
+   states are snapshots ([mz_move]: a round's seed, a steal, a deferred
+   item).  An engine without snapshots may pin a state to the domain that
+   made it (the CHESS engine's live run), so such a state never moves;
+   nor is it kept for the next round, where its one-shot run is long
+   spent and a replay from the root is all it could offer.
+
+   Dropping a state keeps a one-word witness of its enabled set (see
+   {!witness}), so nondeterminism is caught whether or not states are
+   kept.  The witness costs no signature: each reached state is still
+   fingerprinted exactly once.
 
    A carried state wins.  An item without one replays its prefix, through
    the worker's path memo when the cache is on and the engine takes
@@ -155,7 +162,10 @@ let item_cache ~cache table =
    touch the collector: the prefix's states were already counted by
    whoever deferred or checkpointed the item.  [mz_run]'s [Error (st,
    tid, exn)] surfaces a step that raised, for the caller to either
-   contain ({!contained}) or reject (serial resume). *)
+   contain ({!contained}) or reject (serial resume).  For a witnessed
+   item the prefix is one this run already took, so a step that raises,
+   or a last step that reaches another enabled set, is reported as
+   [Engine.Nondeterministic_program]. *)
 type 's materializer = {
   mz_run : 's Strategy.item -> ('s, 's * int * exn) result;
   mz_stay : 's Strategy.item -> 's Strategy.item;
@@ -163,6 +173,11 @@ type 's materializer = {
   mz_stats : Replay_cache.stats;
   mz_memo : bool;  (* the cache is on and the engine takes snapshots *)
 }
+
+(* An enabled set as one word: bit [t mod 62] per thread, exact below 62
+   threads and never [Strategy.no_witness]. *)
+let witness enabled =
+  List.fold_left (fun w t -> w lor (1 lsl (t mod 62))) 0 enabled
 
 let materializer (type s) ((module E) : (module Engine.S with type state = s))
     ~cache : s materializer =
@@ -173,7 +188,45 @@ let materializer (type s) ((module E) : (module Engine.S with type state = s))
       Some (Replay_cache.memo ~capture ~restore:E.restore)
     | Some _ | None -> None
   in
-  let strip it = { it with Strategy.i_state = None } in
+  let strip it =
+    match it.Strategy.i_state with
+    | None -> it
+    | Some st ->
+      { it with Strategy.i_state = None; i_witness = witness (E.enabled st) }
+  in
+  let replay ~step it =
+    Replay_cache.replay memo ~stats ~init:E.initial ~step it.Strategy.i_sched
+  in
+  (* The last step of a witnessed prefix checks the witness, so a
+     divergence is blamed on exactly the item's prefix. *)
+  let rebuild it =
+    let n = List.length it.Strategy.i_sched in
+    let step st t =
+      let st' = E.step st t in
+      if E.depth st' = n && witness (E.enabled st') <> it.Strategy.i_witness
+      then
+        raise
+          (Engine.Nondeterministic_program
+             (Printf.sprintf
+                "after replaying %d steps the enabled threads are [%s], not \
+                 the ones recorded"
+                n
+                (String.concat " " (List.map string_of_int (E.enabled st')))));
+      st'
+    in
+    match replay ~step it with
+    | Ok _ as ok -> ok
+    | Error (_, _, Engine.Nondeterministic_program _) as e -> e
+    | Error (st, t, exn) ->
+      Error
+        ( st,
+          t,
+          Engine.Nondeterministic_program
+            (Printf.sprintf
+               "replaying the recorded schedule, thread %d could not take \
+                step %d (%s)"
+               t (E.depth st + 1) (Printexc.to_string exn)) )
+  in
   let run it =
     match it.Strategy.i_state with
     | Some st ->
@@ -188,9 +241,9 @@ let materializer (type s) ((module E) : (module Engine.S with type state = s))
         stats.Replay_cache.steps_saved <-
           stats.Replay_cache.steps_saved + List.length sched);
       Ok st
-    | None ->
-      Replay_cache.replay memo ~stats ~init:E.initial ~step:E.step
-        it.Strategy.i_sched
+    | None when it.Strategy.i_witness = Strategy.no_witness ->
+      replay ~step:E.step it
+    | None -> rebuild it
   in
   {
     mz_run = run;

@@ -19,7 +19,12 @@
      resumable. *)
 
 let item ~sched ~payload ~state =
-  { Strategy.i_sched = sched; i_payload = payload; i_state = state }
+  {
+    Strategy.i_sched = sched;
+    i_payload = payload;
+    i_state = state;
+    i_witness = Strategy.no_witness;
+  }
 
 let int_param params key ~default =
   match List.assoc_opt key params with

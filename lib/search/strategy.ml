@@ -30,13 +30,22 @@ type 's item = {
       (* the prefix's state, when already materialized; never serialized.
          Every hand-off goes through the worker's
          [Search_core.materializer], which strips it when the replay cache
-         is off, and when the item leaves its domain unless the engine has
-         the snapshot capability *)
+         is off, and when the item is deferred or leaves its domain unless
+         the engine has the snapshot capability *)
+  i_witness : int;
+      (* [no_witness], or the enabled set of the state the materializer
+         stripped, which rebuilding the prefix must reach again; never
+         serialized *)
 }
 
 (* Payload marker: don't step anywhere — expand the replayed state
    itself.  Used for DFS-family nodes and search roots. *)
 let visit = -1
+
+(* The witness of an item whose state was never dropped: it still
+   carries it, or never had one (a prefix resumed from a checkpoint or
+   leased over the wire).  Witnesses are non-negative. *)
+let no_witness = -1
 
 let prefix_of it = (it.i_sched, it.i_payload)
 
@@ -89,8 +98,8 @@ type 's ctx = {
   c_materialize : 's item -> 's option;
       (* the item's state: carried live, or its prefix replayed.  [None]
          means the prefix no longer replays and the failure was already
-         handled (contained as a bug in parallel mode; in serial mode the
-         driver raises [Invalid_argument] instead of returning). *)
+         contained as a bug (for a resumed prefix the serial driver
+         raises [Invalid_argument] instead of returning). *)
 }
 
 module type S = sig

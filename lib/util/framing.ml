@@ -73,6 +73,10 @@ let write_file ~path ~magic ~version ~payload =
 let read_file ?check_version ~path ~magic () =
   match open_in_bin path with
   | exception Sys_error msg -> Error (Cannot_open msg)
+  | ic when (try Sys.is_directory path with Sys_error _ -> false) ->
+    (* opening a directory succeeds; only its first read fails *)
+    close_in_noerr ic;
+    Error (Cannot_open (path ^ ": Is a directory"))
   | ic ->
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)

@@ -17,7 +17,9 @@
 type section = Magic | Version | Digest | Length | Payload
 
 type error =
-  | Cannot_open of string  (** [Sys_error] message from [open_in_bin] *)
+  | Cannot_open of string
+      (** [Sys_error] message from [open_in_bin]; ["PATH: Is a
+          directory"] for a directory *)
   | Truncated of section
       (** input ended or failed (a reset socket) in this section *)
   | Bad_magic

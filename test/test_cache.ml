@@ -233,8 +233,9 @@ let stats_tests =
         check Alcotest.int "no steps saved" 0 !stats.Replay_cache.steps_saved);
     Alcotest.test_case "a CHESS-engine run reports no snapshot hits" `Quick
       (fun () ->
-        (* deferred items keep their CHESS states, but stepping one again
-           replays its prefix inside the engine: nothing was saved *)
+        (* a deferred item leaves its CHESS state behind, whose one-shot
+           run is spent by then: the next round rebuilds it from the
+           root, a miss, cache or no cache, and nothing is saved *)
         let module Api = Icb_chess.Api in
         let test () =
           let m = Api.Mutex.create () in
@@ -247,17 +248,34 @@ let stats_tests =
           Api.Semaphore.acquire d;
           Api.Semaphore.acquire d
         in
-        let stats = ref (Replay_cache.zero ()) in
-        let r =
-          Explore.run
-            (Icb_chess.Chess_engine.engine test)
-            ~on_cache_stats:(fun s -> stats := s)
-            (Explore.Icb { max_bound = Some 2; cache = false })
+        let run cache =
+          let stats = ref (Replay_cache.zero ()) in
+          let r =
+            Explore.run
+              (Icb_chess.Chess_engine.engine test)
+              ~cache
+              ~on_cache_stats:(fun s -> stats := s)
+              (Explore.Icb { max_bound = Some 2; cache = false })
+          in
+          (r, !stats)
         in
+        let r, stats = run true and ru, _ = run false in
         check Alcotest.bool "explored past bound 0" true
           (r.Sresult.executions > 1);
-        check Alcotest.int "no snapshot hits" 0 !stats.Replay_cache.hits;
-        check Alcotest.int "no steps saved" 0 !stats.Replay_cache.steps_saved);
+        check (Alcotest.list Alcotest.string) "same bug set" (bug_keys ru)
+          (bug_keys r);
+        check Alcotest.int "same executions" ru.Sresult.executions
+          r.Sresult.executions;
+        check Alcotest.int "same states" ru.Sresult.distinct_states
+          r.Sresult.distinct_states;
+        check Alcotest.int "same total steps" ru.Sresult.total_steps
+          r.Sresult.total_steps;
+        check Alcotest.int "no snapshot hits" 0 stats.Replay_cache.hits;
+        check Alcotest.int "no steps saved" 0 stats.Replay_cache.steps_saved;
+        check Alcotest.int "a miss per deferred item explored" 37
+          stats.Replay_cache.misses;
+        check Alcotest.int "steps replayed" 267
+          stats.Replay_cache.steps_replayed);
   ]
 
 (* --- exact replay work, cached vs uncached -------------------------------- *)

@@ -100,6 +100,39 @@ let equivalence_tests =
                 (String.length msg > 0)
             | _ -> Alcotest.fail "expected Invalid_argument")
           [ Explore.Sleep_dfs; Explore.Most_enabled { cache = true } ]);
+    Alcotest.test_case "a CHESS search on 2 domains matches serially" `Quick
+      (fun () ->
+        (* each domain must step its own runs: the shims find the run
+           being advanced through domain-local storage *)
+        let module Api = Icb_chess.Api in
+        let module Q = Icb_lockfree.Msqueue in
+        let body () =
+          let q = Q.create () in
+          let d = Api.Semaphore.create 0 in
+          for v = 1 to 3 do
+            Api.spawn (fun () ->
+                Q.enqueue q v;
+                Api.Semaphore.release d)
+          done;
+          for _ = 1 to 3 do
+            Api.Semaphore.acquire d
+          done;
+          let rec drain acc =
+            match Q.dequeue q with Some v -> drain (v :: acc) | None -> acc
+          in
+          if List.sort compare (drain []) <> [ 1; 2; 3 ] then
+            failwith "queue lost or duplicated a value"
+        in
+        let run domains =
+          Explore.run
+            (Icb_chess.Chess_engine.engine body)
+            ~domains
+            (Explore.Icb { max_bound = Some 2; cache = false })
+        in
+        let s = run 1 in
+        check Alcotest.int "serial executions" 8_677 s.Sresult.executions;
+        check Alcotest.int "serial states" 83_869 s.Sresult.distinct_states;
+        assert_equivalent "2 domains vs serial" s (run 2));
   ]
 
 (* --- determinism across identical parallel runs --------------------------- *)

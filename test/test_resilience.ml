@@ -487,55 +487,87 @@ let crash_tests =
 
 (* --- divergence detection -------------------------------------------------- *)
 
+(* State leaks across executions through [flip], so the body takes a
+   different number of synchronization steps on every run — the classic
+   nondeterminism CHESS must call out. *)
+let flip_body () =
+  let flip = ref false in
+  fun () ->
+    flip := not !flip;
+    let c = Api.Shared.make 0 in
+    Api.spawn (fun () -> Api.Shared.set c 1);
+    ignore (Api.Shared.get c);
+    if !flip then ignore (Api.Shared.get c)
+
+(* Only the first run to reach the main thread's end takes the extra
+   step.  That run is round 0's first execution, which one domain runs
+   before any other, so every later run diverges from what it recorded
+   however the domains interleave their runs ([flip]'s toggle would
+   depend on that). *)
+let first_run_body () =
+  let first = Atomic.make true in
+  fun () ->
+    let c = Api.Shared.make 0 in
+    Api.spawn (fun () -> Api.Shared.set c 1);
+    ignore (Api.Shared.get c);
+    if Atomic.exchange first false then ignore (Api.Shared.get c)
+
+let deterministic_body () =
+  let m = Api.Mutex.create () in
+  for _ = 1 to 2 do
+    Api.spawn (fun () ->
+        Api.Mutex.lock m;
+        Api.Mutex.unlock m)
+  done
+
+let capped_chess ?domains ?cache body =
+  Explore.run (CE.engine body)
+    ~options:{ Collector.default_options with max_executions = Some 2000 }
+    ?domains ?cache icb_unbounded
+
+let assert_nondeterministic (r : Sresult.t) =
+  match
+    List.find_opt
+      (fun (b : Sresult.bug) -> b.Sresult.key = "nondeterministic-program")
+      r.Sresult.bugs
+  with
+  | None -> Alcotest.fail "expected a nondeterministic-program diagnostic"
+  | Some b ->
+    check Alcotest.bool "actionable message" true
+      (String.length b.Sresult.msg > 40)
+
 let divergence_tests =
   [
     Alcotest.test_case
       "a nondeterministic chess body is reported, not a crash" `Quick
       (fun () ->
-        (* state leaks across executions through [flip], so the body takes
-           a different number of synchronization steps on every run — the
-           classic nondeterminism CHESS must call out *)
-        let flip = ref false in
-        let body () =
-          flip := not !flip;
-          let c = Api.Shared.make 0 in
-          Api.spawn (fun () -> Api.Shared.set c 1);
-          ignore (Api.Shared.get c);
-          if !flip then ignore (Api.Shared.get c)
-        in
-        let r =
-          CE.run
-            ~options:
-              { Collector.default_options with max_executions = Some 2000 }
-            ~strategy:icb_unbounded body
-        in
-        match
-          List.find_opt
-            (fun (b : Sresult.bug) ->
-              b.Sresult.key = "nondeterministic-program")
-            r.Sresult.bugs
-        with
-        | None ->
-          Alcotest.fail "expected a nondeterministic-program diagnostic"
-        | Some b ->
-          check Alcotest.bool "actionable message" true
-            (String.length b.Sresult.msg > 40));
+        assert_nondeterministic (capped_chess (flip_body ())));
     Alcotest.test_case "deterministic bodies never trigger the detector"
       `Quick (fun () ->
-        let body () =
-          let m = Api.Mutex.create () in
-          for _ = 1 to 2 do
-            Api.spawn (fun () ->
-                Api.Mutex.lock m;
-                Api.Mutex.unlock m)
-          done
-        in
-        let r = CE.run ~strategy:icb_unbounded body in
+        let r = CE.run ~strategy:icb_unbounded deterministic_body in
         check Alcotest.bool "no false positive" false
           (List.exists
              (fun (b : Sresult.bug) ->
                b.Sresult.key = "nondeterministic-program")
              r.Sresult.bugs);
+        check Alcotest.bool "complete" true r.Sresult.complete);
+    Alcotest.test_case "a nondeterministic chess body is reported uncached"
+      `Quick (fun () ->
+        assert_nondeterministic (capped_chess ~cache:false (flip_body ())));
+    Alcotest.test_case "a nondeterministic chess body is reported on 2 domains"
+      `Quick (fun () ->
+        assert_nondeterministic (capped_chess ~domains:2 (first_run_body ())));
+    Alcotest.test_case
+      "a nondeterministic chess body is reported on 2 domains uncached"
+      `Quick (fun () ->
+        assert_nondeterministic
+          (capped_chess ~domains:2 ~cache:false (first_run_body ())));
+    Alcotest.test_case "deterministic bodies never trigger it on 2 domains"
+      `Quick (fun () ->
+        let r =
+          Explore.run (CE.engine deterministic_body) ~domains:2 icb_unbounded
+        in
+        check (Alcotest.list Alcotest.string) "no bug" [] (bug_keys r);
         check Alcotest.bool "complete" true r.Sresult.complete);
   ]
 

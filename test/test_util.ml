@@ -271,6 +271,15 @@ let framing_tests =
         let r = Framing.read_file ~path ~magic:"TEST" () in
         Sys.remove path;
         check Alcotest.bool "same payload" true (r = Ok (1, payload)));
+    Alcotest.test_case "a directory cannot be opened, not a truncation"
+      `Quick (fun () ->
+        let path = Filename.temp_file "icb-frame" ".ckpt" in
+        Sys.remove path;
+        Sys.mkdir path 0o700;
+        let r = Framing.read_file ~path ~magic:"TEST" () in
+        Sys.rmdir path;
+        check Alcotest.bool "Cannot_open naming the directory" true
+          (r = Error (Framing.Cannot_open (path ^ ": Is a directory"))));
   ]
 
 (* --- Sigset ------------------------------------------------------------- *)
