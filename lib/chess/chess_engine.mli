@@ -43,7 +43,10 @@ val run :
   Icb_search.Sresult.t
 (** When the strategy consumes a shared-variable ranking
     ([Explore.needs_env]) and no [env] is given, one is built with
-    {!shared_env} — at the cost of one profiling execution of the body. *)
+    {!shared_env} — at the cost of one profiling execution of the body.
+    A strategy's state cache keys on happens-before signatures here, which
+    a thread's first step leaves unchanged: [cache = true] raises
+    [Invalid_argument]. *)
 
 val shared_env : ?max_steps:int -> (unit -> unit) -> Icb_search.Strategy.env
 (** Rank the test body's shared variables by access count along one

@@ -15,9 +15,9 @@ type packed_engine =
 
 (* One batch: build a fresh strategy instance positioned at the batch's
    round via [of_prefixes] (the work list is always non-empty, so the
-   randomized strategies never mint fresh walks here), drain the local
-   deque exactly like a parallel worker — own items pop front-first,
-   [c_push] follow-ups run depth-first — and serialize everything the
+   randomized strategies never mint fresh walks here), drain it through
+   the serial runner's deque — the items in order, [c_push] follow-ups
+   next, newest first — and serialize everything the
    coordinator's barrier needs.  The collector carries no limits:
    batches are the unit of both work and accounting, and stopping is the
    coordinator's call.  The batch's events are buffered for the wire
@@ -67,12 +67,13 @@ let process_batch (type s) (module E : Icb_search.Engine.S with type state = s)
     in
     let work, _carry = S.of_prefixes lcol v3 in
     let w = S.wstate () in
-    let queue = ref (List.map Driver.of_prefix work) in
+    let q = Driver.deque ~stay:mz.Search_core.mz_stay in
+    q.Driver.sq_seed (List.map Driver.of_prefix work);
     let deferred = ref [] in
     let ctx =
       {
         Strategy.c_col = lcol;
-        c_push = (fun it -> queue := mz.Search_core.mz_stay it :: !queue);
+        c_push = q.Driver.sq_push;
         (* a deferred item leaves the process as its prefix *)
         c_defer = (fun it -> deferred := Strategy.prefix_of it :: !deferred);
         c_materialize = Search_core.contained (module E) mz lcol;
@@ -82,10 +83,9 @@ let process_batch (type s) (module E : Icb_search.Engine.S with type state = s)
     let stats = mz.Search_core.mz_stats in
     let before = { stats with Replay_cache.hits = stats.Replay_cache.hits } in
     let rec loop () =
-      match !queue with
-      | [] -> ()
-      | it :: rest ->
-        queue := rest;
+      match q.Driver.sq_pop () with
+      | None -> ()
+      | Some it ->
         Driver.expand_item emit expand ctx it;
         loop ()
     in

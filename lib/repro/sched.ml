@@ -27,12 +27,7 @@ let better a b =
     (b.preemptions, b.depth, b.schedule)
   < 0
 
-let count_switches schedule =
-  let rec go n = function
-    | a :: (b :: _ as rest) -> go (if a <> b then n + 1 else n) rest
-    | _ -> n
-  in
-  go 0 schedule
+let count_switches = Collector.count_switches
 
 exception Budget
 
@@ -40,19 +35,16 @@ let tick steps =
   if !steps <= 0 then raise Budget;
   decr steps
 
-(* Mirrors [Search_core.record_crash]'s keying, so a crash-contained bug
+(* The search's own keying, so a crash-contained bug
    ("engine-crash:Stack_overflow", "nondeterministic-program") matches
-   the replayed exception during minimization. *)
-let crash_key = function
-  | Engine.Nondeterministic_program _ -> "nondeterministic-program"
-  | exn -> "engine-crash:" ^ Printexc.exn_slot_name exn
+   the replayed exception during minimization, and a terminal status
+   matches the bug the collector would have recorded for it. *)
+let crash_key = Search_core.crash_key
 
-(* The terminal-status counterpart: the collector keys deadlock bugs
-   "deadlock" and assertion/race failures by their own key. *)
-let status_matches ~deadlock_is_error ~key = function
-  | Engine.Failed { key = k; _ } -> k = key
-  | Engine.Deadlock _ -> deadlock_is_error && key = "deadlock"
-  | Engine.Terminated | Engine.Running -> false
+let status_matches ~deadlock_is_error ~key status =
+  match Collector.status_bug ~deadlock_is_error status with
+  | Some (k, _) -> k = key
+  | None -> false
 
 let witness_of (type s) (module E : Engine.S with type state = s) st =
   let schedule = E.schedule st in

@@ -25,7 +25,7 @@ val better : witness -> witness -> bool
 
 val count_switches : int list -> int
 (** Total context switches (preempting or not): adjacent pairs of
-    differing thread ids. *)
+    differing thread ids — {!Icb_search.Collector.count_switches}. *)
 
 exception Budget
 (** Raised by {!probe} and {!bounded_find} when the shared engine-step
@@ -34,8 +34,8 @@ exception Budget
 
 val crash_key : exn -> string
 (** The bug key crash containment gives an exception escaping an engine
-    step ("nondeterministic-program" or "engine-crash:<constructor>"),
-    mirrored from the search library so crash bugs minimize too. *)
+    step ("nondeterministic-program" or "engine-crash:<constructor>"):
+    {!Icb_search.Search_core.crash_key}, so crash bugs minimize too. *)
 
 val probe :
   (module Icb_search.Engine.S with type state = 's) ->

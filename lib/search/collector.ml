@@ -40,7 +40,6 @@ exception Stop
 
 type t = {
   opts : options;
-  least_witness : bool;
   visited : Sigset.t;
   bugs : (string, Sresult.bug) Hashtbl.t;
   mutable bug_order : string list;  (* reversed *)
@@ -60,10 +59,9 @@ type t = {
   mutable bound_executions : (int * int) list;(* reversed *)
 }
 
-let create ?(least_witness = false) opts =
+let create opts =
   {
     opts;
-    least_witness;
     visited = Sigset.create 1024;
     bugs = Hashtbl.create 16;
     bug_order = [];
@@ -123,17 +121,41 @@ type execution_end = {
   status : Engine.status;
 }
 
-(* Context switches in a schedule: positions where the thread changes. *)
 let count_switches schedule =
-  match schedule with
-  | [] -> 0
-  | first :: rest ->
-    let switches, _ =
-      List.fold_left
-        (fun (n, prev) tid -> ((n + if tid <> prev then 1 else 0), tid))
-        (0, first) rest
-    in
-    switches
+  let rec go n = function
+    | a :: (b :: _ as rest) -> go (if a <> b then n + 1 else n) rest
+    | _ -> n
+  in
+  go 0 schedule
+
+let status_bug ~deadlock_is_error : Engine.status -> (string * string) option
+    = function
+  | Engine.Failed { key; msg } -> Some (key, msg)
+  | Engine.Deadlock blocked when deadlock_is_error ->
+    Some
+      ( "deadlock",
+        Format.asprintf "deadlock; blocked threads: %s"
+          (String.concat ", " (List.map string_of_int blocked)) )
+  | Engine.Deadlock _ | Engine.Terminated | Engine.Running -> None
+
+(* The witness rule of [end_execution] and [absorb_bug]; [true] iff the
+   key is new.  A least witness does not depend on the order witnesses
+   arrive in, so runners draining the same executions keep the same. *)
+let offer t (b : Sresult.bug) =
+  match Hashtbl.find_opt t.bugs b.Sresult.key with
+  | None ->
+    Hashtbl.add t.bugs b.Sresult.key b;
+    t.bug_order <- b.Sresult.key :: t.bug_order;
+    true
+  | Some old ->
+    if
+      compare (b.Sresult.preemptions, b.Sresult.schedule)
+        (old.Sresult.preemptions, old.Sresult.schedule)
+      < 0
+    then
+      Hashtbl.replace t.bugs b.Sresult.key
+        { b with Sresult.execution = old.Sresult.execution };
+    false
 
 (* Telemetry names for {!Engine.status}; [Running] at execution end means
    the execution was truncated by a depth bound. *)
@@ -163,42 +185,27 @@ let end_execution t (e : execution_end) =
            status = status_string e.status;
            executions = t.executions;
          });
-  let bug_of key msg =
-    let witness () =
-      {
-        Sresult.key;
-        msg;
-        schedule = e.schedule;
-        preemptions = e.preemptions;
-        context_switches = count_switches e.schedule;
-        depth = e.depth;
-        execution = t.executions;
-      }
-    in
-    match Hashtbl.find_opt t.bugs key with
-    | None ->
-      Hashtbl.add t.bugs key (witness ());
-      t.bug_order <- key :: t.bug_order;
+  (match status_bug ~deadlock_is_error:t.opts.deadlock_is_error e.status with
+  | None -> ()
+  | Some (key, msg) ->
+    if
+      offer t
+        {
+          Sresult.key;
+          msg;
+          schedule = e.schedule;
+          preemptions = e.preemptions;
+          context_switches = count_switches e.schedule;
+          depth = e.depth;
+          execution = t.executions;
+        }
+    then begin
       if Icb_obs.Emit.enabled t.opts.events then
         Icb_obs.Emit.emit t.opts.events
           (Icb_obs.Event.Bug_found
              { key; preemptions = e.preemptions; execution = t.executions });
       if t.opts.stop_at_first_bug then stop t Sresult.First_bug
-    | Some old ->
-      if
-        t.least_witness
-        && compare (e.preemptions, e.schedule)
-             (old.Sresult.preemptions, old.Sresult.schedule)
-           < 0
-      then Hashtbl.replace t.bugs key (witness ())
-  in
-  (match e.status with
-  | Engine.Failed { key; msg } -> bug_of key msg
-  | Engine.Deadlock blocked when t.opts.deadlock_is_error ->
-    bug_of "deadlock"
-      (Format.asprintf "deadlock; blocked threads: %s"
-         (String.concat ", " (List.map string_of_int blocked)))
-  | Engine.Deadlock _ | Engine.Terminated | Engine.Running -> ());
+    end);
   (match t.opts.on_progress with
   | None -> ()
   | Some f ->
@@ -230,13 +237,9 @@ let elapsed t = Unix.gettimeofday () -. t.started
 
 let bug_count t = Hashtbl.length t.bugs
 
-let has_bug t key = Hashtbl.mem t.bugs key
+let absorb_bug t b = ignore (offer t b)
 
-let absorb_bug t (b : Sresult.bug) =
-  if not (Hashtbl.mem t.bugs b.Sresult.key) then begin
-    Hashtbl.add t.bugs b.Sresult.key b;
-    t.bug_order <- b.Sresult.key :: t.bug_order
-  end
+let bugs t = List.rev_map (Hashtbl.find t.bugs) t.bug_order
 
 (* --- checkpointable snapshot ------------------------------------------- *)
 
@@ -270,7 +273,7 @@ let snapshot t =
            incr i)
          t.visited;
        a);
-    s_bugs = List.rev_map (fun key -> Hashtbl.find t.bugs key) t.bug_order;
+    s_bugs = bugs t;
     s_executions = t.executions;
     s_total_steps = t.total_steps;
     s_max_steps = t.max_steps;
@@ -286,11 +289,7 @@ let snapshot t =
 let restore opts s =
   let t = create opts in
   Array.iter (Sigset.add t.visited) s.s_visited;
-  List.iter
-    (fun (b : Sresult.bug) ->
-      Hashtbl.replace t.bugs b.Sresult.key b;
-      t.bug_order <- b.Sresult.key :: t.bug_order)
-    s.s_bugs;
+  List.iter (fun b -> ignore (offer t b)) s.s_bugs;
   t.executions <- s.s_executions;
   t.total_steps <- s.s_total_steps;
   t.max_steps <- s.s_max_steps;
@@ -384,7 +383,7 @@ let result t ~strategy =
     Sresult.strategy;
     executions = t.executions;
     distinct_states = Sigset.length t.visited;
-    bugs = List.rev_map (fun key -> Hashtbl.find t.bugs key) t.bug_order;
+    bugs = bugs t;
     max_steps = t.max_steps;
     max_blocks = t.max_blocks;
     max_preemptions = t.max_preemptions;

@@ -53,14 +53,7 @@ exception Stop
 
 type t
 
-val create : ?least_witness:bool -> options -> t
-(** [least_witness] (default [false]) is for worker-local collectors
-    whose bugs a barrier merges ({!merge_stats} and a sort of the
-    candidates): a key found again with a smaller
-    [(preemptions, schedule)] replaces its witness, so each worker
-    offers its least one and the merge's choice does not depend on
-    which worker ran which item.  Serial collectors keep the first
-    witness. *)
+val create : options -> t
 
 val touch : t -> int64 -> unit
 (** Record a reached state by signature.  Raises {!Stop} when the state or
@@ -91,6 +84,19 @@ type execution_end = {
 }
 
 val end_execution : t -> execution_end -> unit
+(** Count the execution and record the bug its status exposes
+    ({!status_bug}).  Each bug key keeps the least
+    [(preemptions, schedule)] witness seen, stamped with the execution
+    that first found the key, whose discovery alone emits [Bug_found]
+    and honours [stop_at_first_bug]. *)
+
+val status_bug :
+  deadlock_is_error:bool -> Engine.status -> (string * string) option
+(** The key and message of the bug an end status exposes: a failure by
+    its own key, a deadlock as ["deadlock"] when deadlocks are errors. *)
+
+val count_switches : int list -> int
+(** Context switches in a schedule: adjacent differing thread ids. *)
 
 val record_bound : t -> int -> unit
 (** ICB: snapshot coverage (distinct states and cumulative executions)
@@ -110,12 +116,11 @@ val elapsed : t -> float
 
 val bug_count : t -> int
 
-val has_bug : t -> string -> bool
-
 val absorb_bug : t -> Sresult.bug -> unit
-(** Add a bug found by another collector (a parallel worker), deduplicating
-    by key; never raises {!Stop} — the caller enforces
-    [stop_at_first_bug] at its own granularity. *)
+(** Add a bug found by another collector (a parallel worker, a
+    distributed batch) under {!end_execution}'s witness rule: a known key
+    takes a lesser witness and keeps its stamp.  Never raises {!Stop} —
+    the caller enforces [stop_at_first_bug] at its own granularity. *)
 
 val mark_growth : t -> unit
 (** Append a (executions so far, distinct states) point to the growth

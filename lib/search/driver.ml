@@ -66,77 +66,65 @@ module Dq = struct
   let snapshot q = Mutex.protect q.m (fun () -> q.front @ List.rev q.back)
 end
 
-(* The serial round queue: one in-process queue honouring the strategy's
-   discipline. *)
+(* One worker's queue of a round's items, where nothing is stolen. *)
 type 'a squeue = {
-  sq_push : 'a -> unit;
-  sq_seed : 'a list -> unit;  (* round items, in order *)
+  sq_push : 'a -> unit;       (* a follow-up for the current round *)
+  sq_seed : 'a list -> unit;  (* the round's items, in order *)
   sq_pop : unit -> 'a option;
   sq_items : unit -> 'a list; (* non-destructive, in pop order *)
 }
 
-let fifo_queue () =
-  let q = Queue.create () in
+(* A pool worker's deque ({!Dq}) without lock or thieves, for the serial
+   runner and a distributed batch: own follow-ups first, newest first,
+   then the round's items in order, handed off by [stay] as they are
+   pushed or taken, so seeding does not copy the round's list. *)
+let deque ~stay =
+  let own = ref [] and round = ref [] in
   {
-    sq_push = (fun x -> Queue.add x q);
-    sq_seed = List.iter (fun x -> Queue.add x q);
-    sq_pop = (fun () -> Queue.take_opt q);
-    sq_items = (fun () -> List.rev (Queue.fold (fun acc x -> x :: acc) [] q));
-  }
-
-let lifo_queue () =
-  let stack = ref [] in
-  {
-    sq_push = (fun x -> stack := x :: !stack);
-    sq_seed = (fun xs -> stack := xs @ !stack);
+    sq_push = (fun x -> own := stay x :: !own);
+    sq_seed = (fun xs -> round := xs);
     sq_pop =
       (fun () ->
-        match !stack with
-        | [] -> None
-        | x :: rest ->
-          stack := rest;
-          Some x);
-    sq_items = (fun () -> !stack);
+        match (!own, !round) with
+        | x :: rest, _ ->
+          own := rest;
+          Some x
+        | [], x :: rest ->
+          round := rest;
+          Some (stay x)
+        | [], [] -> None);
+    sq_items = (fun () -> !own @ !round);
   }
 
-(* Best-first as a bucket queue (ranks are small non-negative ints —
-   enabled-thread counts); highest bucket first, FIFO within a bucket. *)
-let rank_queue (type a) ~(rank : a -> int) =
-  let buckets : (int, a Queue.t) Hashtbl.t = Hashtbl.create 8 in
-  let max_bucket = ref 0 in
+(* Best-first: highest rank first, in push order within a rank.  [prep]
+   readies an item for ranking, or drops it ([None]). *)
+module Ranked = Map.Make (struct
+  type t = int * int  (* minus the rank, push count *)
+
+  let compare = compare
+end)
+
+let rank_queue ~rank ~prep =
+  let q = ref Ranked.empty and pushed = ref 0 in
   let push x =
-    let n = max 0 (rank x) in
-    let q =
-      match Hashtbl.find_opt buckets n with
-      | Some q -> q
-      | None ->
-        let q = Queue.create () in
-        Hashtbl.add buckets n q;
-        q
-    in
-    Queue.add x q;
-    max_bucket := max !max_bucket n
+    Option.iter
+      (fun x ->
+        incr pushed;
+        q := Ranked.add (-max 0 (rank x), !pushed) x !q)
+      (prep x)
   in
-  let pop () =
-    let rec from n =
-      if n < 0 then None
-      else
-        match Hashtbl.find_opt buckets n with
-        | Some q when not (Queue.is_empty q) -> Some (Queue.pop q)
-        | Some _ | None -> from (n - 1)
-    in
-    from !max_bucket
-  in
-  let items () =
-    let acc = ref [] in
-    for n = !max_bucket downto 0 do
-      match Hashtbl.find_opt buckets n with
-      | None -> ()
-      | Some q -> Queue.iter (fun x -> acc := x :: !acc) q
-    done;
-    List.rev !acc
-  in
-  { sq_push = push; sq_seed = List.iter push; sq_pop = pop; sq_items = items }
+  {
+    sq_push = push;
+    sq_seed = List.iter push;
+    sq_pop =
+      (fun () ->
+        Option.map
+          (fun (k, x) ->
+            q := Ranked.remove k !q;
+            x)
+          (Ranked.min_binding_opt !q));
+    sq_items = (fun () -> List.map snd (Ranked.bindings !q));
+  }
 
 let of_prefix (sched, payload) =
   {
@@ -331,17 +319,17 @@ let save ses col f =
            })
 
 (* The deterministic barrier merge: fold the results' statistics into
-   [col] in the given order, then absorb their bug candidates sorted, so
-   the surviving representative of each key is independent of which
-   worker found it first, with the discovery stamp forged to the
-   cumulative execution count at the merge point. *)
+   [col] in the given order, then absorb their bug candidates under the
+   collector's witness rule, so each key keeps its least witness however
+   the items were dealt.  A key new to [col] is stamped with the
+   cumulative execution count at the merge point; the sort fixes the
+   order new keys are listed in. *)
 let merge col snaps =
   List.iter (Collector.merge_stats col) snaps;
   let stamp = Collector.executions col in
   List.iter
     (fun (b : Sresult.bug) ->
-      if not (Collector.has_bug col b.Sresult.key) then
-        Collector.absorb_bug col { b with Sresult.execution = stamp })
+      Collector.absorb_bug col { b with Sresult.execution = stamp })
     (List.sort
        (fun (a : Sresult.bug) (b : Sresult.bug) ->
          compare (a.preemptions, a.schedule, a.key)
@@ -515,12 +503,14 @@ let rounds (type s w) ses (module E : Engine.S with type state = s)
 
 (* --- the serial runner --------------------------------------------------- *)
 
-(* One queue honouring the strategy's discipline.  Limits fire as
+(* One worker draining a round as a pool worker drains its deque, or
+   best-first for a strategy that ranks its items.  Limits fire as
    [Collector.Stop] from inside an expansion; the runner then reports the
-   remaining frontier, conservatively re-queuing the interrupted item (and
-   rolling back the follow-up items it already deferred, so resume
-   explores nothing twice) — except for strategies with atomic items
-   interrupted exactly at their execution's end, whose resume is exact. *)
+   remaining frontier, conservatively re-queuing the interrupted item
+   and dropping what it deferred, which its re-run defers again, so
+   resume explores nothing twice — except for strategies with atomic
+   items interrupted exactly at their execution's end, whose resume is
+   exact. *)
 let serial (type s w) ses (module E : Engine.S with type state = s)
     (module S : Strategy.S with type state = s and type wstate = w)
     ~(wstates : w array) ~(mz : s Search_core.materializer) =
@@ -545,33 +535,32 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
             nondeterministic program"
            (Printexc.to_string exn))
   in
-  (* Under the [`Rank] discipline an item's priority needs its state;
-     materialize before insertion, and drop an item whose prefix failed
-     (already recorded). *)
-  let prep it =
-    match S.discipline with
-    | `Rank when it.Strategy.i_state = None ->
-      Option.map (fun st -> { it with Strategy.i_state = Some st })
-        (materialize it)
-    | _ -> Some it
-  in
   let sq =
-    match S.discipline with
-    | `Fifo -> fifo_queue ()
-    | `Lifo -> lifo_queue ()
-    | `Rank -> rank_queue ~rank:(fun it -> S.rank (module E) it)
+    match S.rank with
+    | None -> deque ~stay:mz.Search_core.mz_stay
+    | Some rank ->
+      (* a rank needs the item's state: materialize before insertion,
+         and drop an item whose prefix failed (already recorded) *)
+      rank_queue ~rank:(rank (module E)) ~prep:(fun it ->
+          let it = mz.Search_core.mz_stay it in
+          if it.Strategy.i_state <> None then Some it
+          else
+            Option.map
+              (fun st -> { it with Strategy.i_state = Some st })
+              (materialize it))
   in
-  let deferred = ref [] in
-  let defer_len = ref 0 in
+  (* the next round's items, newest first: [deferred] from finished
+     items, [pending] from the item being expanded *)
+  let deferred = ref [] and pending = ref [] in
+  let commit () =
+    deferred := !pending @ !deferred;
+    pending := []
+  in
   let ctx =
     {
       Strategy.c_col = master;
-      c_push =
-        (fun it -> Option.iter sq.sq_push (prep (mz.Search_core.mz_stay it)));
-      c_defer =
-        (fun it ->
-          deferred := mz.Search_core.mz_move it :: !deferred;
-          incr defer_len);
+      c_push = sq.sq_push;
+      c_defer = (fun it -> pending := mz.Search_core.mz_move it :: !pending);
       c_materialize = materialize;
     }
   in
@@ -591,37 +580,31 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
     | None -> None
     | Some it -> (
       let execs0 = Collector.executions master in
-      let defers0 = !defer_len in
       match expand_item ses.emit expand ctx it with
       | () ->
+        commit ();
         periodic ();
         drain ()
       | exception Collector.Stop ->
         (* An item that records exactly one execution, interrupted at
            that execution's end, is already done: resume repeats
-           nothing.  Otherwise re-queue it — and roll back the items it
-           already deferred, which its re-run will defer again. *)
-        if S.atomic_items && Collector.executions master > execs0 then
+           nothing. *)
+        if S.atomic_items && Collector.executions master > execs0 then begin
+          commit ();
           Some []
+        end
         else begin
-          let rec drop n l =
-            if n <= 0 then l
-            else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
-          in
-          deferred := drop (!defer_len - defers0) !deferred;
-          defer_len := defers0;
+          pending := [];
           Some [ it ]
         end)
   in
   fun items ~carry ->
-    List.iter ctx.Strategy.c_defer carry;
-    sq.sq_seed
-      (List.filter_map (fun it -> prep (mz.Search_core.mz_stay it)) items);
+    deferred := List.rev_map mz.Search_core.mz_move carry;
+    sq.sq_seed items;
     match drain () with
     | None ->
       let next = List.rev !deferred in
       deferred := [];
-      defer_len := 0;
       Drained next
     | Some in_flight ->
       Stopped
@@ -747,14 +730,11 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
                   p_frontier = Some n_work;
                 })
     in
-    (* Each worker collector keeps its least witness per bug key, so
-       which items work stealing handed a worker cannot change the
-       witness the barrier picks. *)
     let lcols =
       Array.init domains (fun i ->
           let cell = ref None in
           let c =
-            Collector.create ~least_witness:true
+            Collector.create
               {
                 ses.workers with
                 Collector.on_progress = Some (hook cell);

@@ -122,7 +122,8 @@ module type S = sig
       [restore (capture st)] must behave exactly like [st] under every
       operation of this signature, arbitrarily many times.  [None] declines
       the capability — the search then rebuilds states by replaying
-      schedule prefixes from [initial] (the CHESS stateless discipline). *)
+      schedule prefixes from [initial] (the CHESS stateless discipline),
+      and refuses the strategies' state caches, which key on [signature]. *)
 
   val restore : snap -> state
   (** Rehydrate a snapshot.  Never called when [snapshot] is [None]. *)

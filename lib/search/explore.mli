@@ -27,6 +27,13 @@
     Each strategy variant selects a {!Strategies} instance (a first-class
     module of type {!Strategy.S}); {!Driver.run} executes it. *)
 
+(** A [cache] field is the strategy's state cache (Algorithm 1's
+    work-item cache, or a visited-signature table).  It keys on
+    {!Engine.S.signature}, so over an engine without snapshots (CHESS,
+    whose happens-before signature a thread's first step leaves
+    unchanged) [cache = true] raises [Invalid_argument] naming the
+    strategy.  {!run}'s [?cache] is the replay cache, a different
+    thing. *)
 type strategy =
   | Icb of { max_bound : int option; cache : bool }
       (** iterative context bounding; [max_bound = Some c] stops after

@@ -30,23 +30,26 @@ let finish (type s) (module E : Engine.S with type state = s) col (st : s)
    whole search: the schedule prefix that provoked it is a perfectly
    replayable bug report.  [Engine.Nondeterministic_program] gets its own
    key and an actionable message; everything else is keyed by the
-   exception's constructor so repeated crashes deduplicate. *)
+   exception's constructor so repeated crashes deduplicate.  The repro
+   layer matches replayed crashes by the same [crash_key]. *)
+let crash_key = function
+  | Engine.Nondeterministic_program _ -> "nondeterministic-program"
+  | exn -> "engine-crash:" ^ Printexc.exn_slot_name exn
+
 let record_crash (type s) (module E : Engine.S with type state = s) col
     (st : s) tid exn =
-  let key, msg =
+  let msg =
     match exn with
     | Engine.Nondeterministic_program detail ->
-      ( "nondeterministic-program",
-        Printf.sprintf
-          "the test body is nondeterministic: %s; make the body \
-           deterministic (no timing, Random or I/O dependence, no state \
-           leaking across executions) so schedules replay faithfully"
-          detail )
+      Printf.sprintf
+        "the test body is nondeterministic: %s; make the body \
+         deterministic (no timing, Random or I/O dependence, no state \
+         leaking across executions) so schedules replay faithfully"
+        detail
     | exn ->
-      ( "engine-crash:" ^ Printexc.exn_slot_name exn,
-        Printf.sprintf
-          "exception escaped the engine step (thread %d at depth %d): %s"
-          tid (E.depth st) (Printexc.to_string exn) )
+      Printf.sprintf
+        "exception escaped the engine step (thread %d at depth %d): %s" tid
+        (E.depth st) (Printexc.to_string exn)
   in
   Collector.end_execution col
     {
@@ -56,7 +59,7 @@ let record_crash (type s) (module E : Engine.S with type state = s) col
       threads = E.thread_count st;
       schedule = E.schedule st @ [ tid ];
       signature = E.signature st;
-      status = Engine.Failed { key; msg };
+      status = Engine.Failed { key = crash_key exn; msg };
     }
 
 (* Step the engine, containing crashes: [None] means the step blew up and

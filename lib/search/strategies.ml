@@ -1,16 +1,16 @@
 (* The concrete strategies, as first-class {!Strategy.S} instances.
 
-   Each constructor takes the engine module purely as a type witness (the
+   Each constructor takes the engine module as a type witness (the
    instance never steps it — the driver passes each worker's own engine to
    [roots]/[expand]/[rank]) and returns a fresh instance holding that
    run's round state, so instances are single-use.
 
    Faithfulness notes, enforced by the test suite:
-   - ICB reproduces Algorithm 1 exactly: FIFO work queue, preempting
-     branches deferred to the next round (= context bound), the optional
-     (signature, tid) work-item cache per worker.
-   - The DFS family runs as one-step-per-item under the LIFO discipline,
-     which replays the recursive implementation's event order exactly
+   - ICB reproduces Algorithm 1 exactly: rounds run in item order,
+     preempting branches deferred to the next round (= context bound),
+     the optional (signature, tid) work-item cache per worker.
+   - The DFS family runs one step per item, its follow-ups next, which
+     replays the recursive implementation's event order exactly
      (step, touch, seen-check, recurse) — growth curves and execution
      counts are identical to the old recursion.
    - Randomized strategies derive an independent SplitMix64 stream per
@@ -43,6 +43,13 @@ let seen_before set sg =
 let walk_rng seed i =
   Icb_util.Rng.create
     (Int64.add seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (i + 1))))
+
+(* The state caches key on [E.signature], which an engine without
+   snapshots (CHESS) leaves unchanged across a thread's first step. *)
+let check_cache (type s) (module E : Engine.S with type state = s) ~cache name
+    =
+  if cache && Option.is_none E.snapshot then
+    invalid_arg (name ^ ": the state cache needs an engine with snapshots")
 
 (* --- where preemptions may happen ----------------------------------------- *)
 
@@ -132,9 +139,10 @@ let icb_roots (type s) (module E : Engine.S with type state = s) col =
    the price is completeness — exhaustion with sealed points is
    [`Bounded], not [`Complete].  Plain [icb] passes no [vars], so
    [icb_item] runs with its default admit. *)
-let icb_rounds (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
+let icb_rounds (type s) (module E : Engine.S with type state = s) ~tag_ ~name_
     ~static ~max_bound ~cache ?vars () : (module Strategy.S with type state = s)
     =
+  check_cache (module E) ~cache name_;
   (module struct
     type state = s
 
@@ -142,7 +150,6 @@ let icb_rounds (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
     let tag = tag_
     let checkpointable = true
     let shardable = true
-    let discipline = `Fifo
     let atomic_items = false  (* one item explores a whole subtree *)
 
     type wstate = item_wstate
@@ -180,7 +187,7 @@ let icb_rounds (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
               (item ~sched:(E.schedule st') ~payload:t ~state:(Some st')))
           (st, it.Strategy.i_payload)
 
-    let rank _ _ = 0
+    let rank = None
     let round () = !bound
 
     let after_round col ~wstates ~deferred =
@@ -249,11 +256,13 @@ let icb_vb (type s) (module E : Engine.S with type state = s) ~n ~max_bound
 (* DFS, depth-bounded DFS and iterative deepening share one instance: a
    round explores everything under the current depth bound; the barrier
    decides whether truncation demands a deeper round.  Items are single
-   steps — (parent prefix, tid), or [visit] for the root — popped LIFO,
-   so the event order matches the recursive formulation exactly. *)
-let dfs_family (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
+   steps — (parent prefix, tid), or [visit] for the root — whose
+   follow-ups run next, newest first, so the event order matches the
+   recursive formulation exactly. *)
+let dfs_family (type s) (module E : Engine.S with type state = s) ~tag_ ~name_
     ~static ~cache ~first ~next_depth :
     (module Strategy.S with type state = s) =
+  check_cache (module E) ~cache name_;
   (module struct
     type state = s
 
@@ -261,7 +270,6 @@ let dfs_family (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
     let tag = tag_
     let checkpointable = true
     let shardable = true
-    let discipline = `Lifo
     let atomic_items = true  (* at most one [finish] per item, as its
                                 last collector-visible action *)
 
@@ -286,7 +294,7 @@ let dfs_family (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
       let col = ctx.Strategy.c_col in
       (* visit a newly reached state: finish terminal or truncated
          executions, otherwise push one item per enabled thread (reversed,
-         so the first enabled thread pops first under LIFO) *)
+         so the first enabled thread's item, pushed last, runs first) *)
       let enter st sg =
         match E.status st with
         | Engine.Running ->
@@ -323,7 +331,7 @@ let dfs_family (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
           | Some st' -> reach st'
         end
 
-    let rank _ _ = 0
+    let rank = None
     let round () = match !cur_bound with None -> 0 | Some d -> d
 
     let after_round _col ~wstates ~deferred:_ =
@@ -431,7 +439,6 @@ let sleep_dfs (type s) (module _ : Engine.S with type state = s) :
     let tag = "sleep-dfs"
     let checkpointable = false
     let shardable = false
-    let discipline = `Lifo
     let atomic_items = false
 
     type wstate = unit
@@ -476,7 +483,7 @@ let sleep_dfs (type s) (module _ : Engine.S with type state = s) :
       | None -> ()
       | Some st -> dfs st (E.signature st) []
 
-    let rank _ _ = 0
+    let rank = None
     let round () = 0
     let after_round _col ~wstates:_ ~deferred:_ = `Complete
 
@@ -490,10 +497,11 @@ let sleep_dfs (type s) (module _ : Engine.S with type state = s) :
 
 (* Groce & Visser's structural heuristic (ISSTA 2002), cited by the paper
    as prior heuristic search: prefer frontier states with more enabled
-   threads.  The [`Rank] discipline gives the bucket-queue order; the
+   threads.  Its [rank] gives the serial runner's best-first order; the
    global priority queue is what keeps this strategy serial-only. *)
-let most_enabled (type s) (module _ : Engine.S with type state = s) ~cache :
+let most_enabled (type s) (module E : Engine.S with type state = s) ~cache :
     (module Strategy.S with type state = s) =
+  check_cache (module E) ~cache "most-enabled";
   (module struct
     type state = s
 
@@ -501,7 +509,6 @@ let most_enabled (type s) (module _ : Engine.S with type state = s) ~cache :
     let tag = "most-enabled"
     let checkpointable = true
     let shardable = false
-    let discipline = `Rank
     let atomic_items = false
 
     type wstate = Icb_util.Sigset.t
@@ -540,10 +547,12 @@ let most_enabled (type s) (module _ : Engine.S with type state = s) ~cache :
           Search_core.finish (module E) col st ~signature:(E.signature st)
             status)
 
-    let rank (module E : Engine.S with type state = state) it =
-      match it.Strategy.i_state with
-      | Some st -> List.length (E.enabled st)
-      | None -> 0
+    let rank =
+      Some
+        (fun (module E : Engine.S with type state = state) it ->
+          match it.Strategy.i_state with
+          | Some st -> List.length (E.enabled st)
+          | None -> 0)
 
     let round () = 0
 
@@ -589,7 +598,6 @@ let walks (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
     let tag = tag_
     let checkpointable = true
     let shardable = true
-    let discipline = `Fifo
     let atomic_items = true  (* one walk = one execution *)
 
     type wstate = { mutable w_kmax : int }
@@ -631,7 +639,7 @@ let walks (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
       Collector.touch col sg0;
       w.w_kmax <- max w.w_kmax (E.depth (walk s0 sg0))
 
-    let rank _ _ = 0
+    let rank = None
     let round () = !next_index
 
     let kmax wstates =
@@ -731,12 +739,13 @@ let pct (type s) (module E : Engine.S with type state = s) ~change_points
 (* vb:N and tb:N share this instance: one round over the sealed subspace,
    depth-first, with no limit on the preemption count — the bound is the
    *where*, not the *how many*.  Preempting branches go into the
-   *current* round's queue (LIFO: depth first); sealed points bump the
-   per-worker counter.  [vars] (vb:N) are the admitted variable keys,
-   persisted through checkpoints. *)
-let sealed_space (type s) (module _ : Engine.S with type state = s) ~tag_
+   *current* round's queue (run next, newest first: depth first); sealed
+   points bump the per-worker counter.  [vars] (vb:N) are the admitted
+   variable keys, persisted through checkpoints. *)
+let sealed_space (type s) (module E : Engine.S with type state = s) ~tag_
     ~name_ ~static ~cache ?vars ~mk_admit () :
     (module Strategy.S with type state = s) =
+  check_cache (module E) ~cache name_;
   (module struct
     type state = s
 
@@ -744,7 +753,6 @@ let sealed_space (type s) (module _ : Engine.S with type state = s) ~tag_
     let tag = tag_
     let checkpointable = true
     let shardable = true
-    let discipline = `Lifo
     let atomic_items = false
 
     type wstate = item_wstate
@@ -771,7 +779,7 @@ let sealed_space (type s) (module _ : Engine.S with type state = s) ~tag_
               (item ~sched:(E.schedule st') ~payload:t ~state:(Some st')))
           (st, it.Strategy.i_payload)
 
-    let rank _ _ = 0
+    let rank = None
     let round () = 0
 
     let after_round col ~wstates ~deferred:_ =

@@ -93,7 +93,8 @@ let env_of_prog prog =
 type 's ctx = {
   c_col : Collector.t;  (* this worker's collector *)
   c_push : 's item -> unit;
-      (* more work for the *current* round (this worker's queue) *)
+      (* more work for the *current* round: it runs next on this
+         worker, newest first *)
   c_defer : 's item -> unit;  (* work for the *next* round *)
   c_materialize : 's item -> 's option;
       (* the item's state: carried live, or its prefix replayed.  [None]
@@ -120,14 +121,6 @@ module type S = sig
   (** Whether items may be distributed across domains.  [false]
       (most-enabled's global priority queue, sleep-set DFS) makes the
       driver reject [domains > 1]. *)
-
-  val discipline : [ `Fifo | `Lifo | `Rank ]
-  (** Serial pop order within a round: queue (ICB, randomized batches),
-      stack (the DFS family — preserves the recursive exploration order
-      exactly), or best-first by {!rank} (most-enabled).  Parallel
-      workers always pop their own deque front-first and steal from
-      victims' backs; strategies that need a global order are not
-      shardable. *)
 
   val atomic_items : bool
   (** An item records at most one execution and is finished once it has
@@ -165,10 +158,12 @@ module type S = sig
       exception escaping is a driver-level failure, engine crashes having
       already been contained by [Search_core.step_guarded]. *)
 
-  val rank : (module Engine.S with type state = state) -> state item -> int
-  (** Priority under the [`Rank] discipline — higher pops first; ties pop
-      FIFO.  Items are materialized before insertion, so [i_state] is
-      available. *)
+  val rank :
+    ((module Engine.S with type state = state) -> state item -> int) option
+  (** [None] but for most-enabled: every runner takes a round's items in
+      order, an item's own follow-ups ([c_push]) next, newest first.
+      [Some rank] makes the serial runner pop higher ranks first, ties in
+      push order, from items materialized on insertion ([i_state] set). *)
 
   val round : unit -> int
   (** The current round counter, for progress display and

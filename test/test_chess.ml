@@ -293,6 +293,38 @@ let engine_tests =
           check Alcotest.int "same minimal bound" a.Sresult.preemptions
             b.Sresult.preemptions
         | _ -> Alcotest.fail "both checkers must find the bug");
+    Alcotest.test_case "the state cache is refused without snapshots" `Quick
+      (fun () ->
+        (* the caches key on the happens-before signature, which a
+           thread's first step leaves unchanged: a cached search would
+           explore nothing and call the space complete *)
+        let body () =
+          let module Q = Icb_lockfree.Msqueue in
+          let q = Q.create () in
+          let d = Api.Semaphore.create 0 in
+          for v = 1 to 2 do
+            Api.spawn (fun () ->
+                Q.enqueue q v;
+                Api.Semaphore.release d)
+          done;
+          Api.Semaphore.acquire d;
+          Api.Semaphore.acquire d;
+          ignore (Q.dequeue q)
+        in
+        List.iter
+          (fun (name, strategy) ->
+            match CE.run ~strategy body with
+            | exception Invalid_argument msg ->
+              check Alcotest.bool (name ^ " is named") true
+                (String.starts_with ~prefix:(name ^ ":") msg)
+            | r ->
+              Alcotest.failf "%s ran cached: %d executions, complete %b" name
+                r.Sresult.executions r.Sresult.complete)
+          [
+            ("icb:2", Explore.Icb { max_bound = Some 2; cache = true });
+            ("dfs", Explore.Dfs { cache = true });
+            ("most-enabled", Explore.Most_enabled { cache = true });
+          ]);
   ]
 
 (* --- the work-stealing queue, transliterated ------------------------------ *)

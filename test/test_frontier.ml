@@ -405,10 +405,135 @@ let v3_fixture_tests =
     ;
   ]
 
+(* --- the serial item order ------------------------------------------------ *)
+
+(* The order in which the serial runner takes a round's items, pinned per
+   strategy as one digest over both buggy models and three execution
+   caps: the capped run's growth and per-bound curves, the frontier its
+   checkpoint holds (timing params stripped), and the result of resuming
+   that checkpoint for 700 more executions.  A cap of 2 stops ICB inside
+   an item that has already deferred work, which a checkpoint must not
+   list twice.  Bug witnesses stay out, since
+   a lesser witness found later may replace one; each bug's key and
+   discovery stamp are in.  The strategies are the registry's plus the
+   state-cached forms, whose caches change which items are queued. *)
+let order_strategies =
+  List.map
+    (fun (r : Explore.registered) -> (r.Explore.reg_name, r.Explore.reg_strategy))
+    (Explore.registry ~seed:11L ())
+  @ [
+      ("icb, cached", Explore.Icb { max_bound = None; cache = true });
+      ("dfs, cached", Explore.Dfs { cache = true });
+      ("most-enabled, cached", Explore.Most_enabled { cache = true });
+      ("vb:2, cached", Explore.Variable_bound { n = 2; cache = true });
+      ("tb:2, cached", Explore.Thread_bound { n = 2; cache = true });
+    ]
+
+let order_digest strategy =
+  let module Fnv = Icb_util.Fnv in
+  let h = ref Fnv.basis in
+  let int n = h := Fnv.int !h n in
+  let str s = h := Fnv.string !h s in
+  (* -1 closes a list, -2 a schedule *)
+  let pairs a =
+    Array.iter (fun (x, y) -> int x; int y) a;
+    int (-1)
+  in
+  let prefixes l =
+    List.iter
+      (fun (sched, payload) ->
+        List.iter int sched;
+        int (-2);
+        int payload)
+      l;
+    int (-1)
+  in
+  let result (r : Sresult.t) =
+    List.iter int [ r.executions; r.distinct_states; r.total_steps ];
+    str (string_of_bool r.complete);
+    str (Option.fold ~none:"-" ~some:Sresult.stop_reason_string r.stop_reason);
+    pairs r.growth;
+    pairs r.bound_coverage;
+    pairs r.bound_executions;
+    List.iter
+      (fun (b : Sresult.bug) ->
+        str b.key;
+        int b.execution)
+      r.bugs
+  in
+  List.iter
+    (fun prog ->
+      let env = Icb_search.Strategy.env_of_prog prog in
+      let module S = (val Explore.instantiate (Icb.engine prog) strategy) in
+      List.iter
+        (fun cap ->
+          let path = tmp_ckpt () in
+          let checkpoint_out = if S.checkpointable then Some path else None in
+          let r =
+            Explore.run (Icb.engine prog) ~options:(opts (Some cap)) ~env
+              ?checkpoint_out ~checkpoint_every:max_int strategy
+          in
+          result r;
+          if S.checkpointable then begin
+            let ck = Checkpoint.load path in
+            let f = Checkpoint.to_v3 ck in
+            List.iter
+              (fun (k, v) ->
+                if k <> Checkpoint.elapsed_key && k <> Checkpoint.bound_times_key
+                then (str k; str v))
+              f.Checkpoint.v3_params;
+            int f.Checkpoint.v3_round;
+            prefixes f.Checkpoint.v3_work;
+            prefixes f.Checkpoint.v3_next;
+            result
+              (Explore.resume (Icb.engine prog)
+                 ~options:(opts (Some (r.Sresult.executions + 700)))
+                 ck)
+          end;
+          Sys.remove path)
+        [ 2; 37; 800 ])
+    [
+      Icb_models.Peterson.program Icb_models.Peterson.Bug_check_before_set;
+      Icb_models.Bluetooth.program ~bug:true;
+    ];
+  Fnv.to_hex !h
+
+let order_pins =
+  [
+    ("icb", "1b5196c42dc24738");
+    ("dfs", "e431d2a6861f4fdf");
+    ("db:40", "ae56c924215bffe1");
+    ("idfs:48", "b881eb25e74ccf2a");
+    ("random", "6528ee0878f98f94");
+    ("sleep-dfs", "479123028e38da32");
+    ("pct:3", "630f2960129ddf04");
+    ("most-enabled", "47d4b78b066a2d34");
+    ("vb:2", "3a0309ee38fd31e0");
+    ("tb:2", "d7eb9752c68e7a59");
+    ("icb-vb:2", "020c101836e99cf2");
+    ("icb, cached", "253f3763a2671e94");
+    ("dfs, cached", "4fed65ade9bd0474");
+    ("most-enabled, cached", "c7030bdafc0ebee3");
+    ("vb:2, cached", "ee3cf968cacda2c0");
+    ("tb:2, cached", "d9cebba013f1dc7d");
+  ]
+
+let order_tests =
+  [
+    Alcotest.test_case "the serial item order is pinned for every strategy"
+      `Quick (fun () ->
+        check
+          Alcotest.(list (pair string string))
+          "a digest per strategy" order_pins
+          (List.map
+             (fun (name, strategy) -> (name, order_digest strategy))
+             order_strategies));
+  ]
+
 let () =
   Alcotest.run "frontier"
     [
-      ("kill-resume", kill_resume_tests);
+      ("kill-resume", kill_resume_tests @ order_tests);
       ("v2-compat", v2_compat_tests);
       ("v3-fixture", v3_fixture_tests);
     ]

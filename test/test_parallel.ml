@@ -12,15 +12,18 @@ let check = Alcotest.check
 
 let tmp_ckpt () = Filename.temp_file "icb-par" ".ckpt"
 
-(* (key, preemptions) pairs, sorted: the deduplicated bug set plus the
-   preemption count each bug was exposed with — both must match between a
-   serial and a parallel run (the parallel merge absorbs a bound's
-   candidates in sorted order, and within the first bound exposing a bug
-   every candidate of that kind carries the same, minimal count). *)
+(* Each bug's whole witness, sorted: key, preemptions, context switches,
+   depth and schedule.  Every collector keeps a key's least
+   (preemptions, schedule) witness, and the barrier merge keeps the
+   least of the workers', so a drained search reports the same witness
+   serially and sharded. *)
 let bug_set (r : Sresult.t) =
   List.sort compare
     (List.map
-       (fun (b : Sresult.bug) -> (b.Sresult.key, b.Sresult.preemptions))
+       (fun (b : Sresult.bug) ->
+         Printf.sprintf "%s p%d cs%d d%d <%s>" b.Sresult.key
+           b.Sresult.preemptions b.Sresult.context_switches b.Sresult.depth
+           (String.concat "," (List.map string_of_int b.Sresult.schedule)))
        r.Sresult.bugs)
 
 let bexec (r : Sresult.t) = Array.to_list r.Sresult.bound_executions
@@ -31,9 +34,8 @@ let serial ?(options = Collector.default_options) ~max_bound prog =
     prog
 
 let assert_equivalent what (s : Sresult.t) (p : Sresult.t) =
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-    (what ^ ": bug set") (bug_set s) (bug_set p);
+  check (Alcotest.list Alcotest.string) (what ^ ": bug set") (bug_set s)
+    (bug_set p);
   check
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
     (what ^ ": executions per bound") (bexec s) (bexec p);
@@ -54,6 +56,40 @@ let equivalence_case name ~max_bound prog =
       (* a 1-domain pool must agree too: same merge code, no concurrency *)
       let one = Icb.run_parallel ~max_bound ~domains:1 prog in
       assert_equivalent "1 domain vs serial" s one)
+
+(* The drained shardable strategies besides ICB, on two buggy models,
+   serial against 2 domains with the state cache off: the same bugs with
+   the same witnesses, and the same counts. *)
+let strategy_case (r : Explore.registered) =
+  Alcotest.test_case
+    (Printf.sprintf "%s on peterson and bluetooth matches serially"
+       r.Explore.reg_name)
+    `Quick (fun () ->
+      List.iter
+        (fun (model, prog) ->
+          let run domains =
+            Icb.run ~domains ~strategy:r.Explore.reg_strategy prog
+          in
+          assert_equivalent (model ^ ": 2 domains vs serial") (run 1) (run 2))
+        [
+          ( "peterson",
+            Icb_models.Peterson.program
+              Icb_models.Peterson.Bug_check_before_set );
+          ("bluetooth", Icb_models.Bluetooth.program ~bug:true);
+        ])
+
+let strategy_cases =
+  List.filter_map
+    (fun (r : Explore.registered) ->
+      let module S =
+        (val Explore.instantiate
+               (Icb.engine (Icb_models.Bluetooth.program ~bug:true))
+               r.Explore.reg_strategy)
+      in
+      if S.shardable && (not r.Explore.reg_bounded) && S.tag <> "icb" then
+        Some (strategy_case r)
+      else None)
+    (Explore.registry ())
 
 let equivalence_tests =
   [
@@ -333,7 +369,7 @@ let saturation_tests =
 let () =
   Alcotest.run "parallel"
     [
-      ("equivalence", equivalence_tests);
+      ("equivalence", equivalence_tests @ strategy_cases);
       ("determinism", determinism_tests);
       ("stress", stress_tests);
       ("saturation", saturation_tests);
