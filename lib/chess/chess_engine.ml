@@ -170,6 +170,7 @@ end) : Icb_search.Engine.S with type state = state = struct
   let blocking_ops s = s.blocks
   let preemptions s = s.npre
   let schedule s = List.rev s.sched_rev
+  let trail s = s.sched_rev
   let thread_count s = s.nthreads
 
   (* No snapshot capability: a state's [live] run is a one-shot effects

@@ -112,11 +112,10 @@ let note_bug p key =
 
 let bugs_metric = "icb_bugs_total"
 
-(* The standard event -> metrics projection.  Distinct bug keys are
-   counted exactly because [Bug_found] fires only on a collector that
-   had not seen the key (barrier merges never re-emit), but a serial +
-   parallel mix could still repeat a key across collectors — dedup
-   here. *)
+(* The standard event -> metrics projection.  [Bug_found] fires again
+   for a key whose witness shrinks, and a parallel run's workers each
+   report their own keys (barrier merges never re-emit), so bug keys are
+   deduplicated here: [icb_bugs_total] counts distinct keys. *)
 let track_metrics t =
   if t.projection = None then begin
     let m = t.metrics in

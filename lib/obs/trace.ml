@@ -20,7 +20,9 @@ type summary = {
   stop_reason : string option;
   executions : int;      (* Execution_done events *)
   states : int option;   (* only Run_finished knows the distinct total *)
-  bugs : bug list;       (* first sighting of each key, in stream order *)
+  bugs : bug list;
+      (* each key in stream order of its first sighting, with that
+         sighting's execution and the least preemptions of any *)
   bounds : (int option * int) list;
       (* executions per bound, ascending, the unbounded bucket last *)
   checkpoints : int;
@@ -55,8 +57,7 @@ let summarize events =
   let stop_reason = ref None in
   let executions = ref 0 in
   let states = ref None in
-  let bugs = ref [] in
-  let seen_keys = Hashtbl.create 8 in
+  let bugs = Hashtbl.create 8 and bug_order = ref [] in
   let per_bound : (int option, int ref) Hashtbl.t = Hashtbl.create 8 in
   let checkpoints = ref 0 in
   let workers = Hashtbl.create 8 in
@@ -81,13 +82,16 @@ let summarize events =
             c
         in
         incr cell
-      | Event.Bug_found b ->
-        if not (Hashtbl.mem seen_keys b.key) then begin
-          Hashtbl.add seen_keys b.key ();
-          bugs :=
+      | Event.Bug_found b -> (
+        (* a key is found again whenever its witness shrinks *)
+        match Hashtbl.find_opt bugs b.key with
+        | None ->
+          bug_order := b.key :: !bug_order;
+          Hashtbl.add bugs b.key
             { bg_key = b.key; bg_preemptions = b.preemptions; bg_execution = b.execution }
-            :: !bugs
-        end
+        | Some bg when b.preemptions < bg.bg_preemptions ->
+          Hashtbl.replace bugs b.key { bg with bg_preemptions = b.preemptions }
+        | Some _ -> ())
       | Event.Checkpoint_written _ -> incr checkpoints
       | Event.Run_finished r ->
         finished := true;
@@ -116,7 +120,7 @@ let summarize events =
     stop_reason = !stop_reason;
     executions = !executions;
     states = !states;
-    bugs = List.rev !bugs;
+    bugs = List.rev_map (Hashtbl.find bugs) !bug_order;
     bounds;
     checkpoints = !checkpoints;
     workers = Hashtbl.length workers;

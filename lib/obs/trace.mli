@@ -14,7 +14,9 @@ type summary = {
   stop_reason : string option;
   executions : int;      (** [Execution_done] events in the trace *)
   states : int option;   (** only [Run_finished] knows the distinct total *)
-  bugs : bug list;       (** first sighting of each key, stream order *)
+  bugs : bug list;
+      (** each key in stream order of its first sighting, with that
+          sighting's execution and the least preemptions of any *)
   bounds : (int option * int) list;
       (** executions per bound, ascending; the [None] bucket (non-ICB
           strategies tag no bound) last *)

@@ -116,7 +116,7 @@ type execution_end = {
   blocks : int;
   preemptions : int;
   threads : int;
-  schedule : int list;
+  trail : int list;
   signature : int64;
   status : Engine.status;
 }
@@ -138,24 +138,28 @@ let status_bug ~deadlock_is_error : Engine.status -> (string * string) option
           (String.concat ", " (List.map string_of_int blocked)) )
   | Engine.Deadlock _ | Engine.Terminated | Engine.Running -> None
 
-(* The witness rule of [end_execution] and [absorb_bug]; [true] iff the
-   key is new.  A least witness does not depend on the order witnesses
-   arrive in, so runners draining the same executions keep the same. *)
+(* The witness rule of [end_execution] and [absorb_bug]: whether [b] is
+   the first witness of its key ([`New]), replaces a greater one
+   ([`Less]), or is dropped ([`Kept]).  A least witness does not depend
+   on the order witnesses arrive in, so runners draining the same
+   executions keep the same. *)
 let offer t (b : Sresult.bug) =
   match Hashtbl.find_opt t.bugs b.Sresult.key with
   | None ->
     Hashtbl.add t.bugs b.Sresult.key b;
     t.bug_order <- b.Sresult.key :: t.bug_order;
-    true
+    `New
   | Some old ->
     if
       compare (b.Sresult.preemptions, b.Sresult.schedule)
         (old.Sresult.preemptions, old.Sresult.schedule)
       < 0
-    then
+    then begin
       Hashtbl.replace t.bugs b.Sresult.key
         { b with Sresult.execution = old.Sresult.execution };
-    false
+      `Less
+    end
+    else `Kept
 
 (* Telemetry names for {!Engine.status}; [Running] at execution end means
    the execution was truncated by a depth bound. *)
@@ -188,24 +192,25 @@ let end_execution t (e : execution_end) =
   (match status_bug ~deadlock_is_error:t.opts.deadlock_is_error e.status with
   | None -> ()
   | Some (key, msg) ->
-    if
+    let schedule = List.rev e.trail in
+    let offered =
       offer t
         {
           Sresult.key;
           msg;
-          schedule = e.schedule;
+          schedule;
           preemptions = e.preemptions;
-          context_switches = count_switches e.schedule;
+          context_switches = count_switches schedule;
           depth = e.depth;
           execution = t.executions;
         }
-    then begin
-      if Icb_obs.Emit.enabled t.opts.events then
-        Icb_obs.Emit.emit t.opts.events
-          (Icb_obs.Event.Bug_found
-             { key; preemptions = e.preemptions; execution = t.executions });
-      if t.opts.stop_at_first_bug then stop t Sresult.First_bug
-    end);
+    in
+    if offered <> `Kept && Icb_obs.Emit.enabled t.opts.events then
+      Icb_obs.Emit.emit t.opts.events
+        (Icb_obs.Event.Bug_found
+           { key; preemptions = e.preemptions; execution = t.executions });
+    if offered = `New && t.opts.stop_at_first_bug then
+      stop t Sresult.First_bug);
   (match t.opts.on_progress with
   | None -> ()
   | Some f ->

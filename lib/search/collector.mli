@@ -78,7 +78,9 @@ type execution_end = {
   blocks : int;
   preemptions : int;
   threads : int;
-  schedule : int list;
+  trail : int list;
+      (** the schedule newest first ({!Engine.S.trail}); reversed only
+          when the execution exposes a bug *)
   signature : int64;
   status : Engine.status;   (** [Running] means truncated by a depth bound *)
 }
@@ -87,8 +89,9 @@ val end_execution : t -> execution_end -> unit
 (** Count the execution and record the bug its status exposes
     ({!status_bug}).  Each bug key keeps the least
     [(preemptions, schedule)] witness seen, stamped with the execution
-    that first found the key, whose discovery alone emits [Bug_found]
-    and honours [stop_at_first_bug]. *)
+    that first found the key.  [Bug_found] is emitted whenever the
+    offered witness becomes its key's (a new key or a lesser witness);
+    only a new key honours [stop_at_first_bug]. *)
 
 val status_bug :
   deadlock_is_error:bool -> Engine.status -> (string * string) option

@@ -128,19 +128,13 @@ let rank_queue ~rank ~prep =
 
 let of_prefix (sched, payload) =
   {
-    Strategy.i_sched = sched;
+    Strategy.i_sched = Strategy.Sched sched;
     i_payload = payload;
     i_state = None;
     i_witness = Strategy.no_witness;
   }
 
-let sorted_items its =
-  List.sort
-    (fun a b ->
-      compare
-        (a.Strategy.i_sched, a.Strategy.i_payload)
-        (b.Strategy.i_sched, b.Strategy.i_payload))
-    its
+let sorted_items its = List.sort Strategy.compare_items its
 
 let strip_items its = List.map Strategy.prefix_of its
 
@@ -398,7 +392,7 @@ let expand_item emit expand ctx it =
     Icb_obs.Emit.emit emit
       (Icb_obs.Event.Item_started
          {
-           prefix = List.length it.Strategy.i_sched;
+           prefix = Strategy.prefix_length it.Strategy.i_sched;
            payload = it.Strategy.i_payload;
          });
     let t0 = Unix.gettimeofday () in

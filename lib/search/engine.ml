@@ -103,6 +103,12 @@ module type S = sig
   (** The schedule so far, oldest first; replaying it from [initial]
       reproduces this state. *)
 
+  val trail : state -> int list
+  (** The same schedule newest first, in O(1): the list the engine conses
+      one step at a time, shared with the state this one stepped from.
+      Work items keep it as their prefix ({!Strategy.prefix}) instead of
+      copying the schedule. *)
+
   val thread_count : state -> int
 
   val step_footprint : state -> int -> Footprint.t

@@ -51,12 +51,9 @@ type state = {
   blocks : int;
   npreempt : int;
   sched_rev : int list;
-  last_events : Interp.event list;
 }
 
 let machine_state s = s.mstate
-
-let events_of_last_step s = s.last_events
 
 module Make (Cfg : sig
   val config : config
@@ -104,7 +101,6 @@ end) : Engine.S with type state = state = struct
       blocks = 0;
       npreempt = 0;
       sched_rev = [];
-      last_events = r.events;
     }
 
   let enabled s = if s.race <> None then [] else Interp.enabled s.mstate
@@ -122,13 +118,12 @@ end) : Engine.S with type state = state = struct
       | Interp.Error e ->
         Engine.Failed { key = Merr.key e; msg = Merr.to_string e })
 
-  let step s tid =
-    let en = enabled s in
+  (* The state [Interp.step]'s result [r] makes of [s] stepping [tid]. *)
+  let stepped s tid (r : Interp.step_result) =
     let preempting =
-      Engine.preempting ~last_tid:s.mstate.State.last_tid ~enabled:en
+      Engine.preempting ~last_tid:s.mstate.State.last_tid ~enabled:(enabled s)
         ~chosen:tid
     in
-    let r = Interp.step cfg.granularity s.mstate tid in
     let det, race = run_detector s.det r.events in
     {
       mstate = r.state;
@@ -139,8 +134,9 @@ end) : Engine.S with type state = state = struct
       blocks = (s.blocks + if r.blocking_op then 1 else 0);
       npreempt = (s.npreempt + if preempting then 1 else 0);
       sched_rev = tid :: s.sched_rev;
-      last_events = r.events;
     }
+
+  let step s tid = stepped s tid (Interp.step cfg.granularity s.mstate tid)
 
   let signature s =
     match cfg.signature_mode with
@@ -154,6 +150,7 @@ end) : Engine.S with type state = state = struct
   let blocking_ops s = s.blocks
   let preemptions s = s.npreempt
   let schedule s = List.rev s.sched_rev
+  let trail s = s.sched_rev
   let thread_count s = State.thread_count s.mstate
 
   (* Persistent states make speculation free: execute the step on the
@@ -163,12 +160,13 @@ end) : Engine.S with type state = state = struct
      truncates the execution, so the commuting square partial-order
      reduction relies on loses a corner. *)
   let step_footprint s tid =
-    let s' = step s tid in
+    let r = Interp.step cfg.granularity s.mstate tid in
+    let s' = stepped s tid r in
     let pinned =
       (State.thread_get s'.mstate tid).State.yielded
       || (match status s' with Engine.Running -> false | _ -> true)
     in
-    Engine.Footprint.of_events ~pinned s'.last_events
+    Engine.Footprint.of_events ~pinned r.events
 
   (* Every component of [state] is persistent (copy-on-write [State.t],
      immutable detector and happens-before values), so a snapshot is the

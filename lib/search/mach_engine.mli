@@ -41,6 +41,3 @@ end) : Engine.S with type state = state
 val machine_state : state -> Icb_machine.State.t
 (** The underlying machine state, for model-specific inspection (final
     invariant checks in tests, trace printing in the harness). *)
-
-val events_of_last_step : state -> Icb_machine.Interp.event list
-(** Events produced by the step that created this state. *)

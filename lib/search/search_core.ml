@@ -18,7 +18,7 @@ let finish (type s) (module E : Engine.S with type state = s) col (st : s)
       blocks = E.blocking_ops st;
       preemptions = E.preemptions st;
       threads = E.thread_count st;
-      schedule = E.schedule st;
+      trail = E.trail st;
       signature;
       status;
     }
@@ -57,7 +57,7 @@ let record_crash (type s) (module E : Engine.S with type state = s) col
       blocks = E.blocking_ops st;
       preemptions = E.preemptions st;
       threads = E.thread_count st;
-      schedule = E.schedule st @ [ tid ];
+      trail = tid :: E.trail st;
       signature = E.signature st;
       status = Engine.Failed { key = crash_key exn; msg };
     }
@@ -198,12 +198,13 @@ let materializer (type s) ((module E) : (module Engine.S with type state = s))
       { it with Strategy.i_state = None; i_witness = witness (E.enabled st) }
   in
   let replay ~step it =
-    Replay_cache.replay memo ~stats ~init:E.initial ~step it.Strategy.i_sched
+    Replay_cache.replay memo ~stats ~init:E.initial ~step
+      (Strategy.schedule_of it.Strategy.i_sched)
   in
   (* The last step of a witnessed prefix checks the witness, so a
      divergence is blamed on exactly the item's prefix. *)
   let rebuild it =
-    let n = List.length it.Strategy.i_sched in
+    let n = Strategy.prefix_length it.Strategy.i_sched in
     let step st t =
       let st' = E.step st t in
       if E.depth st' = n && witness (E.enabled st') <> it.Strategy.i_witness
@@ -237,12 +238,11 @@ let materializer (type s) ((module E) : (module Engine.S with type state = s))
          state again makes the engine replay the prefix itself; with the
          cache off, the only carried states are the serial runner's
          ranked items, whose replay was counted when they were ranked *)
-      (match (memo, it.Strategy.i_sched) with
-      | None, _ | Some _, [] -> ()
-      | Some _, sched ->
+      (match (memo, Strategy.prefix_length it.Strategy.i_sched) with
+      | None, _ | Some _, 0 -> ()
+      | Some _, n ->
         stats.Replay_cache.hits <- stats.Replay_cache.hits + 1;
-        stats.Replay_cache.steps_saved <-
-          stats.Replay_cache.steps_saved + List.length sched);
+        stats.Replay_cache.steps_saved <- stats.Replay_cache.steps_saved + n);
       Ok st
     | None when it.Strategy.i_witness = Strategy.no_witness ->
       replay ~step:E.step it

@@ -18,9 +18,10 @@
      its index — that is what makes them shardable and exactly
      resumable. *)
 
-let item ~sched ~payload ~state =
+(* Every item a strategy makes is born at a state, and keeps its trail. *)
+let item ~trail ~payload ~state =
   {
-    Strategy.i_sched = sched;
+    Strategy.i_sched = Strategy.Trail trail;
     i_payload = payload;
     i_state = state;
     i_witness = Strategy.no_witness;
@@ -125,7 +126,7 @@ let icb_roots (type s) (module E : Engine.S with type state = s) col =
   match E.status s0 with
   | Engine.Running ->
     List.map
-      (fun t -> item ~sched:[] ~payload:t ~state:(Some s0))
+      (fun t -> item ~trail:[] ~payload:t ~state:(Some s0))
       (E.enabled s0)
   | status ->
     Search_core.finish (module E) col s0 ~signature:sg status;
@@ -172,6 +173,9 @@ let icb_rounds (type s) (module E : Engine.S with type state = s) ~tag_ ~name_
       match ctx.Strategy.c_materialize it with
       | None -> ()
       | Some st ->
+        (* past the last bound nothing expands a deferral: it only feeds
+           the final checkpoint, so it keeps no state *)
+        let keep = match max_bound with Some b -> !bound < b | None -> true in
         Search_core.icb_item
           (module E)
           ctx.Strategy.c_col
@@ -184,7 +188,8 @@ let icb_rounds (type s) (module E : Engine.S with type state = s) ~tag_ ~name_
           ~seal:(fun () -> w.w_sealed <- w.w_sealed + 1)
           ~defer:(fun st' t ->
             ctx.Strategy.c_defer
-              (item ~sched:(E.schedule st') ~payload:t ~state:(Some st')))
+              (item ~trail:(E.trail st') ~payload:t
+                 ~state:(if keep then Some st' else None)))
           (st, it.Strategy.i_payload)
 
     let rank = None
@@ -284,7 +289,7 @@ let dfs_family (type s) (module E : Engine.S with type state = s) ~tag_ ~name_
     (* truncations observed this round in checkpointed-away phases of the
        run; [after_round] folds the live worker counters on top *)
     let trunc_base = ref 0
-    let root = item ~sched:[] ~payload:Strategy.visit ~state:None
+    let root = item ~trail:[] ~payload:Strategy.visit ~state:None
 
     let roots (module _ : Engine.S with type state = state) _w _col = [ root ]
 
@@ -310,7 +315,7 @@ let dfs_family (type s) (module E : Engine.S with type state = s) ~tag_ ~name_
             List.iter
               (fun t ->
                 ctx.Strategy.c_push
-                  (item ~sched:(E.schedule st) ~payload:t ~state:(Some st)))
+                  (item ~trail:(E.trail st) ~payload:t ~state:(Some st)))
               (List.rev (E.enabled st))
         | status -> Search_core.finish (module E) col st ~signature:sg status
       in
@@ -448,7 +453,7 @@ let sleep_dfs (type s) (module _ : Engine.S with type state = s) :
     let roots (module E : Engine.S with type state = state) _w col =
       let s0 = E.initial () in
       Collector.touch col (E.signature s0);
-      [ item ~sched:[] ~payload:Strategy.visit ~state:(Some s0) ]
+      [ item ~trail:[] ~payload:Strategy.visit ~state:(Some s0) ]
 
     let expand (module E : Engine.S with type state = state) () ctx it =
       let col = ctx.Strategy.c_col in
@@ -521,7 +526,7 @@ let most_enabled (type s) (module E : Engine.S with type state = s) ~cache :
       let sg = E.signature s0 in
       Collector.touch col sg;
       if not (seen w sg) then
-        [ item ~sched:[] ~payload:Strategy.visit ~state:(Some s0) ]
+        [ item ~trail:[] ~payload:Strategy.visit ~state:(Some s0) ]
       else []
 
     let expand (module E : Engine.S with type state = state) w ctx it =
@@ -540,7 +545,7 @@ let most_enabled (type s) (module E : Engine.S with type state = s) ~cache :
                 Collector.touch col sg;
                 if not (seen w sg) then
                   ctx.Strategy.c_push
-                    (item ~sched:(E.schedule st') ~payload:Strategy.visit
+                    (item ~trail:(E.trail st') ~payload:Strategy.visit
                        ~state:(Some st')))
             (E.enabled st)
         | status ->
@@ -611,7 +616,7 @@ let walks (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
       let hi = min (lo + walk_batch) walk_hard_cap in
       next_index := hi;
       List.init (hi - lo) (fun k ->
-          item ~sched:[] ~payload:(lo + k) ~state:None)
+          item ~trail:[] ~payload:(lo + k) ~state:None)
 
     let roots (module _ : Engine.S with type state = state) _w _col =
       take_batch ()
@@ -776,7 +781,7 @@ let sealed_space (type s) (module E : Engine.S with type state = s) ~tag_
           ~seal:(fun () -> w.w_sealed <- w.w_sealed + 1)
           ~defer:(fun st' t ->
             ctx.Strategy.c_push
-              (item ~sched:(E.schedule st') ~payload:t ~state:(Some st')))
+              (item ~trail:(E.trail st') ~payload:t ~state:(Some st')))
           (st, it.Strategy.i_payload)
 
     let rank = None

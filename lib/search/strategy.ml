@@ -7,7 +7,9 @@
    replayable schedule prefix plus a small payload — the same
    representation checkpoints and the parallel executor have always used
    for ICB work items — optionally carrying the live engine state so the
-   in-process fast path skips the replay.  A strategy seeds the frontier
+   in-process fast path skips the replay.  The prefix keeps the order it
+   was made in ({!prefix}): an item born of a state shares that state's
+   trail, so a deferral copies no schedule.  A strategy seeds the frontier
    ([roots]), consumes one item at a time ([expand], pushing follow-up
    items into the current round or deferring them to the next), and
    decides at each round barrier whether to stop or continue
@@ -23,8 +25,36 @@
    parallel mode that is the determinism barrier where worker results
    merge. *)
 
+(* A replayable schedule prefix, in the order it was made in: the trail
+   of the state an item was born at (newest first, {!Engine.S.trail},
+   shared with that state and its siblings), or a schedule read from a
+   checkpoint or the wire (oldest first).  A trail is turned oldest first
+   only to leave the process or to be replayed. *)
+type prefix =
+  | Trail of int list
+  | Sched of int list
+
+let schedule_of = function Trail t -> List.rev t | Sched s -> s
+
+let prefix_length = function Trail l | Sched l -> List.length l
+
+(* Two trails in [compare]'s order on their schedules, without reversing
+   either: cut the longer to the shorter's length; then the oldest step
+   where they differ decides, else the shorter is first.  The walk stops
+   at a tail the two share. *)
+let compare_trails a b =
+  let la = List.length a and lb = List.length b in
+  let rec drop n l = if n <= 0 then l else drop (n - 1) (List.tl l) in
+  let rec go c a b =
+    match (a, b) with
+    | x :: a', y :: b' when a != b ->
+      go (if x = y then c else Int.compare x y) a' b'
+    | _ -> if c = 0 then Int.compare la lb else c
+  in
+  go 0 (drop (la - lb) a) (drop (lb - la) b)
+
 type 's item = {
-  i_sched : int list;  (* replayable schedule prefix *)
+  i_sched : prefix;
   i_payload : int;     (* tid to run, [visit], or a walk index *)
   i_state : 's option;
       (* the prefix's state, when already materialized; never serialized.
@@ -47,7 +77,17 @@ let visit = -1
    leased over the wire).  Witnesses are non-negative. *)
 let no_witness = -1
 
-let prefix_of it = (it.i_sched, it.i_payload)
+(* The serializable form: (schedule oldest first, payload). *)
+let prefix_of it = (schedule_of it.i_sched, it.i_payload)
+
+(* [compare] on [prefix_of], without reversing two trails. *)
+let compare_items a b =
+  let c =
+    match (a.i_sched, b.i_sched) with
+    | Trail x, Trail y -> compare_trails x y
+    | x, y -> List.compare Int.compare (schedule_of x) (schedule_of y)
+  in
+  if c <> 0 then c else Int.compare a.i_payload b.i_payload
 
 (* --- shared-variable metadata ------------------------------------------- *)
 

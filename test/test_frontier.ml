@@ -54,6 +54,7 @@ let recording_engine prog tape :
     let blocking_ops (s, _) = Base.blocking_ops s
     let preemptions (s, _) = Base.preemptions s
     let schedule (s, _) = Base.schedule s
+    let trail (s, _) = Base.trail s
     let thread_count (s, _) = Base.thread_count s
     let step_footprint (s, _) t = Base.step_footprint s t
 
@@ -530,10 +531,133 @@ let order_tests =
              order_strategies));
   ]
 
+(* --- work-item prefixes ------------------------------------------------ *)
+
+module Strategy = Icb_search.Strategy
+
+(* Random frontiers shaped like a search's: each prefix extends an
+   earlier one (or the root) by up to three steps, sharing its tail the
+   way a state's trail shares its parent's, or as a fresh copy; some
+   extensions are empty, so equal prefixes carry different payloads.
+   [form] makes each prefix a trail, a read schedule, or either. *)
+let frontier form =
+  let op =
+    QCheck.Gen.(
+      quad (int_bound 40) (list_size (int_bound 3) (int_bound 2))
+        (int_bound 2) (pair bool bool))
+  in
+  let build ops =
+    let made = ref [ [] ] in
+    List.map
+      (fun (parent, ext, payload, (copy, sched)) ->
+        let base = List.nth !made (parent mod List.length !made) in
+        let trail = List.fold_left (fun acc t -> t :: acc) base ext in
+        let trail = if copy then List.map Fun.id trail else trail in
+        made := !made @ [ trail ];
+        let sched =
+          match form with `Trails -> false | `Scheds -> true | `Mixed -> sched
+        in
+        {
+          Strategy.i_sched =
+            (if sched then Strategy.Sched (List.rev trail)
+             else Strategy.Trail trail);
+          i_payload = payload;
+          i_state = None;
+          i_witness = Strategy.no_witness;
+        })
+      ops
+  in
+  QCheck.make
+    ~print:(fun its ->
+      String.concat "; "
+        (List.map
+           (fun (it : unit Strategy.item) ->
+             Printf.sprintf "%s[%s]/%d"
+               (match it.Strategy.i_sched with
+               | Strategy.Trail _ -> "T"
+               | Strategy.Sched _ -> "S")
+               (String.concat " "
+                  (List.map string_of_int
+                     (Strategy.schedule_of it.Strategy.i_sched)))
+               it.Strategy.i_payload)
+           its))
+    QCheck.Gen.(map build (list_size (int_range 1 30) op))
+
+let prefix_order form name =
+  QCheck.Test.make ~count:300 ~name (frontier form) (fun its ->
+      let sign c = compare c 0 in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              if
+                sign (Strategy.compare_items a b)
+                <> sign (compare (Strategy.prefix_of a) (Strategy.prefix_of b))
+              then QCheck.Test.fail_report "a pair orders differently")
+            its)
+        its;
+      List.map Strategy.prefix_of (List.sort Strategy.compare_items its)
+      = List.sort compare (List.map Strategy.prefix_of its))
+
+(* The final checkpoint of an ICB search that reached its last bound
+   holds that bound's deferrals, which kept no state: resuming it with a
+   higher bound must explore exactly what a direct run to that bound
+   does. *)
+let next_bound () =
+  let prog = Icb_models.Transaction.program Icb_models.Transaction.Correct in
+  let icb b = Explore.Icb { max_bound = Some b; cache = false } in
+  let path = tmp_ckpt () in
+  let r2 = Icb.run ~checkpoint_out:path ~strategy:(icb 2) prog in
+  check Alcotest.int "icb:2 executions" 423 r2.Sresult.executions;
+  check Alcotest.bool "icb:2 is not complete" false r2.Sresult.complete;
+  let ck = Checkpoint.load path in
+  Sys.remove path;
+  let f = Checkpoint.to_v3 ck in
+  check Alcotest.int "no work left" 0 (List.length f.Checkpoint.v3_work);
+  check Alcotest.int "deferred prefixes" 1675
+    (List.length f.Checkpoint.v3_next);
+  let raised =
+    {
+      ck with
+      Checkpoint.frontier =
+        Checkpoint.V3
+          {
+            f with
+            Checkpoint.v3_params =
+              List.map
+                (fun (k, v) -> if k = "max_bound" then (k, "3") else (k, v))
+                f.Checkpoint.v3_params;
+          };
+    }
+  in
+  let resumed = Icb.resume prog raised in
+  let direct = Icb.run ~strategy:(icb 3) prog in
+  List.iter
+    (fun (what, (r : Sresult.t)) ->
+      check
+        Alcotest.(triple int int int)
+        (what ^ ": executions, states, steps")
+        (2628, 479, 24664)
+        Sresult.(r.executions, r.distinct_states, r.total_steps))
+    [ ("resumed", resumed); ("direct", direct) ]
+
+let prefix_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      prefix_order `Trails "trails sort like their schedules";
+      prefix_order `Scheds "read schedules sort like their schedules";
+      prefix_order `Mixed "a mix of trails and schedules sorts like both";
+    ]
+  @ [
+      Alcotest.test_case "a Bounded ICB checkpoint extends to the next bound"
+        `Quick next_bound;
+    ]
+
 let () =
   Alcotest.run "frontier"
     [
       ("kill-resume", kill_resume_tests @ order_tests);
+      ("prefixes", prefix_tests);
       ("v2-compat", v2_compat_tests);
       ("v3-fixture", v3_fixture_tests);
     ]

@@ -303,16 +303,16 @@ let metrics_tests =
 
 (* --- trace round-trip against the collector's own numbers ------------------ *)
 
-let run_traced ?(domains = 1) ?max_bound ?options prog =
+let run_traced ?(domains = 1) ?max_bound ?options
+    ?(strategy = Explore.Icb { max_bound; cache = false }) prog =
   let path = tmp ".jsonl" in
   let tel = Telemetry.create () in
   Telemetry.add_trace tel path;
   let r =
-    if domains = 1 then
-      Icb.run ?options ~telemetry:tel
-        ~strategy:(Explore.Icb { max_bound; cache = false })
-        prog
-    else Icb.run_parallel ?options ?max_bound ~telemetry:tel ~domains prog
+    match strategy with
+    | Explore.Icb _ when domains > 1 ->
+      Icb.run_parallel ?options ?max_bound ~telemetry:tel ~domains prog
+    | _ -> Icb.run ?options ~telemetry:tel ~domains ~strategy prog
   in
   Telemetry.close tel;
   let events = Trace.read path in
@@ -357,6 +357,35 @@ let trace_tests =
              (List.map (fun (b : Sresult.bug) -> b.Sresult.key) p.Sresult.bugs))
           (List.sort compare
              (List.map (fun (b : Trace.bug) -> b.Trace.bg_key) s.Trace.bugs)));
+    Alcotest.test_case "a report lists each bug's least witness" `Quick
+      (fun () ->
+        (* vb:2 finds this bug first at 16 preemptions, then keeps a
+           4-preemption witness *)
+        let prog =
+          Icb_models.Workstealing.program
+            Icb_models.Workstealing.Bug_pop_reads_head_first
+        in
+        List.iter
+          (fun domains ->
+            let r, events =
+              run_traced ~domains
+                ~strategy:(Explore.Variable_bound { n = 2; cache = true })
+                prog
+            in
+            let s = Trace.summarize events in
+            check Alcotest.bool "a bug is found" true (r.Sresult.bugs <> []);
+            check
+              Alcotest.(list (pair string int))
+              (Printf.sprintf "preemptions per key (%d domains)" domains)
+              (List.sort compare
+                 (List.map
+                    (fun (b : Sresult.bug) -> Sresult.(b.key, b.preemptions))
+                    r.Sresult.bugs))
+              (List.sort compare
+                 (List.map
+                    (fun (b : Trace.bug) -> Trace.(b.bg_key, b.bg_preemptions))
+                    s.Trace.bugs)))
+          [ 1; 2 ]);
     Alcotest.test_case "serial and 2-domain metrics agree" `Quick (fun () ->
         let totals domains prog =
           let tel = Telemetry.create () in

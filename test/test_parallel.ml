@@ -230,6 +230,7 @@ let recording_engine prog tape :
     let blocking_ops (s, _) = Base.blocking_ops s
     let preemptions (s, _) = Base.preemptions s
     let schedule (s, _) = Base.schedule s
+    let trail (s, _) = Base.trail s
     let thread_count (s, _) = Base.thread_count s
     let step_footprint (s, _) t = Base.step_footprint s t
 
