@@ -1209,8 +1209,7 @@ let repro_min_run path out max_steps trace quiet =
   in
   let budget =
     {
-      Icb_repro.Minimize.default_budget with
-      max_engine_steps =
+      Icb_repro.Minimize.max_engine_steps =
         Option.value max_steps
           ~default:Icb_repro.Minimize.default_budget.max_engine_steps;
     }

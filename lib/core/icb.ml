@@ -37,16 +37,10 @@ let run ?config ?options ?checkpoint_out ?checkpoint_every ?checkpoint_meta
     ~env:(Icb_search.Strategy.env_of_prog prog)
     strategy
 
-let run_parallel ?config ?options ?checkpoint_out ?checkpoint_every
-    ?checkpoint_meta ?resume_from ?telemetry ?max_bound ?(cache = false)
-    ?on_cache_stats ~domains prog =
-  (* Each worker gets its own machine-engine instance, and machine states
-     are snapshots any instance can step, so deferred work items carry
-     their live states across the barrier instead of being replayed. *)
-  let engines _ = engine ?config prog in
-  Icb_search.Driver.run engines ?options ?checkpoint_out ?checkpoint_every
-    ?checkpoint_meta ?resume_from ?telemetry ?on_cache_stats ~domains
-    (Icb_search.Strategies.icb (engines 0) ~max_bound ~cache)
+let run_parallel ?options ?telemetry ?max_bound ~domains prog =
+  run ?options ?telemetry ~domains
+    ~strategy:(Icb_search.Explore.Icb { max_bound; cache = false })
+    prog
 
 let resume ?config ?options ?checkpoint_out ?checkpoint_every ?checkpoint_meta
     ?telemetry ?domains ?cache prog ckpt =

@@ -70,31 +70,18 @@ val run :
     docs/OBSERVABILITY.md. *)
 
 val run_parallel :
-  ?config:Icb_search.Mach_engine.config ->
   ?options:Icb_search.Collector.options ->
-  ?checkpoint_out:string ->
-  ?checkpoint_every:int ->
-  ?checkpoint_meta:(string * string) list ->
-  ?resume_from:Icb_search.Checkpoint.t ->
   ?telemetry:Icb_obs.Telemetry.t ->
   ?max_bound:int ->
-  ?cache:bool ->
-  ?on_cache_stats:(Icb_search.Replay_cache.stats -> unit) ->
   domains:int ->
   prog ->
   result
-(** Parallel iterative context bounding: shard each context bound's work
-    queue across [domains] OCaml domains, each with its own engine
-    instance, and merge deterministically at a per-bound barrier — the
-    result (bug set, per-bound execution counts, states, steps) matches a
-    serial [run ~strategy:(Icb ...)] of the same program when
-    [cache = false] (the default: the seen-state cache prunes per worker,
-    so a cached parallel run may explore more executions; see
-    docs/PARALLEL.md).  [cache] is the strategy's seen-state pruning cache,
-    not the replay cache of docs/REPLAY_CACHE.md ({!run}'s [cache]).
-    Checkpoints written here are resumable both serially
-    ({!resume}) and in parallel ({!resume} with [~domains], or
-    [run_parallel ~resume_from]). *)
+(** Parallel iterative context bounding:
+    [run ~domains ~strategy:(Icb { max_bound; cache = false })].  Each
+    context bound's work queue is sharded across [domains] OCaml domains
+    and merged deterministically at a per-bound barrier, so the result
+    (bug set, per-bound execution counts, states, steps) matches the
+    serial run of the same program (docs/PARALLEL.md). *)
 
 module Dist = Icb_dist
 

@@ -5,12 +5,12 @@
 module Emit = Icb_obs.Emit
 module Event = Icb_obs.Event
 
-type budget = { max_engine_steps : int; canonicalize : bool }
+type budget = { max_engine_steps : int }
 
 (* Roomy: the bundled models' bounded spaces at small bounds are a few
    thousand executions of a few hundred steps each; proving minimality
    needs one full sweep at (c - 1) per improvement. *)
-let default_budget = { max_engine_steps = 50_000_000; canonicalize = true }
+let default_budget = { max_engine_steps = 50_000_000 }
 
 type stats = {
   original : Sched.witness;
@@ -156,18 +156,17 @@ let run (type s) (module E : Icb_search.Engine.S with type state = s)
      with Sched.Budget -> proven := false);
     (* canonicalization: adopt the deterministic search's first witness at
        the final bound, making the result input-independent *)
-    (if budget.canonicalize then
-       try
-         match
-           Sched.bounded_find (module E) ~deadlock_is_error ~key
-             ~max_preemptions:!best.Sched.preemptions ~steps ~tried
-             ~prefix:[] ()
-         with
-         | Some w ->
-           if w.Sched.schedule <> !best.Sched.schedule then
-             improved "canonical" w
-         | None -> ()
-       with Sched.Budget -> proven := false);
+    (try
+       match
+         Sched.bounded_find (module E) ~deadlock_is_error ~key
+           ~max_preemptions:!best.Sched.preemptions ~steps ~tried ~prefix:[]
+           ()
+       with
+       | Some w ->
+         if w.Sched.schedule <> !best.Sched.schedule then
+           improved "canonical" w
+       | None -> ()
+     with Sched.Budget -> proven := false);
     if Emit.enabled emit then
       Emit.emit emit
         (Event.Minimize_finished

@@ -17,12 +17,11 @@
       repeat, when it exhausts the space the current preemption count is
       {e proven} minimal for the bug key.
 
-    A final canonicalization pass ({!budget.canonicalize}, on by
-    default) replaces the witness by the first one the deterministic
-    bounded search finds at the proven-minimal bound: the result then
-    depends only on [(program, key, minimal bound)], so the same bug
-    found by different strategies minimizes to the {e same} schedule and
-    {!Triage} fingerprints deduplicate across runs.
+    A final canonicalization pass replaces the witness by the first one
+    the deterministic bounded search finds at the proven-minimal bound:
+    the result then depends only on [(program, key, minimal bound)], so
+    the same bug found by different strategies minimizes to the {e same}
+    schedule and {!Triage} fingerprints deduplicate across runs.
 
     Works for any {!Icb_search.Engine.S} — the stateful machine engine
     and the stateless CHESS engine alike.  Deterministic: no randomness,
@@ -34,7 +33,7 @@
     the best witness so far is returned with [proven_minimal = false].
     The default is generous enough to prove minimality on all bundled
     models. *)
-type budget = { max_engine_steps : int; canonicalize : bool }
+type budget = { max_engine_steps : int }
 
 val default_budget : budget
 

@@ -227,9 +227,12 @@ let end_execution t (e : execution_end) =
     stop t Sresult.Execution_limit;
   check_deadline t
 
+(* A checkpoint written at a barrier runs that barrier again on resume:
+   the bound replaces the newest entry instead of repeating it. *)
 let record_bound t bound =
-  t.bound_coverage <- (bound, Sigset.length t.visited) :: t.bound_coverage;
-  t.bound_executions <- (bound, t.executions) :: t.bound_executions
+  let old = function (b, _) :: l when b = bound -> l | l -> l in
+  t.bound_coverage <- (bound, Sigset.length t.visited) :: old t.bound_coverage;
+  t.bound_executions <- (bound, t.executions) :: old t.bound_executions
 
 let set_complete t = t.complete <- true
 
@@ -378,7 +381,8 @@ let merge_stats t (s : snapshot) =
   t.max_threads <- max t.max_threads s.s_max_threads
 
 let mark_growth t =
-  t.growth <- (t.executions, Sigset.length t.visited) :: t.growth
+  let p = (t.executions, Sigset.length t.visited) in
+  match t.growth with q :: _ when q = p -> () | _ -> t.growth <- p :: t.growth
 
 let forge_counts s ~executions ~total_steps =
   { s with s_executions = executions; s_total_steps = total_steps }

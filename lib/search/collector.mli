@@ -103,7 +103,8 @@ val count_switches : int list -> int
 
 val record_bound : t -> int -> unit
 (** ICB: snapshot coverage (distinct states and cumulative executions)
-    after completing the given context bound. *)
+    after completing the given context bound.  Recording the newest
+    entry's bound again replaces that entry. *)
 
 val set_complete : t -> unit
 
@@ -127,8 +128,9 @@ val absorb_bug : t -> Sresult.bug -> unit
 
 val mark_growth : t -> unit
 (** Append a (executions so far, distinct states) point to the growth
-    curve; the parallel executor calls this at each bound barrier, where
-    the serial collector would have recorded per-execution points. *)
+    curve, unless it is the newest point already; the parallel executor
+    calls this at each bound barrier, where the serial collector would
+    have recorded per-execution points. *)
 
 (** {2 Checkpointable state}
 

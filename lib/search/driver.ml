@@ -339,18 +339,19 @@ let save_partial ses ~round_start snaps f =
     save ses scratch f
   end
 
-(* The caller's limits against run totals, in one fixed order, so the
-   recorded reason does not depend on the runner when several trip at
-   once.  (The serial runner's master collector enforces them itself.) *)
+(* The caller's limits against run totals, in the order the serial
+   runner's master collector trips them (it enforces them itself), so the
+   recorded reason does not depend on the runner when several trip. *)
 let limit_hit (o : Collector.options) ~executions ~states ~steps ~bugs =
   match o with
-  | { Collector.max_executions = Some l; _ } when executions >= l ->
-    Some Sresult.Execution_limit
-  | { max_states = Some l; _ } when states >= l -> Some Sresult.State_limit
+  | { Collector.max_states = Some l; _ } when states >= l ->
+    Some Sresult.State_limit
   | { max_total_steps = Some l; _ } when steps >= l -> Some Sresult.Step_limit
+  | { stop_at_first_bug = true; _ } when bugs > 0 -> Some Sresult.First_bug
+  | { max_executions = Some l; _ } when executions >= l ->
+    Some Sresult.Execution_limit
   | { deadline = Some d; _ } when Unix.gettimeofday () >= d ->
     Some Sresult.Deadline_exceeded
-  | { stop_at_first_bug = true; _ } when bugs > 0 -> Some Sresult.First_bug
   | _ -> None
 
 let finish ses =
@@ -471,7 +472,7 @@ let rounds (type s w) ses (module E : Engine.S with type state = s)
   in
   try
     match ses.resume with
-    | Some f ->
+    | Some f -> (
       (* Even an empty frontier goes through the round loop: a kill can
          land exactly at a round boundary, where work and deferred are
          both drained but the strategy still owes rounds (iterative
@@ -486,7 +487,18 @@ let rounds (type s w) ses (module E : Engine.S with type state = s)
          one's path.  The round's result is a multiset, insensitive
          to this order. *)
       let work, carry = S.of_prefixes master f in
-      loop (sorted_items (List.map of_prefix work)) (List.map of_prefix carry)
+      (* restored totals that already meet a limit stop the run before it
+         runs anything; the restored bugs are not new *)
+      match
+        Collector.(limit_hit ses.options ~executions:(executions master)
+          ~states:(seen_states master) ~steps:(total_steps master) ~bugs:0)
+      with
+      | Some r ->
+        Collector.note_stop master r;
+        checkpoint (fun () -> (work, carry))
+      | None ->
+        let work = sorted_items (List.map of_prefix work) in
+        loop work (List.map of_prefix carry))
     | None -> (
       match S.roots (module E) wstates.(0) master with
       | [] ->

@@ -196,9 +196,9 @@ val replay_prefix :
   (module Engine.S with type state = 's) -> int list -> 's * int list
 (** Like {!replay}, but stops at the first terminal state and returns it
     together with the unconsumed schedule suffix ([[]] when every step
-    was taken) — the replay hook behind the repro subsystem's tail
-    truncation ({!Icb_repro.Minimize}): the earliest prefix exposing a
-    bug is the witness, anything after it is noise.  Raises like
+    was taken): the earliest prefix exposing a bug is the witness,
+    anything after it is noise (the repro subsystem's tail truncation
+    does the same inside [Icb_repro.Sched.probe]).  Raises like
     {!replay} if a pre-terminal step names a disabled thread. *)
 
 (** {2 The strategy catalogue}

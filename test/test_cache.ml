@@ -1,11 +1,12 @@
 (* The prefix-snapshot replay cache (docs/REPLAY_CACHE.md) must be
    invisible: a cached run explores exactly what the stateless run
-   explores, for every strategy in the registry, serially and sharded
-   across domains, fresh or resumed from a checkpoint of any format
-   version.  These suites pin that contract, plus what it rests on: the
-   engine capability (snapshot/restore round-tripping the machine
-   engine's states exactly) and the path memo, which must materialize
-   every schedule exactly as a replay from the root does. *)
+   explores, fresh or resumed from a checkpoint of any format version
+   (test_conformance compares every strategy cached and uncached on
+   every runner).  These suites pin what that rests on: the engine
+   capability (snapshot/restore round-tripping the machine engine's
+   states exactly), the path memo, which must materialize every
+   schedule exactly as a replay from the root does, and the exact
+   replay work each run saves. *)
 
 module Explore = Icb_search.Explore
 module Collector = Icb_search.Collector
@@ -14,19 +15,7 @@ module Sresult = Icb_search.Sresult
 module Engine = Icb_search.Engine
 module Replay_cache = Icb_search.Replay_cache
 
-let check = Alcotest.check
-
-let bug_keys (r : Sresult.t) =
-  List.sort_uniq String.compare
-    (List.map (fun (b : Sresult.bug) -> b.Sresult.key) r.Sresult.bugs)
-
-let fixture name =
-  let candidates =
-    [ Filename.concat "fixtures" name;
-      Filename.concat (Filename.concat "test" "fixtures") name ]
-  in
-  try List.find Sys.file_exists candidates
-  with Not_found -> List.hd candidates
+open Harness
 
 (* --- snapshot/restore round-trips engine state ---------------------------- *)
 
@@ -113,61 +102,10 @@ let snapshot_tests =
             (Option.is_none C.snapshot));
     ]
 
-(* --- cached vs uncached equivalence across the strategy registry ---------- *)
-
-(* One model rich enough to exercise every strategy (a real bug, several
-   context bounds); the cache must not change a single observable.  The
-   randomized strategies are deterministic given the registry's fixed
-   seed, so even their equality is exact. *)
+(* One model rich enough to exercise every strategy: a real bug and
+   several context bounds. *)
 let equivalence_prog () =
   Icb_models.Peterson.program Icb_models.Peterson.Bug_check_before_set
-
-let equivalence_case (reg : Explore.registered) () =
-  let prog = equivalence_prog () in
-  let options =
-    if reg.Explore.reg_bounded then
-      { Collector.default_options with Collector.max_executions = Some 200 }
-    else Collector.default_options
-  in
-  let run ~cache ~domains =
-    Icb.run ~options ~domains ~cache ~strategy:reg.Explore.reg_strategy prog
-  in
-  (* Bounded strategies only terminate via the execution cap, and
-     parallel stopping is cooperative (workers finish their current item
-     before honouring the flag), so two capped parallel runs — cache or
-     no cache — can legitimately differ by a few executions.  Compare
-     them serially only; naturally-terminating strategies are compared
-     sharded too. *)
-  let domains_to_try =
-    let module S =
-      (val Explore.instantiate (Icb.engine prog) reg.Explore.reg_strategy)
-    in
-    if S.shardable && not reg.Explore.reg_bounded then [ 1; 2 ] else [ 1 ]
-  in
-  List.iter
-    (fun domains ->
-      let rc = run ~cache:true ~domains in
-      let ru = run ~cache:false ~domains in
-      let tag = Printf.sprintf "%s, domains=%d" reg.Explore.reg_name domains in
-      check (Alcotest.list Alcotest.string)
-        (tag ^ ": same bug set") (bug_keys ru) (bug_keys rc);
-      check Alcotest.int (tag ^ ": same executions") ru.Sresult.executions
-        rc.Sresult.executions;
-      check Alcotest.int (tag ^ ": same states") ru.Sresult.distinct_states
-        rc.Sresult.distinct_states;
-      check Alcotest.int (tag ^ ": same expansion steps")
-        ru.Sresult.total_steps rc.Sresult.total_steps;
-      check Alcotest.bool (tag ^ ": same completion") ru.Sresult.complete
-        rc.Sresult.complete)
-    domains_to_try
-
-let equivalence_tests =
-  List.map
-    (fun (reg : Explore.registered) ->
-      Alcotest.test_case
-        (Printf.sprintf "cached = uncached (%s)" reg.Explore.reg_name)
-        `Quick (equivalence_case reg))
-    (Explore.registry ())
 
 (* --- the cache saves work without changing it ----------------------------- *)
 
@@ -624,8 +562,10 @@ let fixture_tests =
 let () =
   Alcotest.run "cache"
     [
+      (* empty: the widest group name this suite had, which sets the
+         width Alcotest prints every test name in *)
+      ("equivalence", []);
       ("snapshot", snapshot_tests);
-      ("equivalence", equivalence_tests);
       ("stats", stats_tests @ replay_tests);
       ("memo", memo_tests);
       ("checkpoint", checkpoint_tests);

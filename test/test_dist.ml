@@ -1,8 +1,9 @@
-(* The distributed coordinator/worker pair: exact equivalence with the
-   serial search for every shardable strategy, lease re-issue after a
-   worker dies mid-batch, stale-report rejection, coordinator
-   interrupt/resume through its checkpoint, and the HTTP observability
-   endpoints — all over real loopback sockets. *)
+(* The distributed coordinator/worker pair: lease re-issue after a
+   worker dies mid-batch, stale-report rejection, pipelined and parked
+   requests, telemetry over the wire, coordinator interrupt/resume
+   through its checkpoint, and the HTTP observability endpoints — all
+   over real loopback sockets.  Equivalence with the serial search for
+   every shardable strategy is test_conformance's worker cells. *)
 
 module Explore = Icb_search.Explore
 module Collector = Icb_search.Collector
@@ -18,163 +19,15 @@ module Metrics = Icb_obs.Metrics
 module Trace = Icb_obs.Trace
 module Event = Icb_obs.Event
 
-let check = Alcotest.check
-
 let prog () =
   Icb_models.Peterson.program Icb_models.Peterson.Bug_check_before_set
 
-(* Each bug's whole witness, sorted: key, preemptions, context switches,
-   depth and schedule.  Batches and the barrier keep each key's least
-   (preemptions, schedule) witness, as the serial collector does. *)
-let bug_set (r : Sresult.t) =
-  List.sort compare
-    (List.map
-       (fun (b : Sresult.bug) ->
-         Printf.sprintf "%s p%d cs%d d%d <%s>" b.Sresult.key
-           b.Sresult.preemptions b.Sresult.context_switches b.Sresult.depth
-           (String.concat "," (List.map string_of_int b.Sresult.schedule)))
-       r.Sresult.bugs)
-
-let bexec (r : Sresult.t) = Array.to_list r.Sresult.bound_executions
-
-let assert_equivalent what (s : Sresult.t) (d : Sresult.t) =
-  check (Alcotest.list Alcotest.string) (what ^ ": bug set") (bug_set s)
-    (bug_set d);
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    (what ^ ": executions per bound") (bexec s) (bexec d);
-  check Alcotest.int (what ^ ": executions") s.Sresult.executions
-    d.Sresult.executions;
-  check Alcotest.int (what ^ ": states") s.Sresult.distinct_states
-    d.Sresult.distinct_states;
-  check Alcotest.int (what ^ ": steps") s.Sresult.total_steps
-    d.Sresult.total_steps;
-  check Alcotest.bool (what ^ ": complete") s.Sresult.complete
-    d.Sresult.complete
-
-let serial ?options p strategy = Icb.run ?options ~strategy p
-
-let spawn_worker ~port p =
-  Thread.create
-    (fun () ->
-      ignore
-        (Worker.run ~host:"127.0.0.1" ~port
-           ~resolve:(fun _ -> Ok (Worker.Packed (Icb.engine p)))
-           ()))
-    ()
-
-(* Coordinator in this thread, [workers] in-process worker threads over
-   loopback.  [keep] leaves the port up (and skips shutdown) so a test
-   can poke the HTTP endpoints after the run. *)
-let distributed ?(workers = 2) ?(batch_size = 4) ?(lease_timeout = 5.0)
-    ?telemetry ?options ?checkpoint_out ?checkpoint_every ?resume_from ?cache
-    ?(keep = false) p strategy =
-  let coord = Coord.create ~batch_size ~lease_timeout ?telemetry () in
-  let port = Coord.port coord in
-  let ws = List.init workers (fun _ -> spawn_worker ~port p) in
-  match
-    Coord.run coord (Icb.engine p) ?options ?checkpoint_out ?checkpoint_every
-      ?resume_from ?cache
-      ~env:(Strategy.env_of_prog p)
-      strategy
-  with
-  | r ->
-    List.iter Thread.join ws;
-    if not keep then Coord.shutdown coord;
-    (r, coord)
-  | exception e ->
-    Coord.shutdown coord;
-    raise e
+open Harness
 
 let dist_metric coord name =
   let tel = Coord.telemetry coord in
   Telemetry.locked tel (fun () ->
       Option.value (Metrics.find (Telemetry.metrics tel) name) ~default:0.0)
-
-(* --- exact equivalence, registry-driven ----------------------------------- *)
-
-(* Every unbounded shardable strategy must produce identical results
-   (bug set, per-bound execution counts, states, steps, completeness)
-   distributed over workers vs serially; driving the cases off the
-   registry keeps newly added strategies covered.  The registry's
-   instances carry [cache = false]: as with the in-process parallel
-   driver, per-worker seen-caches prune differently and only the
-   uncached search is batch-for-batch exact. *)
-let equivalence_case (r : Explore.registered) =
-  Alcotest.test_case r.Explore.reg_name `Quick (fun () ->
-      let p = prog () in
-      let s = serial p r.Explore.reg_strategy in
-      let d2, _ = distributed p r.Explore.reg_strategy in
-      assert_equivalent "2 workers vs serial" s d2;
-      let d1, _ = distributed ~workers:1 p r.Explore.reg_strategy in
-      assert_equivalent "1 worker vs serial" s d1)
-
-(* The bounded strategies (random, pct) never exhaust their space, and
-   the coordinator enforces limits at batch granularity — so an
-   execution cap is a lower bound, not an exact count.  What must hold:
-   a single-worker run is deterministic (the one worker drains batches
-   in id order, so the stop lands after the same batch every time), and
-   the cap actually stops the run. *)
-let bounded_case (r : Explore.registered) =
-  Alcotest.test_case r.Explore.reg_name `Quick (fun () ->
-      let p = prog () in
-      let options =
-        { Collector.default_options with Collector.max_executions = Some 200 }
-      in
-      let a, _ = distributed ~workers:1 p r.Explore.reg_strategy ~options in
-      let b, _ = distributed ~workers:1 p r.Explore.reg_strategy ~options in
-      check Alcotest.bool
-        (r.Explore.reg_name ^ ": hit the execution cap")
-        true
-        (a.Sresult.stop_reason = Some Sresult.Execution_limit
-        && a.Sresult.executions >= 200);
-      assert_equivalent "single-worker determinism" a b)
-
-let equivalence_tests =
-  List.filter_map
-    (fun (r : Explore.registered) ->
-      let module S =
-        (val Explore.instantiate (Icb.engine (prog ())) r.Explore.reg_strategy)
-      in
-      if not (S.shardable && S.checkpointable) then None
-      else if r.Explore.reg_bounded then Some (bounded_case r)
-      else Some (equivalence_case r))
-    (Explore.registry ~seed:11L ())
-  @ [
-      (* a deeper search than Peterson's, in batches of 16 items *)
-      Alcotest.test_case
-        "icb:3 on the work-stealing queue (pop reads head first), batch 16"
-        `Quick (fun () ->
-          let p =
-            Icb_models.Workstealing.program
-              Icb_models.Workstealing.Bug_pop_reads_head_first
-          in
-          let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
-          let s = serial p strategy in
-          let d1, _ = distributed ~workers:1 ~batch_size:16 p strategy in
-          assert_equivalent "1 worker vs serial" s d1;
-          let d2, _ = distributed ~workers:2 ~batch_size:16 p strategy in
-          assert_equivalent "2 workers vs serial" s d2;
-          let d0, _ =
-            distributed ~cache:false ~workers:2 ~batch_size:16 p strategy
-          in
-          assert_equivalent "replay cache off: 2 workers vs serial" s d0);
-    ]
-
-let transaction_tests =
-  [
-    Alcotest.test_case "transaction manager: 2 workers vs serial" `Quick
-      (fun () ->
-        let p =
-          Icb_models.Transaction.program Icb_models.Transaction.Bug_stale_entry
-        in
-        let strategy = Explore.Icb { max_bound = Some 2; cache = false } in
-        let s = serial p strategy in
-        check Alcotest.bool "the serial run finds the stale-entry bug" true
-          (s.Sresult.bugs <> []);
-        let d, _ = distributed p strategy in
-        assert_equivalent "2 workers vs serial" s d);
-  ]
 
 (* --- a raw protocol client, for misbehaving on purpose --------------------- *)
 
@@ -257,7 +110,7 @@ let lease_tests =
       (fun () ->
         let p = prog () in
         let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
-        let s = serial p strategy in
+        let s = Icb.run ~strategy p in
         let coord = Coord.create ~batch_size:1 ~lease_timeout:30.0 () in
         let port = Coord.port coord in
         let finish = coord_in_background coord p strategy in
@@ -267,7 +120,7 @@ let lease_tests =
         check Alcotest.int "round 0 starts at batch 0" 0 b.Proto.b_id;
         (* die holding the lease *)
         Unix.close fd;
-        let w = spawn_worker ~port p in
+        let w = spawn_worker ~port (Icb.engine p) in
         let d = finish () in
         Thread.join w;
         check Alcotest.bool "the re-issue was counted" true
@@ -281,7 +134,7 @@ let lease_tests =
       (fun () ->
         let p = prog () in
         let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
-        let s = serial p strategy in
+        let s = Icb.run ~strategy p in
         let coord = Coord.create ~batch_size:1 ~lease_timeout:0.2 () in
         let port = Coord.port coord in
         let finish = coord_in_background coord p strategy in
@@ -307,7 +160,7 @@ let lease_tests =
         | Proto.Stale -> ()
         | _ -> Alcotest.fail "expected Stale for the expired lease");
         Unix.close fd;
-        let w = spawn_worker ~port p in
+        let w = spawn_worker ~port (Icb.engine p) in
         let d = finish () in
         Thread.join w;
         check Alcotest.bool "the expiry was counted as a re-issue" true
@@ -320,7 +173,7 @@ let lease_tests =
       `Quick (fun () ->
         let p = prog () in
         let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
-        let s = serial p strategy in
+        let s = Icb.run ~strategy p in
         let coord = Coord.create ~batch_size:1 ~lease_timeout:30.0 () in
         let port = Coord.port coord in
         let finish = coord_in_background coord p strategy in
@@ -328,7 +181,7 @@ let lease_tests =
         let _job = wait_for_job ic oc in
         ignore (lease_batch ic oc);
         reset fd;
-        let w = spawn_worker ~port p in
+        let w = spawn_worker ~port (Icb.engine p) in
         let d = finish () in
         Thread.join w;
         let dropped () = dist_metric coord "icb_dist_dropped_connections" in
@@ -427,7 +280,7 @@ let pipeline_tests =
           (0, 1) (b0.Proto.b_id, b1.Proto.b_id);
         check Alcotest.int "one round" b0.Proto.b_round b1.Proto.b_round;
         Unix.close fd;
-        let w = spawn_worker ~port:(Coord.port coord) (prog ()) in
+        let w = spawn_worker ~port:(Coord.port coord) (Icb.engine (prog ())) in
         ignore (finish ());
         Thread.join w;
         Coord.shutdown coord);
@@ -446,7 +299,7 @@ let pipeline_tests =
         | Proto.Wait { ms = 0 } -> ()
         | _ -> Alcotest.fail "expected wait with ms 0");
         Unix.close fd;
-        let w = spawn_worker ~port:(Coord.port coord) (prog ()) in
+        let w = spawn_worker ~port:(Coord.port coord) (Icb.engine (prog ())) in
         ignore (finish ());
         Thread.join w;
         Coord.shutdown coord);
@@ -517,7 +370,7 @@ let pipeline_tests =
         ignore (expect_batch "second" (rpc ic oc Proto.Request));
         (* die holding both *)
         Unix.close fd;
-        let w = spawn_worker ~port:(Coord.port coord) (prog ()) in
+        let w = spawn_worker ~port:(Coord.port coord) (Icb.engine (prog ())) in
         let d = finish () in
         Thread.join w;
         check Alcotest.bool "both leases were re-issued" true
@@ -613,7 +466,7 @@ let telemetry_tests =
         List.iter
           (fun (what, p, strategy) ->
             let s, expected = serial_metrics p strategy in
-            let d, coord = distributed p strategy in
+            let d, coord = distributed (Icb.engine p) strategy in
             let tel = Coord.telemetry coord in
             check Alcotest.bool (what ^ ": workers shipped no events") false
               (Telemetry.streams_events tel);
@@ -640,7 +493,7 @@ let telemetry_tests =
         in
         let d, td =
           traced_summary (fun tel ->
-              fst (distributed ~telemetry:tel p strategy))
+              fst (distributed ~telemetry:tel (Icb.engine p) strategy))
         in
         assert_equivalent "traced" s d;
         check
@@ -668,7 +521,7 @@ let telemetry_tests =
         let path = Filename.temp_file "icb-dist" ".ckpt" in
         let d, _ =
           distributed ~batch_size:2 ~telemetry:tel ~checkpoint_out:path
-            ~checkpoint_every:every p
+            ~checkpoint_every:every (Icb.engine p)
             (Explore.Icb { max_bound = Some 2; cache = false })
         in
         Sys.remove path;
@@ -688,7 +541,7 @@ let telemetry_tests =
         let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
         let stats = ref (Icb_search.Replay_cache.zero ()) in
         let s = Icb.run ~on_cache_stats:(fun c -> stats := c) ~strategy p in
-        let d, coord = distributed ~batch_size:16 p strategy in
+        let d, coord = distributed ~batch_size:16 (Icb.engine p) strategy in
         assert_equivalent "2 workers vs serial" s d;
         let m name = int_of_float (dist_metric coord name) in
         let c = !stats in
@@ -717,11 +570,11 @@ let resume_tests =
       (fun () ->
         let p = prog () in
         let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
-        let full = serial p strategy in
+        let full = Icb.run ~strategy p in
         let cap = max 1 (full.Sresult.executions / 2) in
         let path = Filename.temp_file "icb-dist" ".ckpt" in
         let killed, _ =
-          distributed p strategy ~checkpoint_out:path
+          distributed (Icb.engine p) strategy ~checkpoint_out:path
             ~options:
               {
                 Collector.default_options with
@@ -731,7 +584,8 @@ let resume_tests =
         check Alcotest.bool "was interrupted" true
           (killed.Sresult.stop_reason = Some Sresult.Execution_limit);
         let resumed, _ =
-          distributed p strategy ~resume_from:(Checkpoint.load path)
+          distributed (Icb.engine p) strategy
+            ~resume_from:(Checkpoint.load path)
         in
         Sys.remove path;
         assert_equivalent "kill + distributed resume vs uninterrupted serial"
@@ -742,11 +596,11 @@ let resume_tests =
       `Quick (fun () ->
         let p = prog () in
         let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
-        let full = serial p strategy in
+        let full = Icb.run ~strategy p in
         let cap = max 1 (full.Sresult.executions / 2) in
         let path = Filename.temp_file "icb-dist" ".ckpt" in
         let killed, _ =
-          distributed p strategy ~checkpoint_out:path
+          distributed (Icb.engine p) strategy ~checkpoint_out:path
             ~options:
               {
                 Collector.default_options with
@@ -868,7 +722,7 @@ let http_tests =
       (fun () ->
         let p = prog () in
         let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
-        let d, coord = distributed p strategy ~keep:true in
+        let d, coord = distributed (Icb.engine p) strategy ~keep:true in
         let port = Coord.port coord in
         let metrics = http_get port "/metrics" in
         let status = http_get port "/status" in
@@ -1166,8 +1020,9 @@ let proto_tests =
 let () =
   Alcotest.run "dist"
     [
-      ("equivalence", equivalence_tests);
-      ("transaction", transaction_tests);
+      (* empty: the widest group name this suite had, which sets the
+         width Alcotest prints every test name in *)
+      ("equivalence", []);
       ("leases", lease_tests);
       ("pipeline", pipeline_tests);
       ("telemetry", telemetry_tests);

@@ -1,5 +1,6 @@
-(* The resilience layer: wall-clock budgets, checkpoint/resume, crash
-   containment and divergence detection. *)
+(* The resilience layer: wall-clock budgets, checkpoint files, crash
+   containment and divergence detection.  Resuming a killed search to
+   the uninterrupted result is test_conformance's interrupted cells. *)
 
 module Explore = Icb_search.Explore
 module Collector = Icb_search.Collector
@@ -10,15 +11,9 @@ module Registry = Icb_models.Registry
 module Api = Icb_chess.Api
 module CE = Icb_chess.Chess_engine
 
-let check = Alcotest.check
+open Harness
 
 let icb_unbounded = Explore.Icb { max_bound = None; cache = false }
-
-let tmp_ckpt () = Filename.temp_file "icb-test" ".ckpt"
-
-let bug_keys (r : Sresult.t) =
-  List.sort_uniq String.compare
-    (List.map (fun (b : Sresult.bug) -> b.Sresult.key) r.Sresult.bugs)
 
 (* --- wall-clock budgets -------------------------------------------------- *)
 
@@ -104,128 +99,8 @@ let deadline_tests =
 
 (* --- checkpoint / resume -------------------------------------------------- *)
 
-(* Interrupt the search every [chunk] executions (a deterministic stand-in
-   for kill -9: the checkpoint written when the limit fires is exactly what
-   a killed process leaves behind, thanks to atomic write-rename), then
-   resume from disk until the search runs to its natural end. *)
-let run_in_chunks ?max_bound ~chunk prog =
-  let path = tmp_ckpt () in
-  let options lim =
-    { Collector.default_options with max_executions = Some lim }
-  in
-  let strategy = Explore.Icb { max_bound; cache = false } in
-  let r =
-    ref
-      (Icb.run ~options:(options chunk) ~checkpoint_out:path
-         ~checkpoint_every:max_int ~strategy prog)
-  in
-  let rounds = ref 1 in
-  while !r.Sresult.stop_reason = Some Sresult.Execution_limit do
-    incr rounds;
-    if !rounds > 500 then Alcotest.fail "resume loop did not converge";
-    let ckpt = Checkpoint.load path in
-    r :=
-      Icb.resume
-        ~options:(options (!r.Sresult.executions + chunk))
-        ~checkpoint_out:path prog ckpt
-  done;
-  Sys.remove path;
-  (!r, !rounds)
-
-let same_outcome_as_uninterrupted ?max_bound ~chunk prog () =
-  let full = Icb.run ~strategy:(Explore.Icb { max_bound; cache = false }) prog in
-  let resumed, rounds = run_in_chunks ?max_bound ~chunk prog in
-  check Alcotest.bool "was actually interrupted" true (rounds > 1);
-  check (Alcotest.list Alcotest.string) "same bug set" (bug_keys full)
-    (bug_keys resumed);
-  check Alcotest.int "same states" full.Sresult.distinct_states
-    resumed.Sresult.distinct_states;
-  check Alcotest.bool "same completion" full.Sresult.complete
-    resumed.Sresult.complete;
-  (* the ICB guarantee survives interruption: the minimal preemption
-     count over all bugs is unchanged *)
-  let min_preemptions (r : Sresult.t) =
-    List.fold_left
-      (fun m (b : Sresult.bug) -> min m b.Sresult.preemptions)
-      max_int r.Sresult.bugs
-  in
-  check Alcotest.int "same minimal preemptions" (min_preemptions full)
-    (min_preemptions resumed)
-
 let checkpoint_tests =
   [
-    Alcotest.test_case "interrupt/resume matches an uninterrupted run (peterson)"
-      `Quick
-      (same_outcome_as_uninterrupted ~chunk:200
-         (Icb_models.Peterson.program Icb_models.Peterson.Bug_check_before_set));
-    Alcotest.test_case
-      "interrupt/resume matches an uninterrupted run (workstealing bug)"
-      `Quick
-      (same_outcome_as_uninterrupted ~max_bound:2 ~chunk:50
-         (Icb_models.Workstealing.program
-            Icb_models.Workstealing.Bug_unlocked_steal));
-    Alcotest.test_case "random walk resumes its RNG stream" `Quick (fun () ->
-        let prog = Icb_models.Bluetooth.program ~bug:false in
-        let options lim =
-          { Collector.default_options with max_executions = Some lim }
-        in
-        let strategy = Explore.Random_walk { seed = 42L } in
-        let full = Icb.run ~options:(options 40) ~strategy prog in
-        let path = tmp_ckpt () in
-        let half =
-          Icb.run ~options:(options 20) ~checkpoint_out:path
-            ~checkpoint_every:max_int ~strategy prog
-        in
-        check Alcotest.int "stopped halfway" 20 half.Sresult.executions;
-        let resumed =
-          Icb.resume ~options:(options 40) prog (Checkpoint.load path)
-        in
-        Sys.remove path;
-        (* the resumed walk continues the very same random stream, so the
-           two-phase run covers exactly what the one-shot run covers *)
-        check Alcotest.int "same executions" full.Sresult.executions
-          resumed.Sresult.executions;
-        check Alcotest.int "same states" full.Sresult.distinct_states
-          resumed.Sresult.distinct_states);
-    Alcotest.test_case "checkpointing a chess-engine search resumes too"
-      `Quick (fun () ->
-        (* the stateless engine rebuilds frontier states by replaying
-           schedule prefixes — exactly the checkpoint representation *)
-        let body () =
-          let m = Api.Mutex.create () in
-          let c = Api.Data.make 0 in
-          for _ = 1 to 2 do
-            Api.spawn (fun () ->
-                Api.Mutex.lock m;
-                Api.Data.set c (Api.Data.get c + 1);
-                Api.Mutex.unlock m)
-          done
-        in
-        let e = CE.engine body in
-        let full = Explore.run e icb_unbounded in
-        let path = tmp_ckpt () in
-        let options lim =
-          { Collector.default_options with max_executions = Some lim }
-        in
-        let r =
-          ref
-            (Explore.run e ~options:(options 3) ~checkpoint_out:path
-               ~checkpoint_every:max_int icb_unbounded)
-        in
-        let rounds = ref 1 in
-        while !r.Sresult.stop_reason = Some Sresult.Execution_limit do
-          incr rounds;
-          if !rounds > 200 then Alcotest.fail "resume loop did not converge";
-          r :=
-            Explore.resume e
-              ~options:(options (!r.Sresult.executions + 3))
-              ~checkpoint_out:path (Checkpoint.load path)
-        done;
-        Sys.remove path;
-        check Alcotest.bool "was interrupted" true (!rounds > 1);
-        check Alcotest.bool "complete" true !r.Sresult.complete;
-        check Alcotest.int "same states" full.Sresult.distinct_states
-          !r.Sresult.distinct_states);
     Alcotest.test_case "strategies without checkpoint support say so" `Quick
       (fun () ->
         let prog = Icb_models.Bluetooth.program ~bug:false in
