@@ -13,7 +13,8 @@
    case it replaced: "<strategy>" the loopback-worker cells, "<strategy>
    on peterson and bluetooth matches serially" the domain pool's, "cached
    = uncached (<strategy>)" the serial cached cell, and "kill/resume
-   round-trips (<strategy>)" the interrupted cells. *)
+   round-trips (<strategy>)" the interrupted cells that no "checkpoint"
+   case runs. *)
 
 module Explore = Icb_search.Explore
 module Collector = Icb_search.Collector
@@ -532,6 +533,10 @@ let registry_rows =
           ] ))
     (Explore.registry ~seed:11L ())
 
+let registry_row s model =
+  List.find (fun (row : row) -> row.name = model ^ ", " ^ s)
+    (List.assoc s registry_rows)
+
 (* A 3-enqueuer Michael-Scott queue under the CHESS engine (worker
    threads would share a domain's active run, so no worker cells). *)
 let msqueue () =
@@ -560,13 +565,21 @@ let chess =
     (icb (Some 2))
 
 (* The rows the replaced cases pinned, on the runners they used; the
-   icb:3 and CHESS rows are several cases. *)
+   icb:3, unlocked-steal and CHESS rows are several cases, and the
+   checkpoint cases' chunked Peterson run and half-killed Bluetooth walk
+   are cells of registry rows. *)
 let pop_head_3 =
   of_prog ~name:"pop reads head first, icb:3" (pop_head ())
     ~cells:
       (List.map (at ~cache:true (Pool 4)) [ Whole; Half Serial; Half (Pool 4) ]
       @ [ at ~cache:true (Workers (1, 16)) Whole; at (Workers (2, 16)) Whole ])
     (icb (Some 3))
+
+let unlocked_steal =
+  of_prog ~name:"unlocked steal, icb:2"
+    (Icb_models.Workstealing.program Icb_models.Workstealing.Bug_unlocked_steal)
+    ~cells:[ at ~cache:true (Pool 4) Whole; at Serial Chunks ]
+    (icb (Some 2))
 
 let barrier_on p c = p c.runner
 
@@ -607,12 +620,8 @@ let pinned_rows =
       barrier_on on_workers );
     ( "equivalence",
       "work-stealing queue (unlocked steal) matches serially",
-      of_prog ~name:"unlocked steal, icb:2"
-        (Icb_models.Workstealing.program
-           Icb_models.Workstealing.Bug_unlocked_steal)
-        ~cells:[ at ~cache:true (Pool 4) Whole; at Serial Chunks ]
-        (icb (Some 2)),
-      all );
+      unlocked_steal,
+      fun c -> c.cut = Whole );
     ( "transaction",
       "transaction manager: 2 workers vs serial",
       of_prog ~name:"stale entry, icb:2"
@@ -624,6 +633,18 @@ let pinned_rows =
       all );
     ("equivalence", "a CHESS search on 2 domains matches serially", chess,
      fun c -> c.cut = Whole);
+    ( "checkpoint",
+      "interrupt/resume matches an uninterrupted run (peterson)",
+      registry_row "icb" "peterson",
+      fun c -> c.cut = Chunks );
+    ( "checkpoint",
+      "interrupt/resume matches an uninterrupted run (workstealing bug)",
+      unlocked_steal,
+      fun c -> c.cut = Chunks );
+    ( "checkpoint",
+      "random walk resumes its RNG stream",
+      registry_row "random" "bluetooth",
+      fun c -> c.runner = Serial && c.cut = Half Serial );
     ("kill-resume", "a CHESS search resumes as it ran", chess,
      fun c -> c.cut <> Whole);
   ]
@@ -686,12 +707,13 @@ let case name f = Alcotest.test_case name `Quick f
 
 let whole_on p c = c.cut = Whole && p c.runner
 
+(* A registry row's cells that a pinned case runs are not run again. *)
+let pinned row c =
+  List.exists (fun (_, _, r, keep) -> r == row && keep c) pinned_rows
+
 let registry_cases =
   let dfs_of row =
-    List.find
-      (fun (d : row) ->
-        d.name = List.hd (String.split_on_char ',' row.name) ^ ", dfs")
-      (List.assoc "dfs" registry_rows)
+    registry_row "dfs" (List.hd (String.split_on_char ',' row.name))
   in
   List.concat_map
     (fun (s, rows) ->
@@ -699,7 +721,7 @@ let registry_cases =
         List.iter
           (fun row ->
             let dfs = if s = "icb" then Some (dfs_of row) else None in
-            slice ?dfs row keep ())
+            slice ?dfs row (fun c -> keep c && not (pinned row c)) ())
           rows
       in
       List.filter_map
@@ -755,5 +777,5 @@ let () =
        (fun g ->
          let mine (g', c) = if g = g' then Some c else None in
          (g, List.filter_map mine cases))
-       [ "equivalence"; "kill-resume"; "stress"; "transaction"; "generated";
-         "limits" ])
+       [ "equivalence"; "kill-resume"; "checkpoint"; "stress"; "transaction";
+         "generated"; "limits" ])
