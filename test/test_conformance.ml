@@ -6,15 +6,10 @@
    a runner, a cache setting and an interruption.  Each cell is [run],
    and its whole result and the schedules its executions took are
    [observe]d field by field.  Every field equals the reference's (the
-   row's serial, cache-off, uninterrupted run) unless a declared
-   relaxation replaces that comparison with its own check.
-
-   Each Alcotest case runs one slice of the matrix under the name of the
-   case it replaced: "<strategy>" the loopback-worker cells, "<strategy>
-   on peterson and bluetooth matches serially" the domain pool's, "cached
-   = uncached (<strategy>)" the serial cached cell, and "kill/resume
-   round-trips (<strategy>)" the interrupted cells that no "checkpoint"
-   case runs. *)
+   row's serial, cache-off, uninterrupted run; for a finished checkpoint
+   resumed, the run it resumed) unless a declared relaxation replaces
+   that comparison with its own check.  A row's [slice] names the
+   Alcotest case that runs each of its cells. *)
 
 module Explore = Icb_search.Explore
 module Collector = Icb_search.Collector
@@ -37,8 +32,6 @@ type cell = { runner : runner; cache : bool; cut : cut }
 
 let at ?(cache = false) runner cut = { runner; cache; cut }
 
-let reference_cell = at Serial Whole
-
 let runner_name = function
   | Serial -> "serial"
   | Pool n -> Printf.sprintf "%d domains" n
@@ -56,34 +49,36 @@ let barrier = function Serial -> false | Pool _ | Workers _ -> true
 
 let on_workers = function Workers _ -> true | Serial | Pool _ -> false
 
-(* Every runner (the serial one only, for a strategy that does not shard)
-   with the cache on and off, uninterrupted and, for a strategy that
-   checkpoints, killed at half and resumed on the same runner.  With the
-   cache off also: finished then resumed; with [chunks], killed in chunks
-   serially; with [cross], killed and resumed on each other runner.  A
-   worker cell costs a coordinator, so on workers the cache is on in the
-   uninterrupted cell only, and only with [cross]. *)
-let cells_of ~runners ~cross ~chunks ~shardable ~checkpointable =
-  let runners = if shardable then runners else [ Serial ] in
+(* A registry row's cells.  On every runner (the serial one only, for a
+   strategy that does not shard): uninterrupted with the cache off and
+   on and, for a strategy that checkpoints, finished then resumed, and
+   killed at half and resumed on the same runner with the cache off (and
+   on, except on workers, where a cell costs a coordinator).  A serial
+   kill also resumes on 2 domains with the cache on, and one worker runs
+   the whole search with it.  [cross] resumes every runner's kill on
+   every runner instead, and kills the serial run in chunks. *)
+let registry_cells ~cross ~shardable ~checkpointable =
+  let runners =
+    if shardable then [ Serial; Pool 2; Workers (2, 4) ] else [ Serial ]
+  in
+  let kills r =
+    (if on_workers r then [] else [ at ~cache:true r (Half r) ])
+    @ List.filter_map
+        (fun r' -> if r' = r || cross then Some (at r (Half r')) else None)
+        runners
+    @
+    match r with
+    | Serial when cross -> [ at Serial Chunks ]
+    | Serial when shardable -> [ at ~cache:true Serial (Half (Pool 2)) ]
+    | _ -> []
+  in
   List.concat_map
-    (fun runner ->
-      let cuts =
-        Finished
-        :: (if chunks && runner = Serial then [ Chunks ] else [])
-        @ List.filter_map
-            (fun r -> if r = runner || cross then Some (Half r) else None)
-            runners
-      in
-      (if on_workers runner && not cross then []
-       else [ at ~cache:true runner Whole ])
-      @ at runner Whole
-      :: (if not checkpointable then []
-          else
-            (if on_workers runner then []
-             else [ at ~cache:true runner (Half runner) ])
-            @ List.map (at runner) cuts))
+    (fun r ->
+      at ~cache:true r Whole :: at r Whole
+      :: (if checkpointable then at r Finished :: kills r else []))
     runners
-  |> List.filter (( <> ) reference_cell)
+  @ (if shardable then [ at ~cache:true (Workers (1, 4)) Whole ] else [])
+  |> List.filter (( <> ) (at Serial Whole))
 
 (* --- rows ---------------------------------------------------------------- *)
 
@@ -96,7 +91,9 @@ type row = {
   atomic : bool;  (* each of the strategy's items records one execution *)
   checkpointable : bool;
   pins : (string * string) list;  (* fields the reference must show *)
+  least : row option;  (* an ICB row's DFS row, for minimal preemptions *)
   cells : cell list;
+  slice : cell -> string * string;  (* the group and case that run a cell *)
   exec : tape -> runner -> cache:bool -> ?max:int -> ?first_bug:bool ->
     ?out:string -> ?from:Checkpoint.t -> unit -> Sresult.t;
   whole : (runner * bool, run * Checkpoint.t option) Hashtbl.t;
@@ -118,8 +115,8 @@ let recorded f =
   { res; tape = sorted_tape tape }
 
 let make_row (type s) ~name (module E : Engine.S with type state = s) ~env
-    ?cap ?(first_bug = false) ?(pins = []) ?(cross = false) ?(chunks = false)
-    ?(runners = [ Serial; Pool 2; Workers (2, 4) ]) ?cells strategy =
+    ~slice ?cap ?(first_bug = false) ?(pins = []) ?least ?(cross = false)
+    ?cells strategy =
   let module S = (val Explore.instantiate ~env (module E) strategy) in
   let exec tape on ~cache ?max ?(first_bug = first_bug) ?out ?from () =
     let (module R : Engine.S with type state = s) = recording (module E) tape in
@@ -155,11 +152,13 @@ let make_row (type s) ~name (module E : Engine.S with type state = s) ~env
     atomic = S.atomic_items;
     checkpointable = S.checkpointable;
     pins;
+    least;
     cells =
       Option.value cells
         ~default:
-          (cells_of ~runners ~cross ~chunks ~shardable:S.shardable
+          (registry_cells ~cross ~shardable:S.shardable
              ~checkpointable:S.checkpointable);
+    slice;
     exec;
     whole = Hashtbl.create 8;
     (* without the first-bug stop, so that it runs past the cap *)
@@ -174,7 +173,41 @@ let make_row (type s) ~name (module E : Engine.S with type state = s) ~env
 let of_prog ~name prog =
   make_row ~name (Icb.engine prog) ~env:(Strategy.env_of_prog prog)
 
-let whole row runner cache =
+let pairs a =
+  String.concat ";"
+    (Array.to_list (Array.map (fun (x, y) -> Printf.sprintf "(%d,%d)" x y) a))
+
+(* The whole result, field by field, and the executions' schedules. *)
+let observe { res = r; tape } =
+  [
+    ("keys", String.concat "; " (bug_keys r));
+    ("witnesses", String.concat "; " (bug_set r));
+    ( "stamps",
+      String.concat "; "
+        (List.sort compare
+           (List.map
+              (fun (b : Sresult.bug) ->
+                Printf.sprintf "%s@%d" b.Sresult.key b.Sresult.execution)
+              r.Sresult.bugs)) );
+    ("executions", string_of_int r.Sresult.executions);
+    ("states", string_of_int r.Sresult.distinct_states);
+    ("steps", string_of_int r.Sresult.total_steps);
+    ("bound executions", pairs r.Sresult.bound_executions);
+    ("bound coverage", pairs r.Sresult.bound_coverage);
+    ("complete", string_of_bool r.Sresult.complete);
+    ( "stop reason",
+      Option.fold ~none:"-" ~some:Sresult.stop_reason_string
+        r.Sresult.stop_reason );
+    ("growth", pairs r.Sresult.growth);
+    ( "tape",
+      Printf.sprintf "%d runs, %s" (List.length tape)
+        (Digest.to_hex (Digest.string (Marshal.to_string tape []))) );
+  ]
+
+(* A runner's uninterrupted run, made once.  The reference must show the
+   row's pins, end naturally unless capped and, in an ICB row, give each
+   key the least preemptions of the DFS row's witness. *)
+let rec whole row runner cache =
   match Hashtbl.find_opt row.whole (runner, cache) with
   | Some w -> w
   | None ->
@@ -183,10 +216,33 @@ let whole row runner cache =
     let r = recorded (fun tape -> row.exec tape runner ~cache ?out ()) in
     let w = (r, Option.map Checkpoint.load out) in
     Sys.remove path;
+    if runner = Serial && not cache then begin
+      let obs = observe r in
+      List.iter
+        (fun (field, v) ->
+          check Alcotest.string (row.name ^ ": pinned " ^ field) v
+            (List.assoc field obs))
+        (if row.cap = None then ("stop reason", "-") :: row.pins else row.pins);
+      Option.iter
+        (fun dfs ->
+          List.iter
+            (fun (b : Sresult.bug) ->
+              check (Alcotest.option Alcotest.int)
+                (row.name ^ ": " ^ b.Sresult.key ^ " has minimal preemptions")
+                (List.find_map
+                   (fun (d : Sresult.bug) ->
+                     if d.Sresult.key = b.Sresult.key then
+                       Some d.Sresult.preemptions
+                     else None)
+                   (reference dfs).res.Sresult.bugs)
+                (Some b.Sresult.preemptions))
+            r.res.Sresult.bugs)
+        row.least
+    end;
     Hashtbl.replace row.whole (runner, cache) w;
     w
 
-let reference row = fst (whole row Serial false)
+and reference row = fst (whole row Serial false)
 
 let stopped_by_cap (r : Sresult.t) =
   r.Sresult.stop_reason = Some Sresult.Execution_limit
@@ -236,43 +292,17 @@ let run row cell =
   Sys.remove path;
   r
 
-let pairs a =
-  String.concat ";"
-    (Array.to_list (Array.map (fun (x, y) -> Printf.sprintf "(%d,%d)" x y) a))
-
-(* The whole result, field by field, and the executions' schedules. *)
-let observe { res = r; tape } =
-  [
-    ("keys", String.concat "; " (bug_keys r));
-    ("witnesses", String.concat "; " (bug_set r));
-    ( "stamps",
-      String.concat "; "
-        (List.sort compare
-           (List.map
-              (fun (b : Sresult.bug) ->
-                Printf.sprintf "%s@%d" b.Sresult.key b.Sresult.execution)
-              r.Sresult.bugs)) );
-    ("executions", string_of_int r.Sresult.executions);
-    ("states", string_of_int r.Sresult.distinct_states);
-    ("steps", string_of_int r.Sresult.total_steps);
-    ("bound executions", pairs r.Sresult.bound_executions);
-    ("bound coverage", pairs r.Sresult.bound_coverage);
-    ("complete", string_of_bool r.Sresult.complete);
-    ( "stop reason",
-      Option.fold ~none:"-" ~some:Sresult.stop_reason_string
-        r.Sresult.stop_reason );
-    ("growth", pairs r.Sresult.growth);
-    ( "tape",
-      Printf.sprintf "%d runs, %s" (List.length tape)
-        (Digest.to_hex (Digest.string (Marshal.to_string tape []))) );
-  ]
-
 (* --- relaxations --------------------------------------------------------- *)
 
 let interrupted c = match c.cut with Half _ | Chunks -> true | _ -> false
 
+(* A finished checkpoint resumed is compared with the run it resumed,
+   so no relaxation for a barrier or a cap applies to it. *)
 let involves_barrier c =
-  barrier c.runner || match c.cut with Half r -> barrier r | _ -> false
+  match c.cut with
+  | Finished -> false
+  | Half r -> barrier c.runner || barrier r
+  | Whole | Chunks -> barrier c.runner
 
 (* a single worker drains its batches in order, so its cap stops it
    after the same batch every time: it is exact *)
@@ -283,7 +313,7 @@ let cooperative row c =
 let requeued row c = (not row.atomic) && c.runner = Serial && interrupted c
 
 let dropped_leases row c =
-  on_workers c.runner && (interrupted c || row.cap <> None)
+  on_workers c.runner && (interrupted c || (row.cap <> None && c.cut = Whole))
 
 let exact row c = not (cooperative row c || requeued row c)
 
@@ -318,15 +348,18 @@ let relaxations =
       applies = reordered;
       fields = [ "growth" ];
       instead =
-        (fun _ c ref got ->
+        (fun row c ref got ->
+          let g = got.res.Sresult.growth in
+          let twin = { c with cache = not c.cache } in
           if interrupted c then []
           else
-            [
-              ( "each round's point lies on the serial curve",
-                Array.for_all
-                  (fun p -> Array.mem p ref.res.Sresult.growth)
-                  got.res.Sresult.growth );
-            ]);
+            ( "each round's point lies on the serial curve",
+              Array.for_all (fun p -> Array.mem p ref.res.Sresult.growth) g )
+            :: (if not (List.mem twin row.cells) then []
+                else
+                  [ ( "the runner's growth with the other cache",
+                      (fst (whole row c.runner twin.cache)).res.Sresult.growth
+                      = g ) ]));
     };
     {
       why =
@@ -376,10 +409,13 @@ let relaxations =
               List.for_all
                 (fun k -> List.mem k (bug_keys wide.res))
                 (bug_keys got.res) );
-            ( "walks among a wider serial run's, none twice",
-              multiset_le
-                (if dropped_leases row c then set got.tape else got.tape)
-                wide.tape );
+            (* a stopped coordinator's held batches may run twice (6.) *)
+            (if dropped_leases row c then
+               ( "walks among a wider serial run's",
+                 multiset_le (set got.tape) wide.tape )
+             else
+               ( "walks among a wider serial run's, none twice",
+                 multiset_le got.tape wide.tape ));
           ]);
     };
     {
@@ -436,15 +472,15 @@ let relaxations =
     };
   ]
 
-(* --- checking ------------------------------------------------------------ *)
-
 (* The tape also counts a replay that steps into a terminal state, which
    only the cache setting decides (most-enabled rebuilds an item to rank
    it when the cache is off), so it is compared with the serial tape of
-   the cell's own cache. *)
+   the cell's own cache.  A finished checkpoint resumed must report the
+   run it resumed, which ran nothing more. *)
 let compare_cell row cell =
   let ref =
-    { (reference row) with tape = (fst (whole row Serial cell.cache)).tape }
+    if cell.cut = Finished then fst (whole row cell.runner cell.cache)
+    else { (reference row) with tape = (fst (whole row Serial cell.cache)).tape }
   in
   let got = run row cell in
   let what f = Printf.sprintf "%s [%s]: %s" row.name (cell_name cell) f in
@@ -464,41 +500,18 @@ let compare_cell row cell =
         (r.instead row cell ref got))
     relaxed
 
-(* The reference's pins, its natural end unless capped, and, given the
-   DFS row of the same input, each key's least preemptions. *)
-let slice ?dfs row keep () =
-  let obs = observe (reference row) in
-  List.iter
-    (fun (field, v) ->
-      check Alcotest.string (row.name ^ ": pinned " ^ field) v
-        (List.assoc field obs))
-    row.pins;
-  if row.cap = None then
-    check Alcotest.string (row.name ^ ": ends naturally") "-"
-      (List.assoc "stop reason" obs);
-  Option.iter
-    (fun dfs ->
-      let least (b : Sresult.bug) =
-        List.find_map
-          (fun (d : Sresult.bug) ->
-            if d.Sresult.key = b.Sresult.key then Some d.Sresult.preemptions
-            else None)
-          (reference dfs).res.Sresult.bugs
-      in
-      List.iter
-        (fun (b : Sresult.bug) ->
-          check (Alcotest.option Alcotest.int)
-            (row.name ^ ": " ^ b.Sresult.key ^ " has minimal preemptions")
-            (least b) (Some b.Sresult.preemptions))
-        (reference row).res.Sresult.bugs)
-    dfs;
-  List.iter (compare_cell row) (List.filter keep row.cells)
-
 (* --- inputs -------------------------------------------------------------- *)
 
 let icb b = Explore.Icb { max_bound = b; cache = false }
 
 let dfs = Explore.Dfs { cache = false }
+
+let named group case _ = (group, case)
+
+let peterson () =
+  Icb_models.Peterson.program Icb_models.Peterson.Bug_check_before_set
+
+let bluetooth () = Icb_models.Bluetooth.program ~bug:true
 
 let pop_head () =
   Icb_models.Workstealing.program
@@ -506,36 +519,42 @@ let pop_head () =
 
 (* Every registry strategy on both models, the randomized ones capped at
    400 executions; icb and dfs are also killed in chunks and resumed
-   across runners. *)
+   across runners.  The checkpoint cases' chunked Peterson run and
+   half-killed Bluetooth walk are cells of these rows. *)
 let registry_rows =
-  List.map
-    (fun (r : Explore.registered) ->
-      let s = r.Explore.reg_strategy in
-      let cross = s = icb None || s = dfs in
-      ( r.Explore.reg_name,
-        List.map
-          (fun (model, prog) ->
-            of_prog ~name:(model ^ ", " ^ r.Explore.reg_name) prog
-              ?cap:(if r.Explore.reg_bounded then Some 400 else None)
-              ~pins:
-                (if r.Explore.reg_bounded then [ ("executions", "400") ]
-                 else [])
-              ?runners:
-                (if r.Explore.reg_bounded then
-                   Some [ Serial; Pool 2; Workers (2, 4); Workers (1, 4) ]
-                 else None)
-              ~cross ~chunks:cross s)
-          [
-            ( "peterson",
-              Icb_models.Peterson.program
-                Icb_models.Peterson.Bug_check_before_set );
-            ("bluetooth", Icb_models.Bluetooth.program ~bug:true);
-          ] ))
-    (Explore.registry ~seed:11L ())
-
-let registry_row s model =
-  List.find (fun (row : row) -> row.name = model ^ ", " ^ s)
-    (List.assoc s registry_rows)
+  let registry = Explore.registry ~seed:11L () in
+  List.concat_map
+    (fun (model, prog) ->
+      let row ?least (r : Explore.registered) =
+        let s = r.Explore.reg_name and name = model ^ ", " ^ r.Explore.reg_name in
+        of_prog ~name prog ?least
+          ?cap:(if r.Explore.reg_bounded then Some 400 else None)
+          ~pins:(if r.Explore.reg_bounded then [ ("executions", "400") ] else [])
+          ~cross:(s = "icb" || s = "dfs")
+          ~slice:(fun c ->
+            match (c.runner, c.cut) with
+            | _, Chunks when name = "peterson, icb" ->
+              ( "checkpoint",
+                "interrupt/resume matches an uninterrupted run (peterson)" )
+            | Serial, Half Serial when name = "bluetooth, random" && not c.cache
+              ->
+              ("checkpoint", "random walk resumes its RNG stream")
+            | Workers _, Whole -> ("equivalence", s)
+            | Pool _, Whole ->
+              ("equivalence", s ^ " on peterson and bluetooth matches serially")
+            | Serial, Whole -> ("equivalence", "cached = uncached (" ^ s ^ ")")
+            | _ -> ("kill-resume", "kill/resume round-trips (" ^ s ^ ")"))
+          r.Explore.reg_strategy
+      in
+      let dfs = row (List.find (fun r -> r.Explore.reg_name = "dfs") registry) in
+      List.map
+        (fun (r : Explore.registered) ->
+          match r.Explore.reg_name with
+          | "dfs" -> dfs
+          | "icb" -> row ~least:dfs r
+          | _ -> row r)
+        registry)
+    [ ("peterson", peterson ()); ("bluetooth", bluetooth ()) ]
 
 (* A 3-enqueuer Michael-Scott queue under the CHESS engine (worker
    threads would share a domain's active run, so no worker cells). *)
@@ -557,119 +576,97 @@ let msqueue () =
   if List.sort compare (drain []) <> [ 1; 2; 3 ] then
     failwith "queue lost or duplicated a value"
 
-let chess =
-  make_row ~name:"msqueue, icb:2" ~env:Strategy.empty_env
-    (Icb_chess.Chess_engine.engine msqueue)
-    ~pins:[ ("executions", "8677"); ("states", "83869") ]
-    ~cells:[ at (Pool 2) Whole; at Serial (Half Serial) ]
-    (icb (Some 2))
-
-(* The rows the replaced cases pinned, on the runners they used; the
-   icb:3, unlocked-steal and CHESS rows are several cases, and the
-   checkpoint cases' chunked Peterson run and half-killed Bluetooth walk
-   are cells of registry rows. *)
-let pop_head_3 =
-  of_prog ~name:"pop reads head first, icb:3" (pop_head ())
-    ~cells:
-      (List.map (at ~cache:true (Pool 4)) [ Whole; Half Serial; Half (Pool 4) ]
-      @ [ at ~cache:true (Workers (1, 16)) Whole; at (Workers (2, 16)) Whole ])
-    (icb (Some 3))
-
-let unlocked_steal =
-  of_prog ~name:"unlocked steal, icb:2"
-    (Icb_models.Workstealing.program Icb_models.Workstealing.Bug_unlocked_steal)
-    ~cells:[ at ~cache:true (Pool 4) Whole; at Serial Chunks ]
-    (icb (Some 2))
-
-let barrier_on p c = p c.runner
-
-let all _ = true
-
+(* The rows the replaced cases pinned, on the runners they used. *)
 let pinned_rows =
-  let on_pool = function Pool _ -> true | _ -> false in
   [
-    ( "equivalence",
-      "peterson (check-before-set) matches serially",
-      of_prog ~name:"peterson, icb:3"
-        (Icb_models.Peterson.program Icb_models.Peterson.Bug_check_before_set)
-        ~cells:[ at (Pool 4) Whole ] (icb (Some 3)),
-      all );
-    ( "equivalence",
-      "bluetooth driver (buggy) matches serially",
-      of_prog ~name:"bluetooth, icb:3" (Icb_models.Bluetooth.program ~bug:true)
-        ~cells:[ at (Pool 4) Whole ] (icb (Some 3)),
-      all );
-    ( "equivalence",
-      "work-stealing queue (pop reads head first) matches serially",
-      of_prog ~name:"pop reads head first, icb:2" (pop_head ())
-        ~cells:[ at (Pool 4) Whole; at ~cache:true (Pool 4) Whole ]
-        (icb (Some 2)),
-      all );
-    ( "equivalence",
-      "bound 3: work-stealing queue (pop reads head first) matches serially",
-      pop_head_3,
-      fun c -> on_pool c.runner && c.cut = Whole );
-    ( "stress",
-      "a killed parallel run resumes (serially and in parallel) with no \
-       duplicated work",
-      pop_head_3,
-      fun c -> on_pool c.runner && c.cut <> Whole );
-    ( "equivalence",
-      "icb:3 on the work-stealing queue (pop reads head first), batch 16",
-      pop_head_3,
-      barrier_on on_workers );
-    ( "equivalence",
-      "work-stealing queue (unlocked steal) matches serially",
-      unlocked_steal,
-      fun c -> c.cut = Whole );
-    ( "transaction",
-      "transaction manager: 2 workers vs serial",
-      of_prog ~name:"stale entry, icb:2"
-        (Icb_models.Transaction.program Icb_models.Transaction.Bug_stale_entry)
-        ~pins:[ ("keys", "assert:flushed a transaction before its timeout") ]
-        ~cells:
-          [ at ~cache:true (Workers (2, 4)) Whole; at (Workers (2, 4)) Whole ]
-        (icb (Some 2)),
-      all );
-    ("equivalence", "a CHESS search on 2 domains matches serially", chess,
-     fun c -> c.cut = Whole);
-    ( "checkpoint",
-      "interrupt/resume matches an uninterrupted run (peterson)",
-      registry_row "icb" "peterson",
-      fun c -> c.cut = Chunks );
-    ( "checkpoint",
-      "interrupt/resume matches an uninterrupted run (workstealing bug)",
-      unlocked_steal,
-      fun c -> c.cut = Chunks );
-    ( "checkpoint",
-      "random walk resumes its RNG stream",
-      registry_row "random" "bluetooth",
-      fun c -> c.runner = Serial && c.cut = Half Serial );
-    ("kill-resume", "a CHESS search resumes as it ran", chess,
-     fun c -> c.cut <> Whole);
+    of_prog ~name:"peterson, icb:3" (peterson ())
+      ~cells:[ at (Pool 4) Whole ]
+      ~slice:(named "equivalence" "peterson (check-before-set) matches serially")
+      (icb (Some 3));
+    of_prog ~name:"bluetooth, icb:3" (bluetooth ())
+      ~cells:[ at (Pool 4) Whole ]
+      ~slice:(named "equivalence" "bluetooth driver (buggy) matches serially")
+      (icb (Some 3));
+    of_prog ~name:"pop reads head first, icb:2" (pop_head ())
+      ~cells:[ at (Pool 4) Whole; at ~cache:true (Pool 4) Whole ]
+      ~slice:
+        (named "equivalence"
+           "work-stealing queue (pop reads head first) matches serially")
+      (icb (Some 2));
+    of_prog ~name:"pop reads head first, icb:3" (pop_head ())
+      ~cells:
+        (List.map (at ~cache:true (Pool 4)) [ Whole; Half Serial; Half (Pool 4) ]
+        @ [ at ~cache:true (Workers (1, 16)) Whole;
+            at ~cache:true (Workers (2, 16)) Whole; at (Workers (2, 16)) Whole ])
+      ~slice:(fun c ->
+        match (c.runner, c.cut) with
+        | Workers _, _ ->
+          ( "equivalence",
+            "icb:3 on the work-stealing queue (pop reads head first), batch 16" )
+        | _, Whole ->
+          ( "equivalence",
+            "bound 3: work-stealing queue (pop reads head first) matches \
+             serially" )
+        | _ ->
+          ( "stress",
+            "a killed parallel run resumes (serially and in parallel) with no \
+             duplicated work" ))
+      (icb (Some 3));
+    of_prog ~name:"unlocked steal, icb:2"
+      (Icb_models.Workstealing.program Icb_models.Workstealing.Bug_unlocked_steal)
+      ~cells:[ at ~cache:true (Pool 4) Whole; at Serial Chunks ]
+      ~slice:(fun c ->
+        if c.cut = Whole then
+          ("equivalence", "work-stealing queue (unlocked steal) matches serially")
+        else
+          ( "checkpoint",
+            "interrupt/resume matches an uninterrupted run (workstealing bug)" ))
+      (icb (Some 2));
+    of_prog ~name:"stale entry, icb:2"
+      (Icb_models.Transaction.program Icb_models.Transaction.Bug_stale_entry)
+      ~pins:[ ("keys", "assert:flushed a transaction before its timeout") ]
+      ~cells:[ at ~cache:true (Workers (2, 4)) Whole; at (Workers (2, 4)) Whole ]
+      ~slice:(named "transaction" "transaction manager: 2 workers vs serial")
+      (icb (Some 2));
+    make_row ~name:"msqueue, icb:2" ~env:Strategy.empty_env
+      (Icb_chess.Chess_engine.engine msqueue)
+      ~pins:[ ("executions", "8677"); ("states", "83869") ]
+      ~cells:[ at (Pool 2) Whole; at Serial Chunks ]
+      ~slice:(fun c ->
+        if c.cut = Whole then
+          ("equivalence", "a CHESS search on 2 domains matches serially")
+        else ("kill-resume", "a CHESS search resumes as it ran"))
+      (icb (Some 2));
   ]
 
-(* Generated two-worker programs from a fixed seed: serially and on the
-   pool, uninterrupted, killed at half, and finished then resumed. *)
-let generated =
-  lazy
-    (List.map Icb.compile
-       (QCheck.Gen.generate ~rand:(Random.State.make [| 2007 |]) ~n:5
-          Gen_programs.program))
-
-let generated_rows strategy =
-  List.mapi
-    (fun i prog ->
-      of_prog
-        ~name:
-          (Printf.sprintf "generated #%d, %s" i
-             (Explore.strategy_name strategy))
-        prog strategy
-        ~cells:
-          [ at ~cache:true Serial Whole; at (Pool 2) Whole;
-            at ~cache:true (Pool 2) Whole; at Serial (Half Serial);
-            at (Pool 2) (Half (Pool 2)); at Serial Finished ])
-    (Lazy.force generated)
+(* Generated two-worker programs from a fixed seed, under icb (with DFS
+   minimality), dfs and vb:2: serially and on the pool, uninterrupted,
+   killed at half, and finished then resumed. *)
+let generated_rows =
+  let progs =
+    List.map Icb.compile
+      (QCheck.Gen.generate ~rand:(Random.State.make [| 2007 |]) ~n:5
+         Gen_programs.program)
+  in
+  let rows ?least strategy =
+    let s = Explore.strategy_name strategy in
+    List.mapi
+      (fun i prog ->
+        of_prog
+          ~name:(Printf.sprintf "generated #%d, %s" i s)
+          prog ?least:(Option.map (fun l -> List.nth l i) least)
+          ~cells:
+            [ at ~cache:true Serial Whole; at (Pool 2) Whole;
+              at ~cache:true (Pool 2) Whole; at Serial (Half Serial);
+              at (Pool 2) (Half (Pool 2)); at Serial Finished ]
+          ~slice:(named "generated" ("generated programs, " ^ s))
+          strategy)
+      progs
+  in
+  let dfs_rows = rows dfs in
+  rows ~least:dfs_rows (icb None)
+  @ dfs_rows
+  @ rows (Explore.Variable_bound { n = 2; cache = false })
 
 (* Every execution fails an assertion, so under stop_at_first_bug and a
    one-execution cap both limits trip at once: every runner must name
@@ -694,88 +691,42 @@ main { spawn w(); spawn w(); }
         prog ~cap:1 ~first_bug:true
         ~pins:[ ("stop reason", "stopped at first bug") ]
         ~cells:
-          (List.filter (( <> ) reference_cell)
+          (List.filter
+             (( <> ) (at Serial Whole))
              (List.concat_map
                 (fun r -> [ at r Whole; at r Finished ])
                 [ Serial; Pool 2; Workers (2, 4) ]))
+        ~slice:(named "limits" "every runner names the same stop reason")
         strategy)
     [ icb (Some 3); dfs; Explore.Random_walk { seed = 5L } ]
 
-(* --- the slices ---------------------------------------------------------- *)
+(* --- the cases ----------------------------------------------------------- *)
 
-let case name f = Alcotest.test_case name `Quick f
-
-let whole_on p c = c.cut = Whole && p c.runner
-
-(* A registry row's cells that a pinned case runs are not run again. *)
-let pinned row c =
-  List.exists (fun (_, _, r, keep) -> r == row && keep c) pinned_rows
-
-let registry_cases =
-  let dfs_of row =
-    registry_row "dfs" (List.hd (String.split_on_char ',' row.name))
-  in
-  List.concat_map
-    (fun (s, rows) ->
-      let run_slice keep () =
-        List.iter
-          (fun row ->
-            let dfs = if s = "icb" then Some (dfs_of row) else None in
-            slice ?dfs row (fun c -> keep c && not (pinned row c)) ())
-          rows
-      in
-      List.filter_map
-        (fun (group, name, keep) ->
-          if List.exists (fun row -> List.exists keep row.cells) rows then
-            Some (group, case name (run_slice keep))
-          else None)
-        [
-          ("equivalence", s, whole_on on_workers);
-          ( "equivalence",
-            s ^ " on peterson and bluetooth matches serially",
-            whole_on (function Pool _ -> true | _ -> false) );
-          ( "equivalence",
-            "cached = uncached (" ^ s ^ ")",
-            whole_on (( = ) Serial) );
-          ( "kill-resume",
-            "kill/resume round-trips (" ^ s ^ ")",
-            fun c -> c.cut <> Whole );
-        ])
-    registry_rows
-
+(* One case per slice, running its cells in the rows' order. *)
 let () =
-  let generated_case strategy =
-    case
-      ("generated programs, " ^ Explore.strategy_name strategy)
-      (fun () ->
-        let dfs_rows = lazy (generated_rows dfs) in
-        List.iteri
-          (fun i row ->
-            let dfs =
-              if strategy <> icb None then None
-              else Some (List.nth (Lazy.force dfs_rows) i)
-            in
-            slice ?dfs row all ())
-          (generated_rows strategy))
-  in
-  let cases =
-    registry_cases
-    @ List.map
-        (fun (group, name, row, keep) -> (group, case name (slice row keep)))
-        pinned_rows
-    @ List.map
-        (fun s -> ("generated", generated_case s))
-        [ icb None; dfs; Explore.Variable_bound { n = 2; cache = false } ]
-    @ [
-        ( "limits",
-          case "every runner names the same stop reason" (fun () ->
-              List.iter (fun row -> slice row all ()) limit_rows) );
-      ]
-  in
+  let slices = Hashtbl.create 64 and order = ref [] in
+  List.iter
+    (fun row ->
+      List.iter
+        (fun c ->
+          let k = row.slice c in
+          if not (Hashtbl.mem slices k) then order := k :: !order;
+          Hashtbl.add slices k (row, c))
+        row.cells)
+    (registry_rows @ pinned_rows @ generated_rows @ limit_rows);
   Alcotest.run "conformance"
     (List.map
        (fun g ->
-         let mine (g', c) = if g = g' then Some c else None in
-         (g, List.filter_map mine cases))
+         ( g,
+           List.filter_map
+             (fun ((g', case) as k) ->
+               if g' <> g then None
+               else
+                 Some
+                   (Alcotest.test_case case `Quick (fun () ->
+                        List.iter
+                          (fun (row, c) -> compare_cell row c)
+                          (List.rev (Hashtbl.find_all slices k)))))
+             (List.rev !order) ))
        [ "equivalence"; "kill-resume"; "checkpoint"; "stress"; "transaction";
          "generated"; "limits" ])
