@@ -759,48 +759,56 @@ let run (type s) t (module E : Icb_search.Engine.S with type state = s)
         | Some c -> c.Icb_search.Search_core.ck_every
         | None -> max_int);
       t.ck_last <- Collector.executions ses.Driver.master);
-  (* a ticker so a deadline fires and leases expire even while no worker
-     is talking to us; it also wakes the round loop *)
+  (* A ticker so a deadline fires and leases expire even while no worker
+     is talking to us; it also wakes the round loop and, once the rounds
+     are over, the drain below, so the drain's grace has a clock.  It
+     waits on a self-pipe, which [stop_ticker] writes to, so the run ends
+     as soon as its last worker leaves, not at the ticker's next wake. *)
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let ticker =
     Thread.create
       (fun () ->
         let rec tick () =
-          Unix.sleepf 0.05;
-          let live = Mutex.protect t.m (fun () ->
-              (match (options.Collector.deadline, t.stop_requested) with
-              | Some d, None when Unix.gettimeofday () >= d ->
-                request_stop t Sresult.Deadline_exceeded
-              | _ -> ());
-              (match t.round with
-              | Some rs when t.phase = Serving -> reclaim_expired t rs
-              | _ -> ());
-              Condition.broadcast t.cv;
-              t.phase <> Finished)
-          in
-          if live then tick ()
+          match Unix.select [ wake_r ] [] [] 0.05 with
+          | _ :: _, _, _ -> ()
+          | [], _, _ ->
+            Mutex.protect t.m (fun () ->
+                if t.phase <> Finished then begin
+                  (match (options.Collector.deadline, t.stop_requested) with
+                  | Some d, None when Unix.gettimeofday () >= d ->
+                    request_stop t Sresult.Deadline_exceeded
+                  | _ -> ());
+                  match t.round with
+                  | Some rs when t.phase = Serving -> reclaim_expired t rs
+                  | _ -> ()
+                end;
+                Condition.broadcast t.cv);
+            tick ()
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> tick ()
         in
         tick ())
       ()
   in
-  let wstates = [| S.wstate () |] in
-  Driver.rounds ses (module E) (module S) ~wstates
-    (serve_round t ses (module S) ~wstates);
-  Mutex.protect t.m (fun () ->
-      t.phase <- Finished;
-      t.round <- None;
-      Condition.broadcast t.cv);
-  Thread.join ticker;
-  (* Give connected workers a moment to poll once more and receive
-     [Done], so their processes exit cleanly before the caller tears the
-     port down; a worker that lingers past the grace is simply dropped. *)
-  let grace = Unix.gettimeofday () +. 5.0 in
-  let rec drain () =
-    if Mutex.protect t.m (fun () -> t.workers) > 0
-       && Unix.gettimeofday () < grace
-    then begin
-      Unix.sleepf 0.02;
-      drain ()
-    end
+  let stop_ticker () =
+    ignore (Unix.write_substring wake_w "x" 0 1);
+    Thread.join ticker;
+    Unix.close wake_r;
+    Unix.close wake_w
   in
-  drain ();
+  Fun.protect ~finally:stop_ticker (fun () ->
+      let wstates = [| S.wstate () |] in
+      Driver.rounds ses (module E) (module S) ~wstates
+        (serve_round t ses (module S) ~wstates);
+      (* Give connected workers a moment to poll once more and receive
+         [Done], so their processes exit cleanly before the caller tears
+         the port down; a worker that lingers past the grace is simply
+         dropped.  Each worker's hang-up broadcasts on [t.cv]. *)
+      let grace = Unix.gettimeofday () +. 5.0 in
+      Mutex.protect t.m (fun () ->
+          t.phase <- Finished;
+          t.round <- None;
+          Condition.broadcast t.cv;
+          while t.workers > 0 && Unix.gettimeofday () < grace do
+            Condition.wait t.cv t.m
+          done));
   Driver.finish ses

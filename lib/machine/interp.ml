@@ -57,11 +57,97 @@ let var_name (prog : Prog.t) = function
 
 exception Model_error of Merr.t
 
+(* A step's private, mutable view of the state it steps from.  States are
+   persistent, so the first write to the globals, the syncs, the thread
+   table or the running thread's registers copies that array, and every
+   later write of the same step goes in place: a step copies each array
+   it writes once.  Nothing outside the step sees these arrays before
+   [freeze] makes them the next state. *)
 type ctx = {
-  mutable st : State.t;
-  mutable evs : event list;  (* reversed *)
+  base : State.t;  (* the state stepped from *)
   gran : granularity;
+  mutable globals : Value.t array;
+  mutable g_own : bool;  (* [globals] is this step's copy *)
+  mutable syncs : State.sync_cell array;
+  mutable s_own : bool;
+  mutable threads : State.thread array;
+  mutable t_own : bool;
+  mutable regs : Value.t array;
+      (* the running thread's registers once this step copied them; a
+         spawned child runs on its own fresh array *)
+  mutable heap : State.heap_cell State.Heap_map.t;
+  mutable next_addr : int;
+  mutable evs : event list;  (* reversed *)
 }
+
+let context gran (st : State.t) =
+  {
+    base = st;
+    gran;
+    globals = st.globals;
+    g_own = false;
+    syncs = st.syncs;
+    s_own = false;
+    threads = st.threads;
+    t_own = false;
+    regs = [||];
+    heap = st.heap;
+    next_addr = st.next_addr;
+    evs = [];
+  }
+
+let freeze ctx ~last_tid ~error : State.t =
+  {
+    ctx.base with
+    globals = ctx.globals;
+    syncs = ctx.syncs;
+    threads = ctx.threads;
+    heap = ctx.heap;
+    next_addr = ctx.next_addr;
+    error;
+    last_tid;
+  }
+
+let set_global ctx gid i v =
+  if not ctx.g_own then begin
+    ctx.globals <- Array.copy ctx.globals;
+    ctx.g_own <- true
+  end;
+  ctx.globals.(ctx.base.goff.(gid) + i) <- v
+
+let set_sync ctx sid i c =
+  if not ctx.s_own then begin
+    ctx.syncs <- Array.copy ctx.syncs;
+    ctx.s_own <- true
+  end;
+  ctx.syncs.(ctx.base.soff.(sid) + i) <- c
+
+let set_thread ctx tid th =
+  if not ctx.t_own then begin
+    ctx.threads <- Array.copy ctx.threads;
+    ctx.t_own <- true
+  end;
+  ctx.threads.(tid) <- th
+
+(* [th]'s registers with [r] set to [v] *)
+let set_reg ctx (th : State.thread) r v =
+  if th.regs != ctx.regs then ctx.regs <- Array.copy th.regs;
+  ctx.regs.(r) <- v;
+  ctx.regs
+
+let add_thread ctx th =
+  let n = Array.length ctx.threads in
+  let threads = Array.make (n + 1) th in
+  Array.blit ctx.threads 0 threads 0 n;
+  ctx.threads <- threads;
+  ctx.t_own <- true;
+  n
+
+let advance ctx tid (th : State.thread) =
+  set_thread ctx tid { th with pc = th.pc + 1 }
+
+let advance_reg ctx tid (th : State.thread) r v =
+  set_thread ctx tid { th with pc = th.pc + 1; regs = set_reg ctx th r v }
 
 let eval_operand (th : State.thread) = function
   | Instr.Reg r -> th.regs.(r)
@@ -74,14 +160,17 @@ let eval_int tid th op =
     ignore tid;
     invalid_arg ("Interp: expected int, got " ^ Value.to_string v)
 
-let set_reg (th : State.thread) r v =
-  let regs = Array.copy th.regs in
-  regs.(r) <- v;
-  { th with regs }
-
 let is_volatile (prog : Prog.t) gid = prog.globals.(gid).gvolatile
 
-let classify_here (st : State.t) i = Instr.classify ~volatile:(is_volatile st.prog) i
+let never_volatile _ = false
+
+(* [Instr.classify] under [prog]'s volatile declarations, without a
+   closure per call *)
+let classify (prog : Prog.t) (i : Instr.t) =
+  match i with
+  | Load { gid; _ } | Store { gid; _ } ->
+    if is_volatile prog gid then Instr.Class_sync else Instr.Class_data
+  | _ -> Instr.classify ~volatile:never_volatile i
 
 (* Is instruction [i] a scheduling point under granularity [gran]? *)
 let is_sched_point gran cls =
@@ -91,55 +180,46 @@ let is_sched_point gran cls =
   | Instr.Class_data, Sync_only -> false
   | Instr.Class_local, _ -> false
 
-(* Evaluates operands straight from the thread's registers — no
-   materialized argument-value list on this per-step path. *)
-let eval_prim tid (th : State.thread) op (args : Instr.operand list) =
-  let value1 () =
-    match args with
-    | [ a ] -> eval_operand th a
-    | _ -> invalid_arg "Interp: prim arity"
-  in
-  let value2 () =
-    match args with
-    | [ a; b ] -> (eval_operand th a, eval_operand th b)
-    | _ -> invalid_arg "Interp: prim arity"
-  in
-  let int1 () =
-    match value1 () with
-    | Value.Int a -> a
-    | _ -> invalid_arg "Interp: prim arity/type"
-  in
-  let int2 () =
-    match value2 () with
-    | Value.Int a, Value.Int b -> (a, b)
-    | _ -> invalid_arg "Interp: prim arity/type"
-  in
-  let bool_of_cmp c = Value.Bool c in
-  match (op : Instr.prim) with
-  | Add -> let a, b = int2 () in Value.Int (a + b)
-  | Sub -> let a, b = int2 () in Value.Int (a - b)
-  | Mul -> let a, b = int2 () in Value.Int (a * b)
-  | Div ->
-    let a, b = int2 () in
-    if b = 0 then raise (Model_error (Merr.Division_by_zero { tid }))
-    else Value.Int (a / b)
-  | Mod ->
-    let a, b = int2 () in
-    if b = 0 then raise (Model_error (Merr.Division_by_zero { tid }))
-    else Value.Int (a mod b)
-  | Neg -> Value.Int (-int1 ())
-  | Min -> let a, b = int2 () in Value.Int (min a b)
-  | Max -> let a, b = int2 () in Value.Int (max a b)
-  | Eq -> let a, b = value2 () in bool_of_cmp (Value.equal a b)
-  | Ne -> let a, b = value2 () in bool_of_cmp (not (Value.equal a b))
-  | Lt -> let a, b = int2 () in bool_of_cmp (a < b)
-  | Le -> let a, b = int2 () in bool_of_cmp (a <= b)
-  | Gt -> let a, b = int2 () in bool_of_cmp (a > b)
-  | Ge -> let a, b = int2 () in bool_of_cmp (a >= b)
-  | And -> let a, b = value2 () in Value.Bool (Value.truthy a && Value.truthy b)
-  | Or -> let a, b = value2 () in Value.Bool (Value.truthy a || Value.truthy b)
-  | Not -> Value.Bool (not (Value.truthy (value1 ())))
+let v_true = Value.Bool true
+let v_false = Value.Bool false
+let of_bool b = if b then v_true else v_false
 
+(* Evaluates operands straight from the thread's registers: no argument
+   list and no closure on this per-step path. *)
+let eval_prim tid (th : State.thread) (op : Instr.prim) args =
+  let div_by_zero () = raise (Model_error (Merr.Division_by_zero { tid })) in
+  match args with
+  | [ a ] -> (
+    let x = eval_operand th a in
+    match op, x with
+    | Neg, Value.Int n -> Value.Int (-n)
+    | Not, _ -> of_bool (not (Value.truthy x))
+    | Neg, _ -> invalid_arg "Interp: prim arity/type"
+    | _ -> invalid_arg "Interp: prim arity")
+  | [ a; b ] -> (
+    let x = eval_operand th a and y = eval_operand th b in
+    match op, x, y with
+    | Add, Int a, Int b -> Value.Int (a + b)
+    | Sub, Int a, Int b -> Value.Int (a - b)
+    | Mul, Int a, Int b -> Value.Int (a * b)
+    | Div, Int a, Int b -> if b = 0 then div_by_zero () else Value.Int (a / b)
+    | Mod, Int a, Int b ->
+      if b = 0 then div_by_zero () else Value.Int (a mod b)
+    | Min, Int a, Int b -> Value.Int (min a b)
+    | Max, Int a, Int b -> Value.Int (max a b)
+    | Lt, Int a, Int b -> of_bool (a < b)
+    | Le, Int a, Int b -> of_bool (a <= b)
+    | Gt, Int a, Int b -> of_bool (a > b)
+    | Ge, Int a, Int b -> of_bool (a >= b)
+    | Eq, _, _ -> of_bool (Value.equal x y)
+    | Ne, _, _ -> of_bool (not (Value.equal x y))
+    | And, _, _ -> of_bool (Value.truthy x && Value.truthy y)
+    | Or, _, _ -> of_bool (Value.truthy x || Value.truthy y)
+    | (Neg | Not), _, _ -> invalid_arg "Interp: prim arity"
+    | _ -> invalid_arg "Interp: prim arity/type")
+  | _ -> invalid_arg "Interp: prim arity"
+
+(* The element index [o] names, checked against its sync array. *)
 let resolve_objref (st : State.t) tid th ({ sid; sidx } : Instr.objref) =
   let idx = eval_int tid th sidx in
   let size = State.sync_size st ~sid in
@@ -148,7 +228,7 @@ let resolve_objref (st : State.t) tid th ({ sid; sidx } : Instr.objref) =
       (Model_error
          (Merr.Out_of_bounds
             { tid; what = st.prog.syncs.(sid).sname; idx; size }));
-  (sid, idx)
+  idx
 
 let global_idx (st : State.t) tid th gid idx_op =
   let idx = eval_int tid th idx_op in
@@ -160,11 +240,11 @@ let global_idx (st : State.t) tid th gid idx_op =
             { tid; what = st.prog.globals.(gid).gname; idx; size }));
   idx
 
-let heap_cell (st : State.t) tid h_op th =
+let heap_cell ctx tid h_op th =
   match eval_operand th h_op with
   | Value.Handle addr ->
     if addr < 0 then raise (Model_error (Merr.Invalid_handle { tid; addr }));
-    (match State.Heap_map.find_opt addr st.heap with
+    (match State.Heap_map.find_opt addr ctx.heap with
     | None -> raise (Model_error (Merr.Invalid_handle { tid; addr }))
     | Some cell ->
       if cell.freed then
@@ -183,193 +263,186 @@ let heap_idx tid addr (cell : State.heap_cell) idx =
 let emit ctx ev = ctx.evs <- ev :: ctx.evs
 
 let emit_global_access ctx tid gid idx ~write =
-  if is_volatile ctx.st.prog gid then
+  if is_volatile ctx.base.prog gid then
     emit ctx (Ev_sync { tid; var = Gvar (gid, idx) })
   else emit ctx (Ev_data { tid; var = Gvar (gid, idx); write })
 
-let instr_enabled (st : State.t) (th : State.thread) =
-  let code = st.prog.procs.(th.proc).code in
-  if th.pc >= Array.length code then true
-  else
-    let resolve ({ sid; sidx } : Instr.objref) =
-      match eval_operand th sidx with
-      | Value.Int idx when idx >= 0 && idx < State.sync_size st ~sid ->
-        Some (State.sync_get st ~sid ~idx)
-      | Value.Int _ -> None (* out of bounds: let step report the error *)
-      | Value.Bool _ | Value.Handle _ -> None
-    in
-    match code.(th.pc) with
-    | Lock o -> (
-      match resolve o with Some (Mutex_cell owner) -> owner = -1 | _ -> true)
-    | Wait o -> (
-      match resolve o with Some (Event_cell s) -> s | _ -> true)
-    | Sem_acquire o -> (
-      match resolve o with Some (Sem_cell n) -> n > 0 | _ -> true)
-    | _ -> true
+(* The slot of [o] in a state's sync array, or [-1] when [th]'s index is
+   out of bounds or not an int: the step reports that. *)
+let sync_slot soff (th : State.thread) ({ sid; sidx } : Instr.objref) =
+  match eval_operand th sidx with
+  | Value.Int idx when idx >= 0 && idx < soff.(sid + 1) - soff.(sid) ->
+    soff.(sid) + idx
+  | Value.Int _ | Value.Bool _ | Value.Handle _ -> -1
 
-(* Execute the single instruction at [tid]'s pc.  Updates [ctx.st] (pc
-   advanced, effects applied) and appends events.  Raises [Model_error] on
-   model bugs. *)
+(* Whether [th]'s parked instruction can execute over [syncs]. *)
+let instr_enabled (prog : Prog.t) soff (syncs : State.sync_cell array)
+    (th : State.thread) =
+  let code = prog.procs.(th.proc).code in
+  th.pc >= Array.length code
+  ||
+  match code.(th.pc) with
+  | Lock o -> (
+    let k = sync_slot soff th o in
+    k < 0 || match syncs.(k) with Mutex_cell owner -> owner = -1 | _ -> true)
+  | Wait o -> (
+    let k = sync_slot soff th o in
+    k < 0 || match syncs.(k) with Event_cell s -> s | _ -> true)
+  | Sem_acquire o -> (
+    let k = sync_slot soff th o in
+    k < 0 || match syncs.(k) with Sem_cell n -> n > 0 | _ -> true)
+  | _ -> true
+
+let enabled_in (st : State.t) th = instr_enabled st.prog st.soff st.syncs th
+
+(* Execute the single instruction at [tid]'s pc: the pc advances, the
+   effects land in [ctx] and the events are appended.  Raises
+   [Model_error] on model bugs, before writing anything. *)
 let rec exec_instr ctx tid =
-  let st = ctx.st in
-  let th = State.thread_get st tid in
+  let st = ctx.base in
+  let th = ctx.threads.(tid) in
   let code = st.prog.procs.(th.proc).code in
-  let advance_pc (th : State.thread) = { th with pc = th.pc + 1 } in
   match code.(th.pc) with
   | Load { dst; gid; idx } ->
     let i = global_idx st tid th gid idx in
     emit_global_access ctx tid gid i ~write:false;
-    let v = State.global_get st ~gid ~idx:i in
-    ctx.st <- State.thread_set st tid (advance_pc (set_reg th dst v))
+    advance_reg ctx tid th dst ctx.globals.(st.goff.(gid) + i)
   | Store { gid; idx; src } ->
     let i = global_idx st tid th gid idx in
     emit_global_access ctx tid gid i ~write:true;
-    let v = eval_operand th src in
-    let st = State.global_set st ~gid ~idx:i v in
-    ctx.st <- State.thread_set st tid (advance_pc th)
+    set_global ctx gid i (eval_operand th src);
+    advance ctx tid th
   | Cas { dst; gid; idx; expect; update } ->
     let i = global_idx st tid th gid idx in
     emit ctx (Ev_sync { tid; var = Gvar (gid, i) });
-    let old = State.global_get st ~gid ~idx:i in
-    let st =
-      if Value.equal old (eval_operand th expect) then
-        State.global_set st ~gid ~idx:i (eval_operand th update)
-      else st
-    in
-    ctx.st <- State.thread_set st tid (advance_pc (set_reg th dst old))
+    let old = ctx.globals.(st.goff.(gid) + i) in
+    if Value.equal old (eval_operand th expect) then
+      set_global ctx gid i (eval_operand th update);
+    advance_reg ctx tid th dst old
   | Fetch_add { dst; gid; idx; delta } ->
     let i = global_idx st tid th gid idx in
     emit ctx (Ev_sync { tid; var = Gvar (gid, i) });
-    let old = State.global_get st ~gid ~idx:i in
-    let st =
-      State.global_set st ~gid ~idx:i
-        (Value.Int (Value.as_int old + eval_int tid th delta))
-    in
-    ctx.st <- State.thread_set st tid (advance_pc (set_reg th dst old))
+    let old = ctx.globals.(st.goff.(gid) + i) in
+    set_global ctx gid i
+      (Value.Int (Value.as_int old + eval_int tid th delta));
+    advance_reg ctx tid th dst old
   | Load_heap { dst; h; idx } ->
-    let addr, cell = heap_cell st tid h th in
+    let addr, cell = heap_cell ctx tid h th in
     let i = eval_int tid th idx in
     heap_idx tid addr cell i;
     emit ctx (Ev_data { tid; var = Hcell (addr, i); write = false });
-    ctx.st <- State.thread_set st tid (advance_pc (set_reg th dst cell.data.(i)))
+    advance_reg ctx tid th dst cell.data.(i)
   | Store_heap { h; idx; src } ->
-    let addr, cell = heap_cell st tid h th in
+    let addr, cell = heap_cell ctx tid h th in
     let i = eval_int tid th idx in
     heap_idx tid addr cell i;
     emit ctx (Ev_data { tid; var = Hcell (addr, i); write = true });
     let data = Array.copy cell.data in
     data.(i) <- eval_operand th src;
-    let heap = State.Heap_map.add addr { cell with data } st.heap in
-    ctx.st <- State.thread_set { st with heap } tid (advance_pc th)
+    ctx.heap <- State.Heap_map.add addr { cell with data } ctx.heap;
+    advance ctx tid th
   | Alloc { dst; size } ->
     let n = eval_int tid th size in
     if n < 0 then
       raise
         (Model_error (Merr.Out_of_bounds { tid; what = "alloc"; idx = n; size = n }));
-    let addr = st.next_addr in
-    let heap =
+    let addr = ctx.next_addr in
+    ctx.heap <-
       State.Heap_map.add addr
         ({ data = Array.make n Value.zero; freed = false } : State.heap_cell)
-        st.heap
-    in
-    let st = { st with heap; next_addr = addr + 1 } in
+        ctx.heap;
+    ctx.next_addr <- addr + 1;
     emit ctx (Ev_lifetime { tid; addr; freed = false });
-    ctx.st <- State.thread_set st tid (advance_pc (set_reg th dst (Value.Handle addr)))
+    advance_reg ctx tid th dst (Value.Handle addr)
   | Free { h } -> (
     match eval_operand th h with
     | Value.Handle addr ->
       if addr < 0 then raise (Model_error (Merr.Invalid_handle { tid; addr }));
-      (match State.Heap_map.find_opt addr st.heap with
+      (match State.Heap_map.find_opt addr ctx.heap with
       | None -> raise (Model_error (Merr.Invalid_handle { tid; addr }))
       | Some cell ->
         if cell.freed then raise (Model_error (Merr.Double_free { tid; addr }));
         emit ctx (Ev_lifetime { tid; addr; freed = true });
-        let heap = State.Heap_map.add addr { cell with freed = true } st.heap in
-        ctx.st <- State.thread_set { st with heap } tid (advance_pc th))
+        ctx.heap <- State.Heap_map.add addr { cell with freed = true } ctx.heap;
+        advance ctx tid th)
     | v -> invalid_arg ("Interp: free of non-handle " ^ Value.to_string v))
   | Prim { dst; op; args } ->
-    let v = eval_prim tid th op args in
-    ctx.st <- State.thread_set st tid (advance_pc (set_reg th dst v))
-  | Mov { dst; src } ->
-    ctx.st <- State.thread_set st tid (advance_pc (set_reg th dst (eval_operand th src)))
-  | Jump l -> ctx.st <- State.thread_set st tid { th with pc = l }
+    advance_reg ctx tid th dst (eval_prim tid th op args)
+  | Mov { dst; src } -> advance_reg ctx tid th dst (eval_operand th src)
+  | Jump l -> set_thread ctx tid { th with pc = l }
   | Jump_if_zero { cond; target } ->
-    let taken = not (Value.truthy (eval_operand th cond)) in
-    ctx.st <-
-      State.thread_set st tid
-        (if taken then { th with pc = target } else advance_pc th)
+    if Value.truthy (eval_operand th cond) then advance ctx tid th
+    else set_thread ctx tid { th with pc = target }
   | Assert { cond; msg } ->
     if not (Value.truthy (eval_operand th cond)) then
       raise (Model_error (Merr.Assert_failure { tid; msg }));
-    ctx.st <- State.thread_set st tid (advance_pc th)
+    advance ctx tid th
   | Lock o ->
-    let sid, i = resolve_objref st tid th o in
-    emit ctx (Ev_sync { tid; var = Svar (sid, i) });
-    (match State.sync_get st ~sid ~idx:i with
+    let i = resolve_objref st tid th o in
+    emit ctx (Ev_sync { tid; var = Svar (o.sid, i) });
+    (match ctx.syncs.(st.soff.(o.sid) + i) with
     | Mutex_cell -1 ->
-      let st = State.sync_set st ~sid ~idx:i (Mutex_cell tid) in
-      ctx.st <- State.thread_set st tid (advance_pc th)
+      set_sync ctx o.sid i (Mutex_cell tid);
+      advance ctx tid th
     | Mutex_cell _ -> invalid_arg "Interp: lock of held mutex (not enabled)"
     | Event_cell _ | Sem_cell _ -> invalid_arg "Interp: lock of non-mutex")
   | Unlock o ->
-    let sid, i = resolve_objref st tid th o in
-    emit ctx (Ev_sync { tid; var = Svar (sid, i) });
-    (match State.sync_get st ~sid ~idx:i with
+    let i = resolve_objref st tid th o in
+    emit ctx (Ev_sync { tid; var = Svar (o.sid, i) });
+    (match ctx.syncs.(st.soff.(o.sid) + i) with
     | Mutex_cell owner when owner = tid ->
-      let st = State.sync_set st ~sid ~idx:i (Mutex_cell (-1)) in
-      ctx.st <- State.thread_set st tid (advance_pc th)
+      set_sync ctx o.sid i (Mutex_cell (-1));
+      advance ctx tid th
     | Mutex_cell _ ->
       raise
         (Model_error
-           (Merr.Unlock_not_held { tid; sync = st.prog.syncs.(sid).sname }))
+           (Merr.Unlock_not_held { tid; sync = st.prog.syncs.(o.sid).sname }))
     | Event_cell _ | Sem_cell _ -> invalid_arg "Interp: unlock of non-mutex")
   | Wait o ->
-    let sid, i = resolve_objref st tid th o in
-    emit ctx (Ev_sync { tid; var = Svar (sid, i) });
-    (match State.sync_get st ~sid ~idx:i, st.prog.syncs.(sid).skind with
+    let i = resolve_objref st tid th o in
+    emit ctx (Ev_sync { tid; var = Svar (o.sid, i) });
+    (match ctx.syncs.(st.soff.(o.sid) + i), st.prog.syncs.(o.sid).skind with
     | Event_cell true, Prog.Event { manual; _ } ->
-      let st =
-        if manual then st else State.sync_set st ~sid ~idx:i (Event_cell false)
-      in
-      ctx.st <- State.thread_set st tid (advance_pc th)
+      if not manual then set_sync ctx o.sid i (Event_cell false);
+      advance ctx tid th
     | Event_cell false, _ -> invalid_arg "Interp: wait on unsignaled (not enabled)"
     | (Mutex_cell _ | Sem_cell _), _ | Event_cell _, (Prog.Mutex | Prog.Semaphore _)
       -> invalid_arg "Interp: wait on non-event")
   | Signal o ->
-    let sid, i = resolve_objref st tid th o in
-    emit ctx (Ev_sync { tid; var = Svar (sid, i) });
-    (match State.sync_get st ~sid ~idx:i with
+    let i = resolve_objref st tid th o in
+    emit ctx (Ev_sync { tid; var = Svar (o.sid, i) });
+    (match ctx.syncs.(st.soff.(o.sid) + i) with
     | Event_cell _ ->
-      let st = State.sync_set st ~sid ~idx:i (Event_cell true) in
-      ctx.st <- State.thread_set st tid (advance_pc th)
+      set_sync ctx o.sid i (Event_cell true);
+      advance ctx tid th
     | Mutex_cell _ | Sem_cell _ -> invalid_arg "Interp: signal of non-event")
   | Reset o ->
-    let sid, i = resolve_objref st tid th o in
-    emit ctx (Ev_sync { tid; var = Svar (sid, i) });
-    (match State.sync_get st ~sid ~idx:i with
+    let i = resolve_objref st tid th o in
+    emit ctx (Ev_sync { tid; var = Svar (o.sid, i) });
+    (match ctx.syncs.(st.soff.(o.sid) + i) with
     | Event_cell _ ->
-      let st = State.sync_set st ~sid ~idx:i (Event_cell false) in
-      ctx.st <- State.thread_set st tid (advance_pc th)
+      set_sync ctx o.sid i (Event_cell false);
+      advance ctx tid th
     | Mutex_cell _ | Sem_cell _ -> invalid_arg "Interp: reset of non-event")
   | Sem_acquire o ->
-    let sid, i = resolve_objref st tid th o in
-    emit ctx (Ev_sync { tid; var = Svar (sid, i) });
-    (match State.sync_get st ~sid ~idx:i with
+    let i = resolve_objref st tid th o in
+    emit ctx (Ev_sync { tid; var = Svar (o.sid, i) });
+    (match ctx.syncs.(st.soff.(o.sid) + i) with
     | Sem_cell n when n > 0 ->
-      let st = State.sync_set st ~sid ~idx:i (Sem_cell (n - 1)) in
-      ctx.st <- State.thread_set st tid (advance_pc th)
+      set_sync ctx o.sid i (Sem_cell (n - 1));
+      advance ctx tid th
     | Sem_cell _ -> invalid_arg "Interp: sem_acquire at zero (not enabled)"
     | Mutex_cell _ | Event_cell _ -> invalid_arg "Interp: sem op on non-semaphore")
   | Sem_release o ->
-    let sid, i = resolve_objref st tid th o in
-    emit ctx (Ev_sync { tid; var = Svar (sid, i) });
-    (match State.sync_get st ~sid ~idx:i with
+    let i = resolve_objref st tid th o in
+    emit ctx (Ev_sync { tid; var = Svar (o.sid, i) });
+    (match ctx.syncs.(st.soff.(o.sid) + i) with
     | Sem_cell n ->
-      let st = State.sync_set st ~sid ~idx:i (Sem_cell (n + 1)) in
-      ctx.st <- State.thread_set st tid (advance_pc th)
+      set_sync ctx o.sid i (Sem_cell (n + 1));
+      advance ctx tid th
     | Mutex_cell _ | Event_cell _ -> invalid_arg "Interp: sem op on non-semaphore")
   | Spawn { proc; args } ->
-    let p = ctx.st.prog.procs.(proc) in
+    let p = st.prog.procs.(proc) in
     let regs = Array.make p.nregs Value.zero in
     List.iteri (fun i a -> regs.(i) <- eval_operand th a) args;
     let child : State.thread =
@@ -382,84 +455,69 @@ let rec exec_instr ctx tid =
         atomic = 0;
       }
     in
-    let st = State.thread_set st tid (advance_pc th) in
-    let st, child_tid = State.add_thread st child in
+    advance ctx tid th;
+    let child_tid = add_thread ctx child in
     emit ctx (Ev_fork { parent = tid; child = child_tid });
-    ctx.st <- st;
-    (* park the child at its first scheduling point *)
-    park ctx child_tid
-  | Yield ->
-    ctx.st <- State.thread_set st tid (advance_pc { th with yielded = true })
+    (* park the child at its first scheduling point, on its own registers *)
+    let parent_regs = ctx.regs in
+    ctx.regs <- regs;
+    park ctx child_tid;
+    ctx.regs <- parent_regs
+  | Yield -> set_thread ctx tid { th with pc = th.pc + 1; yielded = true }
   | Atomic_begin ->
-    ctx.st <- State.thread_set st tid (advance_pc { th with atomic = th.atomic + 1 })
+    set_thread ctx tid { th with pc = th.pc + 1; atomic = th.atomic + 1 }
   | Atomic_end ->
     if th.atomic <= 0 then invalid_arg "Interp: atomic_end without atomic_begin";
-    ctx.st <- State.thread_set st tid (advance_pc { th with atomic = th.atomic - 1 })
+    set_thread ctx tid { th with pc = th.pc + 1; atomic = th.atomic - 1 }
   | Halt ->
     (* a finished thread's yield flag is scheduling residue; clear it so
        equivalent executions reach identical terminal states *)
-    ctx.st <- State.thread_set st tid { th with finished = true; yielded = false }
+    set_thread ctx tid { th with finished = true; yielded = false }
 
 (* Run [tid] forward through non-scheduling instructions until it is parked
    at a scheduling point or finished.  Inside an atomic section every
    instruction is non-scheduling; the thread only parks where it would
    block (ZING semantics: atomicity is released at blocking points). *)
-and park ctx tid =
-  let fuel = ref local_fuel in
-  let rec go () =
-    let th = State.thread_get ctx.st tid in
-    if not th.finished then begin
-      let code = ctx.st.prog.procs.(th.proc).code in
-      if th.pc >= Array.length code then
-        ctx.st <-
-          State.thread_set ctx.st tid { th with finished = true; yielded = false }
-      else begin
-        let i = code.(th.pc) in
-        let stop =
-          if th.atomic > 0 then
-            Instr.is_potentially_blocking i && not (instr_enabled ctx.st th)
-          else is_sched_point ctx.gran (classify_here ctx.st i)
-        in
-        if stop then ()
-        else begin
-          decr fuel;
-          if !fuel <= 0 then raise (Model_error (Merr.Local_divergence { tid }));
-          exec_instr ctx tid;
-          go ()
-        end
+and park ctx tid = park_within ctx tid local_fuel
+
+and park_within ctx tid fuel =
+  let th = ctx.threads.(tid) in
+  if not th.finished then begin
+    let prog = ctx.base.prog in
+    let code = prog.procs.(th.proc).code in
+    if th.pc >= Array.length code then
+      set_thread ctx tid { th with finished = true; yielded = false }
+    else begin
+      let i = code.(th.pc) in
+      let stop =
+        if th.atomic > 0 then
+          Instr.is_potentially_blocking i
+          && not (instr_enabled prog ctx.base.soff ctx.syncs th)
+        else is_sched_point ctx.gran (classify prog i)
+      in
+      if not stop then begin
+        let fuel = fuel - 1 in
+        if fuel <= 0 then raise (Model_error (Merr.Local_divergence { tid }));
+        exec_instr ctx tid;
+        park_within ctx tid fuel
       end
     end
-  in
-  go ()
-
-let finish_result ctx =
-  { state = ctx.st; events = List.rev ctx.evs; blocking_op = false }
-
-let with_error ctx e = { ctx.st with error = Some e }
+  end
 
 let start gran prog =
   (match Prog.validate prog with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Interp.start: invalid program: " ^ msg));
-  let ctx = { st = State.initial prog; evs = []; gran } in
-  try
-    park ctx 0;
-    finish_result ctx
-  with Model_error e ->
-    { state = with_error ctx e; events = List.rev ctx.evs; blocking_op = false }
+  let st = State.initial prog in
+  let ctx = context gran st in
+  let error = try park ctx 0; None with Model_error e -> Some e in
+  {
+    state = freeze ctx ~last_tid:st.last_tid ~error;
+    events = List.rev ctx.evs;
+    blocking_op = false;
+  }
 
 (* --- enabledness and status ------------------------------------------ *)
-
-let enabled_raw (st : State.t) =
-  match st.error with
-  | Some _ -> []
-  | None ->
-    let r = ref [] in
-    for tid = Array.length st.threads - 1 downto 0 do
-      let th = st.threads.(tid) in
-      if (not th.finished) && instr_enabled st th then r := tid :: !r
-    done;
-    !r
 
 (* One backward pass decides enabledness once per thread and builds the
    list in tid order; the search hot path allocates exactly the list it
@@ -474,7 +532,7 @@ let enabled (st : State.t) =
     let any_yielded = ref false in
     for tid = Array.length st.threads - 1 downto 0 do
       let th = Array.unsafe_get st.threads tid in
-      if (not th.finished) && instr_enabled st th then begin
+      if (not th.finished) && enabled_in st th then begin
         r := tid :: !r;
         if th.yielded then any_yielded := true else any_awake := true
       end
@@ -484,6 +542,25 @@ let enabled (st : State.t) =
     if !any_yielded && !any_awake then
       List.filter (fun tid -> not (Array.unsafe_get st.threads tid).yielded) !r
     else !r
+
+(* [enabled]'s yield rule over bits: the awake threads if there are any,
+   else the yielded ones.  Bit 62 would be the sign bit, so a set holds
+   at most 62 threads and is never negative. *)
+let enabled_set (st : State.t) =
+  let n = Array.length st.threads in
+  if n > Sys.int_size - 1 then -1
+  else
+    match st.error with
+    | Some _ -> 0
+    | None ->
+      let awake = ref 0 and yielded = ref 0 in
+      for tid = 0 to n - 1 do
+        let th = Array.unsafe_get st.threads tid in
+        if (not th.finished) && enabled_in st th then
+          if th.yielded then yielded := !yielded lor (1 lsl tid)
+          else awake := !awake lor (1 lsl tid)
+      done;
+      if !awake <> 0 then !awake else !yielded
 
 type status =
   | Running
@@ -499,7 +576,7 @@ let has_enabled (st : State.t) =
     tid < n
     &&
     let th = Array.unsafe_get st.threads tid in
-    ((not th.finished) && instr_enabled st th) || go (tid + 1)
+    ((not th.finished) && enabled_in st th) || go (tid + 1)
   in
   go 0
 
@@ -518,23 +595,17 @@ let status (st : State.t) =
       Deadlock (List.rev !blocked)
     end
 
-let clear_yields (st : State.t) =
-  if Array.exists (fun (th : State.thread) -> th.yielded) st.threads then
-    {
-      st with
-      threads =
-        Array.map (fun (th : State.thread) -> { th with yielded = false }) st.threads;
-    }
-  else st
+let yielded (th : State.thread) = th.yielded
+
+let unyield (th : State.thread) =
+  if th.yielded then { th with yielded = false } else th
 
 (* Where no thread can run, yield flags are residue no scheduling
    decision will read; clear them so equivalent executions that end
    blocked reach identical states. *)
 let settle_yields (st : State.t) =
-  if
-    Array.exists (fun (th : State.thread) -> th.yielded) st.threads
-    && not (has_enabled st)
-  then clear_yields st
+  if Array.exists yielded st.threads && not (has_enabled st) then
+    { st with threads = Array.map unyield st.threads }
   else st
 
 let step gran (st : State.t) tid =
@@ -543,9 +614,13 @@ let step gran (st : State.t) tid =
   | None -> ());
   let th = State.thread_get st tid in
   if th.finished then invalid_arg "Interp.step: finished thread";
-  if not (instr_enabled st th) then invalid_arg "Interp.step: blocked thread";
+  if not (enabled_in st th) then invalid_arg "Interp.step: blocked thread";
   let code = st.prog.procs.(th.proc).code in
   let at_end = th.pc >= Array.length code in
+  let blocking_op =
+    (not at_end) && Instr.is_potentially_blocking code.(th.pc)
+  in
+  let ctx = context gran st in
   (* A yield hides its thread until another thread performs a
      synchronization access.  Plain data accesses do not release it:
      under sync-only granularity they run inside the surrounding steps,
@@ -555,19 +630,28 @@ let step gran (st : State.t) tid =
   let releases =
     match gran with
     | Sync_only -> true
-    | Every_access -> at_end || classify_here st code.(th.pc) = Instr.Class_sync
+    | Every_access -> at_end || classify st.prog code.(th.pc) = Instr.Class_sync
   in
-  let st = if releases then clear_yields st else st in
-  let st = { st with last_tid = tid } in
-  let ctx = { st; evs = []; gran } in
-  let th = State.thread_get st tid in
-  let blocking_op = (not at_end) && Instr.is_potentially_blocking code.(th.pc) in
-  try
-    (if at_end then
-       ctx.st <-
-         State.thread_set ctx.st tid { th with finished = true; yielded = false }
-     else exec_instr ctx tid);
-    park ctx tid;
-    { state = settle_yields ctx.st; events = List.rev ctx.evs; blocking_op }
-  with Model_error e ->
-    { state = with_error ctx e; events = List.rev ctx.evs; blocking_op }
+  if releases && Array.exists yielded st.threads then begin
+    ctx.threads <- Array.map unyield st.threads;
+    ctx.t_own <- true
+  end;
+  match
+    if at_end then
+      set_thread ctx tid
+        { (ctx.threads.(tid)) with finished = true; yielded = false }
+    else exec_instr ctx tid;
+    park ctx tid
+  with
+  | () ->
+    {
+      state = settle_yields (freeze ctx ~last_tid:tid ~error:None);
+      events = List.rev ctx.evs;
+      blocking_op;
+    }
+  | exception Model_error e ->
+    {
+      state = freeze ctx ~last_tid:tid ~error:(Some e);
+      events = List.rev ctx.evs;
+      blocking_op;
+    }

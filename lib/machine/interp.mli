@@ -64,15 +64,16 @@ val start : granularity -> Prog.t -> step_result
 (** Initial state with thread 0 parked at its first scheduling point.
     [blocking_op] is always [false] here. *)
 
-val enabled_raw : State.t -> int list
-(** Threads whose parked instruction can execute now, ignoring yield
-    flags. *)
-
 val enabled : State.t -> int list
-(** The scheduler-visible enabled set: [enabled_raw] minus threads that
-    yielded since the last step — unless that leaves nothing, in which case
-    yield flags are ignored (a yielding thread cannot disable the whole
-    program). *)
+(** The scheduler-visible enabled set, in increasing tid order: the
+    threads whose parked instruction can execute now, minus threads that
+    yielded since the last step, unless that leaves nothing, in which
+    case yield flags are ignored (a yielding thread cannot disable the
+    whole program).  Empty in an error state. *)
+
+val enabled_set : State.t -> int
+(** [enabled st] as a bit set, bit [t] for thread [t], without building
+    the list; [-1] when [st] has more than 62 threads. *)
 
 type status =
   | Running               (** at least one thread is enabled *)
@@ -83,9 +84,13 @@ type status =
 val status : State.t -> status
 
 val step : granularity -> State.t -> int -> step_result
-(** [step gran st tid] executes one scheduling step of [tid].  [tid] must be
-    in [enabled_raw st] and [st] must not be an error state; violating this
-    raises [Invalid_argument]. *)
+(** [step gran st tid] executes one scheduling step of [tid] and leaves
+    [st] as it was.  [tid] must be unfinished and its parked instruction
+    able to execute (yield flags aside, so a thread {!enabled} hides may
+    still step), and [st] must not be an error state; violating this
+    raises [Invalid_argument].  The step copies each array of [st] it
+    writes (the globals, the syncs, the thread table, [tid]'s registers)
+    once, however many instructions write it. *)
 
 val var_name : Prog.t -> var_id -> string
 (** Human-readable name of a variable for error messages. *)

@@ -79,46 +79,19 @@ let initial (prog : Prog.t) =
     last_tid = -1;
   }
 
-let array_set arr i v =
-  let arr' = Array.copy arr in
-  arr'.(i) <- v;
-  arr'
-
 let global_size t ~gid = t.goff.(gid + 1) - t.goff.(gid)
 
-let check_idx what idx size =
-  if idx < 0 || idx >= size then
-    invalid_arg (Printf.sprintf "State: %s index %d out of %d" what idx size)
-
 let global_get t ~gid ~idx =
-  check_idx "global" idx (global_size t ~gid);
+  let size = global_size t ~gid in
+  if idx < 0 || idx >= size then
+    invalid_arg (Printf.sprintf "State: global index %d out of %d" idx size);
   t.globals.(t.goff.(gid) + idx)
-
-let global_set t ~gid ~idx v =
-  check_idx "global" idx (global_size t ~gid);
-  { t with globals = array_set t.globals (t.goff.(gid) + idx) v }
 
 let sync_size t ~sid = t.soff.(sid + 1) - t.soff.(sid)
 
-let sync_get t ~sid ~idx =
-  check_idx "sync" idx (sync_size t ~sid);
-  t.syncs.(t.soff.(sid) + idx)
-
-let sync_set t ~sid ~idx c =
-  check_idx "sync" idx (sync_size t ~sid);
-  { t with syncs = array_set t.syncs (t.soff.(sid) + idx) c }
-
 let thread_get t tid = t.threads.(tid)
 
-let thread_set t tid th = { t with threads = array_set t.threads tid th }
-
 let thread_count t = Array.length t.threads
-
-let add_thread t th =
-  let n = Array.length t.threads in
-  let threads = Array.make (n + 1) th in
-  Array.blit t.threads 0 threads 0 n;
-  ({ t with threads }, n)
 
 let all_finished t = Array.for_all (fun th -> th.finished) t.threads
 
@@ -131,10 +104,13 @@ let all_finished t = Array.for_all (fun th -> th.finished) t.threads
    marker below).  Unreachable live cells are leaked memory; they are
    appended in address order so that a leak still distinguishes states.
 
-   There is one walk, written against a byte sink: [canonical_repr]
-   collects the bytes in a buffer, [signature] hashes them as they are
-   produced, so fingerprinting a state builds no string and allocates
-   nothing per byte. *)
+   There is one walk.  It writes each token (a value [i<n>;], a sync
+   cell, a thread's header, a mark) with plain stores into a small buffer
+   of its own, and hands the buffer to a sink whenever the next token
+   might not fit, and at the end: [canonical_repr] collects the bytes in
+   a [Buffer], [signature] hashes each run of them in one loop.  So
+   fingerprinting a state builds no string and dispatches on the sink a
+   few times per state, not once per byte. *)
 
 type sink =
   | Buf of Buffer.t
@@ -151,26 +127,79 @@ type walk = {
   sink : sink;
   cells : heap_cell Heap_map.t;
   mutable ren : renaming option;  (* created at the first handle reached *)
+  out : Bytes.t;
+  mutable len : int;  (* bytes of [out] not yet handed to [sink] *)
 }
 
-let put w c =
-  match w.sink with
-  | Buf b -> Buffer.add_char b c
-  | Hash h -> Icb_util.Fnv.add_char h c
+(* The longest int is 20 bytes ([min_int]).  The longest token, a
+   thread's header, holds three ints and four marks, so it fits in a
+   buffer this size; a typical transaction-manager state (about 95 bytes)
+   is two runs. *)
+let int_room = 20
 
-(* the decimal digits of [-m], for [m <= 0]: every int, [min_int]
-   included, has a non-positive negation *)
-let rec put_digits w m =
-  if m <= -10 then put_digits w (m / 10);
-  put w (Char.unsafe_chr (Char.code '0' - (m mod 10)))
+let out_size = 64
 
-(* [n] as [string_of_int] prints it, without building the string *)
-let put_int w n =
-  if n < 0 then begin
-    put w '-';
-    put_digits w n
+let flush w =
+  (match w.sink with
+  | Buf b -> Buffer.add_subbytes b w.out 0 w.len
+  | Hash h -> Icb_util.Fnv.add_subbytes h w.out 0 w.len);
+  w.len <- 0
+
+(* Where a token of at most [n] bytes starts in [w.out].  A token is
+   written at positions held in locals, and [w.len] is stored once at
+   its end. *)
+let[@inline] room w n =
+  if w.len + n > out_size then flush w;
+  w.len
+
+let[@inline] digit n = Char.unsafe_chr (Char.code '0' + n)
+
+let general_int b p n =
+  let s = string_of_int n in
+  Bytes.blit_string s 0 b p (String.length s);
+  p + String.length s
+
+(* [n] as [string_of_int] prints it, written at [p]; the position after
+   it.  Nearly every int a model state holds is in 0..99 or is -1, so
+   those are written digit by digit, and only the rest build a string. *)
+let[@inline] put_int b p n =
+  if n >= 0 && n < 10 then begin
+    Bytes.unsafe_set b p (digit n);
+    p + 1
   end
-  else put_digits w (-n)
+  else if n >= 10 && n < 100 then begin
+    Bytes.unsafe_set b p (digit (n / 10));
+    Bytes.unsafe_set b (p + 1) (digit (n mod 10));
+    p + 2
+  end
+  else if n = -1 then begin
+    Bytes.unsafe_set b p '-';
+    Bytes.unsafe_set b (p + 1) '1';
+    p + 2
+  end
+  else general_int b p n
+
+(* a one-byte token *)
+let mark w c =
+  let p = room w 1 in
+  Bytes.unsafe_set w.out p c;
+  w.len <- p + 1
+
+(* [c], then [';'] *)
+let[@inline] token_mark w c =
+  let p = room w 2 in
+  Bytes.unsafe_set w.out p c;
+  Bytes.unsafe_set w.out (p + 1) ';';
+  w.len <- p + 2
+
+(* [c], then [n], then [';'] *)
+let[@inline] token w c n =
+  let p = room w (int_room + 2) in
+  let b = w.out in
+  Bytes.unsafe_set b p c;
+  let p = put_int b (p + 1) n in
+  Bytes.unsafe_set b p ';';
+  w.len <- p + 1
 
 let canon_of w addr =
   if addr < 0 then -1
@@ -191,29 +220,24 @@ let canon_of w addr =
       Queue.push addr r.pending;
       c
 
-let put_value w v =
+let[@inline] put_value w v =
   match v with
-  | Value.Int n ->
-    put w 'i';
-    put_int w n
-  | Value.Bool b -> put w (if b then 'T' else 'F')
-  | Value.Handle h ->
-    put w 'h';
-    put_int w (canon_of w h)
+  | Value.Int n -> token w 'i' n
+  | Value.Bool b -> token_mark w (if b then 'T' else 'F')
+  | Value.Handle h -> token w 'h' (canon_of w h)
 
 let put_values w vs =
   for i = 0 to Array.length vs - 1 do
-    put_value w vs.(i);
-    put w ';'
+    put_value w (Array.unsafe_get vs i)
   done
 
 let put_cell w addr =
   match Heap_map.find_opt addr w.cells with
-  | None | Some { freed = true; _ } -> put w '!'
+  | None | Some { freed = true; _ } -> mark w '!'
   | Some { data; freed = false } ->
-    put w '[';
+    mark w '[';
     put_values w data;
-    put w ']'
+    mark w ']'
 
 (* write the reached cells in canonical discovery order *)
 let rec drain w =
@@ -229,34 +253,34 @@ let renamed w addr =
   | Some r -> Hashtbl.mem r.canon addr
 
 let canonical_walk sink t =
-  let w = { sink; cells = t.heap; ren = None } in
+  let w =
+    { sink; cells = t.heap; ren = None; out = Bytes.create out_size; len = 0 }
+  in
   put_values w t.globals;
-  put w '|';
+  mark w '|';
   for i = 0 to Array.length t.syncs - 1 do
-    (match t.syncs.(i) with
-    | Mutex_cell owner ->
-      put w 'm';
-      put_int w owner
-    | Event_cell s -> put w (if s then 'E' else 'e')
-    | Sem_cell n ->
-      put w 's';
-      put_int w n);
-    put w ';'
+    match t.syncs.(i) with
+    | Mutex_cell owner -> token w 'm' owner
+    | Event_cell s -> token_mark w (if s then 'E' else 'e')
+    | Sem_cell n -> token w 's' n
   done;
-  put w '|';
+  mark w '|';
   for i = 0 to Array.length t.threads - 1 do
     let th = t.threads.(i) in
-    put_int w th.proc;
-    put w ':';
-    put_int w th.pc;
-    put w (if th.finished then 'X' else 'R');
-    put w (if th.yielded then 'Y' else 'N');
-    put_int w th.atomic;
-    put w ',';
+    let p = room w ((3 * int_room) + 4) in
+    let b = w.out in
+    let p = put_int b p th.proc in
+    Bytes.unsafe_set b p ':';
+    let p = put_int b (p + 1) th.pc in
+    Bytes.unsafe_set b p (if th.finished then 'X' else 'R');
+    Bytes.unsafe_set b (p + 1) (if th.yielded then 'Y' else 'N');
+    let p = put_int b (p + 2) th.atomic in
+    Bytes.unsafe_set b p ',';
+    w.len <- p + 1;
     put_values w th.regs;
-    put w '/'
+    mark w '/'
   done;
-  put w '|';
+  mark w '|';
   drain w;
   (* leaked live cells, in address order, each traversed too; a state
      without a heap skips building the closure *)
@@ -264,15 +288,16 @@ let canonical_walk sink t =
     Heap_map.iter
       (fun addr cell ->
         if (not cell.freed) && not (renamed w addr) then begin
-          put w 'L';
+          mark w 'L';
           ignore (canon_of w addr);
           drain w
         end)
       t.heap;
-  put w '|';
-  match t.error with
+  mark w '|';
+  (match t.error with
   | None -> ()
-  | Some e -> String.iter (put w) (Merr.key e)
+  | Some e -> String.iter (mark w) (Merr.key e));
+  flush w
 
 let canonical_repr t =
   let buf = Buffer.create 256 in

@@ -3,7 +3,11 @@
     A state is a persistent snapshot of the whole guest machine.  The
     interpreter produces a fresh state from each step; the search keeps as
     many states alive as its frontier needs.  Mutation is always
-    copy-on-write, so retaining a state is free.
+    copy-on-write, so retaining a state is free.  A step copies each array
+    it writes once, the first time it writes it (the globals, the syncs,
+    the thread table, the running thread's registers), and makes later
+    writes of the same step in place; nothing outside the step sees its
+    copies before it returns the new state.
 
     The canonical fingerprint implements ZING-style heap-symmetry
     reduction: heap addresses are renamed in order of first reachability
@@ -47,22 +51,14 @@ type t = {
 val initial : Prog.t -> t
 (** The initial state: thread 0 runs [main]; no heap objects. *)
 
-(* Accessors used by the interpreter; all perform bounds checks and raise
-   [Invalid_argument] on violations that the compiler should have ruled
-   out. *)
+(* Accessors; [global_get] raises [Invalid_argument] on an index the
+   compiler should have ruled out. *)
 
 val global_get : t -> gid:int -> idx:int -> Value.t
-val global_set : t -> gid:int -> idx:int -> Value.t -> t
 val global_size : t -> gid:int -> int
-
-val sync_get : t -> sid:int -> idx:int -> sync_cell
-val sync_set : t -> sid:int -> idx:int -> sync_cell -> t
 val sync_size : t -> sid:int -> int
-
 val thread_get : t -> int -> thread
-val thread_set : t -> int -> thread -> t
 val thread_count : t -> int
-val add_thread : t -> thread -> t * int
 
 val all_finished : t -> bool
 

@@ -75,7 +75,10 @@ module type S = sig
 
   val enabled : state -> int list
   (** Scheduler-visible enabled threads, in increasing tid order.  Threads
-      that just yielded are excluded unless that would empty the set. *)
+      that just yielded are excluded unless that would empty the set.  The
+      machine engine computes each state's set once, when the state is
+      made, and [status] and the next [step]'s preemption count read the
+      same set; the CHESS engine caches it too. *)
 
   val step : state -> int -> state
   (** Execute one scheduling step of the given (enabled) thread.  The

@@ -51,6 +51,10 @@ type state = {
   blocks : int;
   npreempt : int;
   sched_rev : int list;
+  en : int;
+      (* the enabled set, computed once when the state is made: a bit per
+         thread ([Interp.enabled_set]); empty once raced, [-1] when the
+         program has more threads than a word has bits *)
 }
 
 let machine_state s = s.mstate
@@ -89,6 +93,9 @@ end) : Engine.S with type state = state = struct
       | Ok d -> (Det_gold d, None)
       | Error r -> (det, Some r))
 
+  let enabled_set mstate race =
+    if race <> None then 0 else Interp.enabled_set mstate
+
   let initial () =
     let r = Interp.start cfg.granularity Cfg.prog in
     let det, race = run_detector (init_detector ()) r.events in
@@ -101,15 +108,28 @@ end) : Engine.S with type state = state = struct
       blocks = 0;
       npreempt = 0;
       sched_rev = [];
+      en = enabled_set r.state race;
     }
 
-  let enabled s = if s.race <> None then [] else Interp.enabled s.mstate
+  let enabled s =
+    if s.en < 0 then Interp.enabled s.mstate
+    else
+      let rec go t acc =
+        if t < 0 then acc
+        else go (t - 1) (if s.en land (1 lsl t) <> 0 then t :: acc else acc)
+      in
+      go (State.thread_count s.mstate - 1) []
+
+  let is_enabled s tid =
+    if s.en < 0 then List.mem tid (Interp.enabled s.mstate)
+    else s.en land (1 lsl tid) <> 0
 
   let status s =
     match s.race with
     | Some r ->
       let e = Icb_race.Report.to_merr Cfg.prog r in
       Engine.Failed { key = Merr.key e; msg = Merr.to_string e }
+    | None when s.en > 0 -> Engine.Running
     | None -> (
       match Interp.status s.mstate with
       | Interp.Running -> Engine.Running
@@ -118,12 +138,12 @@ end) : Engine.S with type state = state = struct
       | Interp.Error e ->
         Engine.Failed { key = Merr.key e; msg = Merr.to_string e })
 
-  (* The state [Interp.step]'s result [r] makes of [s] stepping [tid]. *)
+  (* The state [Interp.step]'s result [r] makes of [s] stepping [tid].
+     The switch preempts iff the last thread to run is still in [s]'s
+     enabled set ([Engine.preempting]'s rule), read from its bits. *)
   let stepped s tid (r : Interp.step_result) =
-    let preempting =
-      Engine.preempting ~last_tid:s.mstate.State.last_tid ~enabled:(enabled s)
-        ~chosen:tid
-    in
+    let last = s.mstate.State.last_tid in
+    let preempting = last >= 0 && tid <> last && is_enabled s last in
     let det, race = run_detector s.det r.events in
     {
       mstate = r.state;
@@ -134,6 +154,7 @@ end) : Engine.S with type state = state = struct
       blocks = (s.blocks + if r.blocking_op then 1 else 0);
       npreempt = (s.npreempt + if preempting then 1 else 0);
       sched_rev = tid :: s.sched_rev;
+      en = enabled_set r.state race;
     }
 
   let step s tid = stepped s tid (Interp.step cfg.granularity s.mstate tid)

@@ -55,6 +55,14 @@ let acc () =
   set a 0 basis;
   a
 
-let add_char a c = set a 0 (step (get a 0) (Char.code c))
+(* the hash stays in a local for the whole run: one load, one store *)
+let add_subbytes a b pos len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Fnv.add_subbytes";
+  let h = ref (get a 0) in
+  for i = pos to pos + len - 1 do
+    h := step !h (Char.code (Bytes.unsafe_get b i))
+  done;
+  set a 0 !h
 
 let value a = get a 0

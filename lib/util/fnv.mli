@@ -6,8 +6,8 @@
     extended byte by byte, so a producer can hash its bytes as it emits
     them instead of first building the string.  The machine's
     [State.signature] streams a state's canonical bytes into an {!acc}
-    that way.  Every function here extends a hash through the same byte
-    update. *)
+    that way, a buffered run at a time.  Every function here extends a
+    hash through the same byte update. *)
 
 type t = int64
 
@@ -45,9 +45,12 @@ type acc
 val acc : unit -> acc
 (** A fresh running hash at {!basis}. *)
 
-val add_char : acc -> char -> unit
-(** Extend with one byte: [value a] becomes [char v c], where [v] was
-    [value a] before. *)
+val add_subbytes : acc -> Bytes.t -> int -> int -> unit
+(** [add_subbytes a b pos len] extends [a] with the [len] bytes of [b]
+    from [pos]: [value a] becomes [string v (Bytes.sub_string b pos len)],
+    where [v] was [value a] before.  The loop keeps the hash in a local,
+    so a producer that buffers its bytes pays one call per run, not one
+    per byte.  Raises [Invalid_argument] if the range is not within [b]. *)
 
 val value : acc -> t
 (** The hash of every byte added so far. *)

@@ -547,6 +547,15 @@ main { var i: int = 5; a[i] = 1; }
 
 (* --- canonical state fingerprints ----------------------------------------- *)
 
+(* [Interp.status] as the machine engine reports it *)
+let engine_status st =
+  match Interp.status st with
+  | Interp.Running -> Icb_search.Engine.Running
+  | Interp.Terminated -> Icb_search.Engine.Terminated
+  | Interp.Deadlock blocked -> Icb_search.Engine.Deadlock blocked
+  | Interp.Error e ->
+    Icb_search.Engine.Failed { key = Merr.key e; msg = Merr.to_string e }
+
 let signature_tests =
   [
     Alcotest.test_case "heap symmetry: allocation order is canonicalized"
@@ -617,39 +626,101 @@ main { g = %d; }
         check Alcotest.bool "at most one shared access per step" true !ok);
     Alcotest.test_case "the streamed signature hashes the canonical bytes"
       `Quick (fun () ->
-        (* 20 seeded random walks per addressable program and granularity;
-           every state on them, heap, error and deadlock states included *)
-        let states = ref 0 in
+        (* 20 seeded random walks per program and engine configuration,
+           over the addressable programs and five generated ones; every
+           state on them, heap, error, raced and deadlock states
+           included.  At each state:
+           - the signature hashes the canonical bytes;
+           - stepping any enabled thread leaves the state as it was, and
+             stepping it twice gives equal states;
+           - the engine's enabled set, status and preemption count are
+             what the interpreter computes from the machine state. *)
+        let module Engine = Icb_search.Engine in
+        let module Mach_engine = Icb_search.Mach_engine in
+        let generated =
+          List.mapi
+            (fun i src ->
+              (Printf.sprintf "generated #%d" i, fun () -> compile src))
+            (QCheck.Gen.generate ~rand:(Random.State.make [| 2007 |]) ~n:5
+               Gen_programs.program)
+        in
+        let hex = Icb_util.Fnv.to_hex in
+        let states = ref 0 and raced = ref 0 in
+        let check_state
+            (module E : Engine.S with type state = Mach_engine.state) gran
+            ~where ~preemptions s =
+          incr states;
+          let st = Mach_engine.machine_state s in
+          let repr = State.canonical_repr st in
+          let expected = Icb_util.Fnv.hash_string repr in
+          if State.signature st <> expected then
+            Alcotest.failf "%s: %s <> %s" where
+              (hex (State.signature st)) (hex expected);
+          let en = Interp.enabled st in
+          List.iter
+            (fun tid ->
+              let stepped () =
+                State.canonical_repr (Interp.step gran st tid).Interp.state
+              in
+              let a = stepped () in
+              let b = stepped () in
+              if a <> b then
+                Alcotest.failf "%s: stepping %d twice: %S <> %S" where tid a b;
+              let now = State.canonical_repr st in
+              if now <> repr then
+                Alcotest.failf "%s: stepping %d changed the state: %S, was %S"
+                  where tid now repr)
+            en;
+          (* a race the detector reports fails a state the interpreter
+             would run on, and leaves nothing enabled *)
+          let status = engine_status st in
+          (match (E.status s, status) with
+          | Engine.Failed _, (Engine.Running | Terminated | Deadlock _) ->
+            incr raced;
+            check Alcotest.(list int) (where ^ ": raced") [] (E.enabled s)
+          | engine, _ ->
+            check Alcotest.(list int) (where ^ ": enabled") en (E.enabled s);
+            if engine <> status then
+              Alcotest.failf "%s: the engine's status differs" where);
+          check Alcotest.int (where ^ ": preemptions") preemptions
+            (E.preemptions s)
+        in
         List.iteri
           (fun pi (name, mk) ->
             let prog = mk () in
             List.iteri
-              (fun gi gran ->
+              (fun ci (config : Mach_engine.config) ->
+                let module E = (val Icb.engine ~config prog) in
                 for walk = 1 to 20 do
-                  let rng = Random.State.make [| pi; gi; walk |] in
-                  let rec go st depth =
-                    incr states;
-                    let expected =
-                      Icb_util.Fnv.hash_string (State.canonical_repr st)
+                  let rng = Random.State.make [| pi; ci; walk |] in
+                  let rec go s ~preemptions depth =
+                    let where =
+                      Printf.sprintf "%s, config %d, walk %d, depth %d" name
+                        ci walk depth
                     in
-                    if State.signature st <> expected then
-                      Alcotest.failf "%s walk %d depth %d: %s <> %s" name walk
-                        depth
-                        (Icb_util.Fnv.to_hex (State.signature st))
-                        (Icb_util.Fnv.to_hex expected);
-                    match (Interp.status st, Interp.enabled st) with
-                    | Interp.Running, (_ :: _ as en) when depth < 3000 ->
+                    check_state (module E) config.granularity ~where
+                      ~preemptions s;
+                    match E.enabled s with
+                    | _ :: _ as en when depth < 3000 ->
                       let tid =
                         List.nth en (Random.State.int rng (List.length en))
                       in
-                      go (Interp.step gran st tid).Interp.state (depth + 1)
+                      let preempting =
+                        Engine.preempting
+                          ~last_tid:(Mach_engine.machine_state s).last_tid
+                          ~enabled:en ~chosen:tid
+                      in
+                      go (E.step s tid)
+                        ~preemptions:(preemptions + if preempting then 1 else 0)
+                        (depth + 1)
                     | _ -> ()
                   in
-                  go (Interp.start gran prog).Interp.state 0
+                  go (E.initial ()) ~preemptions:0 0
                 done)
-              [ Interp.Sync_only; Interp.Every_access ])
-          (Icb_models.Registry.addressable ());
-        check Alcotest.bool "walked" true (!states > 10_000));
+              Mach_engine.[ default_config; zing_config; chess_config ])
+          (Icb_models.Registry.addressable () @ generated);
+        check Alcotest.bool "walked" true (!states > 10_000);
+        check Alcotest.bool "raced" true (!raced > 0));
     Alcotest.test_case "the canonical format is pinned" `Quick (fun () ->
         (* checkpoints and wire snapshots store signatures of this format;
            the expected strings were produced by the serializer they
@@ -725,6 +796,117 @@ main { g = %d; }
           (State.canonical_repr st);
         check Alcotest.string "signature" "4f48c51d31a46fcd"
           (Icb_util.Fnv.to_hex (State.signature st)));
+    Alcotest.test_case "small ints keep the pinned format" `Quick (fun () ->
+        (* the ints on both sides of the walk's one- and two-digit fast
+           path (0, 9, 10, 99, 100, 1023, 1024, -1, -10) in every place
+           an int is written, beside heap handles and a freed cell; the
+           expected strings were produced by the serializer the fast path
+           replaced *)
+        let prog =
+          {
+            Icb_machine.Prog.globals = [||];
+            syncs = [||];
+            procs =
+              [|
+                { Icb_machine.Prog.pname = "main"; nparams = 0; nregs = 2;
+                  code = [||] };
+              |];
+            main = 0;
+          }
+        in
+        let cell data = { State.data; freed = false } in
+        let heap =
+          List.fold_left
+            (fun m (addr, c) -> State.Heap_map.add addr c m)
+            State.Heap_map.empty
+            [
+              (1023, cell [| Value.Int 1024; Value.Handle 99 |]);
+              (99, cell [| Value.Int (-1); Value.Int 9; Value.Handle 100 |]);
+              (100, { State.data = [| Value.Int 0 |]; freed = true });
+              (10, cell [| Value.Int (-10); Value.Bool true |]);
+            ]
+        in
+        let thread proc pc regs ~finished ~yielded ~atomic =
+          { State.proc; pc; regs; finished; yielded; atomic }
+        in
+        let st =
+          {
+            (State.initial prog) with
+            State.globals =
+              [|
+                Value.Int 0; Value.Int 9; Value.Int 10; Value.Int 99;
+                Value.Int 100; Value.Int 1023; Value.Int 1024; Value.Int (-1);
+                Value.Int (-10); Value.Handle 1023; Value.Bool false;
+              |];
+            syncs =
+              [|
+                State.Mutex_cell 10; State.Mutex_cell (-1); State.Sem_cell 1024;
+                State.Sem_cell 0; State.Event_cell false; State.Sem_cell 99;
+              |];
+            threads =
+              [|
+                thread 0 100 [| Value.Handle 10; Value.Int 1023 |]
+                  ~finished:false ~yielded:false ~atomic:9;
+                thread 10 1024 [| Value.Int (-10); Value.Handle 100 |]
+                  ~finished:false ~yielded:true ~atomic:0;
+                thread 99 9 [| Value.Int 99; Value.Int (-1) |] ~finished:true
+                  ~yielded:false ~atomic:1023;
+              |];
+            heap;
+            next_addr = 1024;
+            error = None;
+          }
+        in
+        check Alcotest.string "canonical repr"
+          ("i0;i9;i10;i99;i100;i1023;i1024;i-1;i-10;h0;F;"
+         ^ "|m10;m-1;s1024;s0;e;s99;"
+         ^ "|0:100RN9,h1;i1023;/10:1024RY0,i-10;h2;/99:9XN1023,i99;i-1;/"
+         ^ "|[i1024;h3;][i-10;T;]![i-1;i9;h2;]|")
+          (State.canonical_repr st);
+        check Alcotest.string "signature" "864795f2b569970c"
+          (Icb_util.Fnv.to_hex (State.signature st)));
+    Alcotest.test_case "past 62 threads the engine asks the interpreter"
+      `Quick (fun () ->
+        (* more threads than a word has bits: the engine keeps no set of
+           its own and answers from the machine state *)
+        let prog =
+          compile
+            {|
+var x: int;
+mutex m;
+proc w() { lock(m); x = x + 1; unlock(m); }
+main {
+  var i: int = 0;
+  while (i < 64) { spawn w(); i = i + 1; }
+}
+|}
+        in
+        List.iter
+          (fun config ->
+            let module E = (val Icb.engine ~config prog) in
+            let rng = Random.State.make [| 62 |] in
+            let rec go s ~preemptions most =
+              let st = Icb_search.Mach_engine.machine_state s in
+              check Alcotest.(list int) "enabled" (Interp.enabled st)
+                (E.enabled s);
+              check Alcotest.bool "status" true (E.status s = engine_status st);
+              check Alcotest.int "preemptions" preemptions (E.preemptions s);
+              let most = max most (State.thread_count st) in
+              match E.enabled s with
+              | [] -> most
+              | en ->
+                let tid = List.nth en (Random.State.int rng (List.length en)) in
+                let preempting =
+                  Icb_search.Engine.preempting ~last_tid:st.State.last_tid
+                    ~enabled:en ~chosen:tid
+                in
+                go (E.step s tid)
+                  ~preemptions:(preemptions + if preempting then 1 else 0)
+                  most
+            in
+            check Alcotest.int "threads" 65
+              (go (E.initial ()) ~preemptions:0 0))
+          Icb_search.Mach_engine.[ default_config; zing_config ]);
   ]
 
 (* --- program validation ---------------------------------------------------- *)

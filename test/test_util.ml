@@ -190,13 +190,31 @@ let fnv_tests =
     qtest
       (QCheck.Test.make ~name:"a running hash equals the string's hash"
          ~count:300
-         (QCheck.make QCheck.Gen.(pair string string))
-         (fun (a, b) ->
+         (QCheck.make QCheck.Gen.(triple string string nat))
+         (fun (a, b, k) ->
+           (* [a] in one run, [b] in two runs split at [k], each run cut
+              out of a larger buffer *)
+           let add acc s =
+             let b = Bytes.of_string ("<" ^ s ^ ">") in
+             Fnv.add_subbytes acc b 1 (String.length s)
+           in
            let acc = Fnv.acc () in
-           String.iter (Fnv.add_char acc) a;
+           add acc a;
            let mid = Fnv.value acc in
-           String.iter (Fnv.add_char acc) b;
-           mid = Fnv.hash_string a && Fnv.value acc = Fnv.hash_string (a ^ b)));
+           let k = if b = "" then 0 else k mod (String.length b + 1) in
+           add acc (String.sub b 0 k);
+           add acc (String.sub b k (String.length b - k));
+           let rejected pos len =
+             match Fnv.add_subbytes acc (Bytes.of_string b) pos len with
+             | () -> false
+             | exception Invalid_argument _ -> true
+           in
+           mid = Fnv.hash_string a
+           && Fnv.value acc = Fnv.hash_string (a ^ b)
+           && rejected (-1) 0
+           && rejected 0 (String.length b + 1)
+           && rejected (String.length b) (-1)
+           && Fnv.value acc = Fnv.hash_string (a ^ b)));
   ]
 
 (* --- Rng ---------------------------------------------------------------- *)
