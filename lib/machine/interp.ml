@@ -61,17 +61,15 @@ exception Model_error of Merr.t
    persistent, so the first write to the globals, the syncs, the thread
    table or the running thread's registers copies that array, and every
    later write of the same step goes in place: a step copies each array
-   it writes once.  Nothing outside the step sees these arrays before
+   it writes once.  An array is the step's own once it is not the one
+   [base] holds.  Nothing outside the step sees these arrays before
    [freeze] makes them the next state. *)
 type ctx = {
   base : State.t;  (* the state stepped from *)
   gran : granularity;
   mutable globals : Value.t array;
-  mutable g_own : bool;  (* [globals] is this step's copy *)
   mutable syncs : State.sync_cell array;
-  mutable s_own : bool;
   mutable threads : State.thread array;
-  mutable t_own : bool;
   mutable regs : Value.t array;
       (* the running thread's registers once this step copied them; a
          spawned child runs on its own fresh array *)
@@ -85,11 +83,8 @@ let context gran (st : State.t) =
     base = st;
     gran;
     globals = st.globals;
-    g_own = false;
     syncs = st.syncs;
-    s_own = false;
     threads = st.threads;
-    t_own = false;
     regs = [||];
     heap = st.heap;
     next_addr = st.next_addr;
@@ -109,24 +104,15 @@ let freeze ctx ~last_tid ~error : State.t =
   }
 
 let set_global ctx gid i v =
-  if not ctx.g_own then begin
-    ctx.globals <- Array.copy ctx.globals;
-    ctx.g_own <- true
-  end;
+  if ctx.globals == ctx.base.globals then ctx.globals <- Array.copy ctx.globals;
   ctx.globals.(ctx.base.goff.(gid) + i) <- v
 
 let set_sync ctx sid i c =
-  if not ctx.s_own then begin
-    ctx.syncs <- Array.copy ctx.syncs;
-    ctx.s_own <- true
-  end;
+  if ctx.syncs == ctx.base.syncs then ctx.syncs <- Array.copy ctx.syncs;
   ctx.syncs.(ctx.base.soff.(sid) + i) <- c
 
 let set_thread ctx tid th =
-  if not ctx.t_own then begin
-    ctx.threads <- Array.copy ctx.threads;
-    ctx.t_own <- true
-  end;
+  if ctx.threads == ctx.base.threads then ctx.threads <- Array.copy ctx.threads;
   ctx.threads.(tid) <- th
 
 (* [th]'s registers with [r] set to [v] *)
@@ -140,7 +126,6 @@ let add_thread ctx th =
   let threads = Array.make (n + 1) th in
   Array.blit ctx.threads 0 threads 0 n;
   ctx.threads <- threads;
-  ctx.t_own <- true;
   n
 
 let advance ctx tid (th : State.thread) =
@@ -632,10 +617,8 @@ let step gran (st : State.t) tid =
     | Sync_only -> true
     | Every_access -> at_end || classify st.prog code.(th.pc) = Instr.Class_sync
   in
-  if releases && Array.exists yielded st.threads then begin
+  if releases && Array.exists yielded st.threads then
     ctx.threads <- Array.map unyield st.threads;
-    ctx.t_own <- true
-  end;
   match
     if at_end then
       set_thread ctx tid
