@@ -18,8 +18,8 @@
 
 (* A mutex-protected deque: the owner pushes and pops at the front (so a
    strategy's own follow-ups pop depth-first, keeping the frontier
-   small), thieves steal from the back.  Contention is per-item and items
-   are subtrees or whole walks, so a lock-free structure would buy
+   small), thieves steal from the back.  Contention is per-item and an
+   item runs at most one execution, so a lock-free structure would buy
    nothing here. *)
 module Dq = struct
   type 'a t = {
@@ -488,10 +488,12 @@ let rounds (type s w) ses (module E : Engine.S with type state = s)
          to this order. *)
       let work, carry = S.of_prefixes master f in
       (* restored totals that already meet a limit stop the run before it
-         runs anything; the restored bugs are not new *)
+         runs anything; under stop_at_first_bug, a restored bug counts,
+         as the pool's hook and the coordinator count it *)
       match
         Collector.(limit_hit ses.options ~executions:(executions master)
-          ~states:(seen_states master) ~steps:(total_steps master) ~bugs:0)
+          ~states:(seen_states master) ~steps:(total_steps master)
+          ~bugs:(bug_count master))
       with
       | Some r ->
         Collector.note_stop master r;
@@ -512,11 +514,10 @@ let rounds (type s w) ses (module E : Engine.S with type state = s)
 (* One worker draining a round as a pool worker drains its deque, or
    best-first for a strategy that ranks its items.  Limits fire as
    [Collector.Stop] from inside an expansion; the runner then reports the
-   remaining frontier, conservatively re-queuing the interrupted item
-   and dropping what it deferred, which its re-run defers again, so
-   resume explores nothing twice — except for strategies with atomic
-   items interrupted exactly at their execution's end, whose resume is
-   exact. *)
+   remaining frontier.  An item that had recorded its execution, its
+   last act ({!Strategy.S.expand}), is done; any other is listed unrun,
+   and what it pushed or deferred is dropped for its re-run to make
+   again, so resume explores nothing twice. *)
 let serial (type s w) ses (module E : Engine.S with type state = s)
     (module S : Strategy.S with type state = s and type wstate = w)
     ~(wstates : w array) ~(mz : s Search_core.materializer) =
@@ -545,27 +546,34 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
     match S.rank with
     | None -> deque ~stay:mz.Search_core.mz_stay
     | Some rank ->
-      (* a rank needs the item's state: materialize before insertion,
-         and drop an item whose prefix failed (already recorded) *)
+      (* a rank needs the item's state: an item keeps the one it arrives
+         with, even with the replay cache off, and a resumed one is
+         materialized before insertion, or dropped if its prefix failed
+         (already recorded) *)
       rank_queue ~rank:(rank (module E)) ~prep:(fun it ->
-          let it = mz.Search_core.mz_stay it in
           if it.Strategy.i_state <> None then Some it
           else
             Option.map
               (fun st -> { it with Strategy.i_state = Some st })
               (materialize it))
   in
-  (* the next round's items, newest first: [deferred] from finished
-     items, [pending] from the item being expanded *)
-  let deferred = ref [] and pending = ref [] in
+  (* [deferred]: the next round's items from finished items, newest
+     first.  [pushed] and [pending]: the item in flight's follow-ups and
+     deferrals, newest first, until it ends.  Then follow-ups go to the
+     queue in push order, and deferrals are committed newest first, so
+     the next round takes each item's deepest preemption point first, as
+     Algorithm 1's recursion does. *)
+  let deferred = ref [] and pushed = ref [] and pending = ref [] in
   let commit () =
-    deferred := !pending @ !deferred;
+    List.iter sq.sq_push (List.rev !pushed);
+    deferred := List.rev_append !pending !deferred;
+    pushed := [];
     pending := []
   in
   let ctx =
     {
       Strategy.c_col = master;
-      c_push = sq.sq_push;
+      c_push = (fun it -> pushed := it :: !pushed);
       c_defer = (fun it -> pending := mz.Search_core.mz_move it :: !pending);
       c_materialize = materialize;
     }
@@ -592,14 +600,12 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
         periodic ();
         drain ()
       | exception Collector.Stop ->
-        (* An item that records exactly one execution, interrupted at
-           that execution's end, is already done: resume repeats
-           nothing. *)
-        if S.atomic_items && Collector.executions master > execs0 then begin
+        if Collector.executions master > execs0 then begin
           commit ();
           Some []
         end
         else begin
+          pushed := [];
           pending := [];
           Some [ it ]
         end)
@@ -887,7 +893,9 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
 (* --- entry --------------------------------------------------------------- *)
 
 (* [replay_cache = false] is the debugging escape hatch: every hand-off
-   drops the item's state and every prefix replays from the root.
+   drops the item's state and every prefix replays from the root, except
+   in the serial runner's ranked queue (most-enabled), whose items keep
+   the states they are ranked by.
    [share_states] is ignored; it is kept only for callers that still pass
    it.  Whether a state may cross domains is the engine's to say, through
    its snapshot capability ({!Search_core.materializer}). *)

@@ -5,8 +5,8 @@
    importantly — the per-work-item ICB exploration.
 
    Every runner replays the very same code path per work item, so they
-   provably explore identical subtrees; the equivalence test suites
-   (test/test_parallel.ml, test/test_dist.ml) check exactly that. *)
+   provably explore identical executions; the conformance suite
+   (test/test_conformance.ml) checks exactly that. *)
 
 (* [signature] is [st]'s: every caller has just computed it to touch the
    state, so it is passed in rather than computed twice. *)
@@ -75,13 +75,16 @@ let step_guarded (type s) (module E : Engine.S with type state = s) col
 
 (* --- the ICB work item -------------------------------------------------- *)
 
-(* Algorithm 1's inner loop: explore from [st] by running [tid] and then
-   every continuation that costs no preemption; a switch away from a
-   still-enabled running thread costs one preemption, so those branches are
-   handed to [defer] for the next context bound.  [seen] is the optional
-   state cache keyed on (signature, tid); each reached state is
-   fingerprinted once, and that one signature is touched, checked against
-   the cache and stamped on the execution it ends.
+(* Algorithm 1's inner loop, one execution long: run [tid] from [st], and
+   keep running it, or the first thread a free switch picks, to the
+   execution's end.  A switch away from a still-enabled running thread
+   costs one preemption, so those branches are handed to [defer] for the
+   next context bound; the other threads of a free switch are handed to
+   [push], as work items of the current bound.  [seen] is the optional
+   state cache keyed on (signature, tid), checked at an item's start and
+   before each continuation; each reached state is fingerprinted once,
+   and that one signature is touched, checked against the cache and
+   stamped on the execution it ends.
 
    [admit st' tid] decides whether the preemption point reached at [st']
    (the running thread [tid] still enabled, about to be switched away
@@ -91,12 +94,15 @@ let step_guarded (type s) (module E : Engine.S with type state = s) col
    point so the strategy can report the search as bounded rather than
    complete.  The default admits everything, which is exactly ICB.
 
-   This closure is the unit of work of both the serial driver and the
-   parallel executor: its subtree is fully determined by (schedule prefix,
-   tid) plus the strategy's deterministic [admit], independent of who runs
-   it or when. *)
+   Each point hands off its other branches before the item goes on, so
+   the execution's end (or its crash) is the last thing an item reports
+   to the collector: a limit that fires there leaves nothing of the item
+   to run again.  An item is fully determined by (schedule prefix, tid)
+   plus the strategy's deterministic [admit], independent of who runs it
+   or when. *)
 let icb_item (type s) (module E : Engine.S with type state = s) col ?seen
-    ?(admit = fun _ _ -> true) ?(seal = fun () -> ()) ~defer (st0, tid0) =
+    ?(admit = fun _ _ -> true) ?(seal = fun () -> ()) ~defer ~push
+    (st0, tid0) =
   let cached sg tid =
     match seen with Some seen -> seen sg tid | None -> false
   in
@@ -110,20 +116,26 @@ let icb_item (type s) (module E : Engine.S with type state = s) col ?seen
       | Engine.Running ->
         let en = E.enabled st' in
         if List.mem tid en then begin
-          (* running thread still enabled: continue it without a context
-             switch; scheduling anyone else here costs a preemption, so
-             defer those work items to the next bound — unless the
-             bounding discipline seals this preemption point *)
-          if not (cached sg tid) then search st' tid;
+          (* running thread still enabled: scheduling anyone else here
+             costs a preemption, so defer those work items to the next
+             bound — unless the bounding discipline seals this preemption
+             point — and continue it without a context switch *)
           if List.exists (fun t -> t <> tid) en then
             if admit st' tid then
               List.iter (fun t -> if t <> tid then defer st' t) en
-            else seal ()
+            else seal ();
+          if not (cached sg tid) then search st' tid
         end
-        else
-          (* the running thread blocked or finished: switching is free *)
-          List.iter (fun t -> if not (cached sg t) then search st' t) en
+        else free st' sg en
       | status -> finish (module E) col st' ~signature:sg status)
+  (* the running thread blocked or finished: switching is free; the
+     others are pushed last first, so they run in order *)
+  and free st sg = function
+    | [] -> ()
+    | t :: rest when cached sg t -> free st sg rest
+    | t :: rest ->
+      List.iter (fun t' -> push st t') (List.rev rest);
+      search st t
   in
   match seen with
   | Some seen when seen (E.signature st0) tid0 -> ()
@@ -151,7 +163,9 @@ let item_cache ~cache table =
    item).  An engine without snapshots may pin a state to the domain that
    made it (the CHESS engine's live run), so such a state never moves;
    nor is it kept for the next round, where its one-shot run is long
-   spent and a replay from the root is all it could offer.
+   spent and a replay from the root is all it could offer.  The serial
+   runner's ranked queue bypasses [mz_stay]: its items keep the states
+   they are ranked by, whether the cache is on or off.
 
    Dropping a state keeps a one-word witness of its enabled set (see
    {!witness}), so nondeterminism is caught whether or not states are
@@ -237,8 +251,10 @@ let materializer (type s) ((module E) : (module Engine.S with type state = s))
       (* a hit only with the memo on: without snapshots, stepping the
          state again makes the engine replay the prefix itself; with the
          cache off, the only carried states are the serial runner's
-         ranked items, whose replay was counted when they were ranked *)
-      (match (memo, Strategy.prefix_length it.Strategy.i_sched) with
+         ranked items, which keep the state they were pushed with, so
+         nothing is replayed for them; the state's depth is its prefix's
+         length *)
+      (match (memo, E.depth st) with
       | None, _ | Some _, 0 -> ()
       | Some _, n ->
         stats.Replay_cache.hits <- stats.Replay_cache.hits + 1;

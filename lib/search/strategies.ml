@@ -91,6 +91,11 @@ type item_wstate = {
 
 let item_wstate () = { w_cache = Hashtbl.create 4096; w_sealed = 0 }
 
+(* A branch [icb_item] hands to the current round: it runs on this
+   worker, from the state it was born at. *)
+let follow_up (type s) (module E : Engine.S with type state = s) ctx st t =
+  ctx.Strategy.c_push (item ~trail:(E.trail st) ~payload:t ~state:(Some st))
+
 (* The sealed-point count is folded at each barrier and persisted through
    checkpoints ("sealed"), so exhaustion is reported as [`Bounded]
    whenever anything was sealed, [`Complete] only when the bound turned
@@ -139,7 +144,8 @@ let icb_roots (type s) (module E : Engine.S with type state = s) col =
    bug whose preemptions sit on hot variables is found strictly cheaper;
    the price is completeness — exhaustion with sealed points is
    [`Bounded], not [`Complete].  Plain [icb] passes no [vars], so
-   [icb_item] runs with its default admit. *)
+   [icb_item] runs with its default admit.  An item is one execution;
+   the other threads of its free switches are current-round follow-ups. *)
 let icb_rounds (type s) (module E : Engine.S with type state = s) ~tag_ ~name_
     ~static ~max_bound ~cache ?vars () : (module Strategy.S with type state = s)
     =
@@ -151,7 +157,6 @@ let icb_rounds (type s) (module E : Engine.S with type state = s) ~tag_ ~name_
     let tag = tag_
     let checkpointable = true
     let shardable = true
-    let atomic_items = false  (* one item explores a whole subtree *)
 
     type wstate = item_wstate
 
@@ -190,6 +195,7 @@ let icb_rounds (type s) (module E : Engine.S with type state = s) ~tag_ ~name_
             ctx.Strategy.c_defer
               (item ~trail:(E.trail st') ~payload:t
                  ~state:(if keep then Some st' else None)))
+          ~push:(follow_up (module E) ctx)
           (st, it.Strategy.i_payload)
 
     let rank = None
@@ -275,8 +281,6 @@ let dfs_family (type s) (module E : Engine.S with type state = s) ~tag_ ~name_
     let tag = tag_
     let checkpointable = true
     let shardable = true
-    let atomic_items = true  (* at most one [finish] per item, as its
-                                last collector-visible action *)
 
     type wstate = {
       w_seen : Icb_util.Sigset.t;
@@ -444,7 +448,6 @@ let sleep_dfs (type s) (module _ : Engine.S with type state = s) :
     let tag = "sleep-dfs"
     let checkpointable = false
     let shardable = false
-    let atomic_items = false
 
     type wstate = unit
 
@@ -514,7 +517,6 @@ let most_enabled (type s) (module E : Engine.S with type state = s) ~cache :
     let tag = "most-enabled"
     let checkpointable = true
     let shardable = false
-    let atomic_items = false
 
     type wstate = Icb_util.Sigset.t
 
@@ -529,24 +531,37 @@ let most_enabled (type s) (module E : Engine.S with type state = s) ~cache :
         [ item ~trail:[] ~payload:Strategy.visit ~state:(Some s0) ]
       else []
 
+    (* An item visits a state: it finishes a terminal one, or steps each
+       enabled thread and pushes the children not seen before.  A step
+       that raises becomes an item of its own (the parent's state, the
+       thread as payload), which takes it again and records the crash,
+       so every item records at most one execution, as its last act. *)
     let expand (module E : Engine.S with type state = state) w ctx it =
       let col = ctx.Strategy.c_col in
+      let reach st' =
+        let sg = E.signature st' in
+        Collector.touch col sg;
+        if not (seen w sg) then
+          ctx.Strategy.c_push
+            (item ~trail:(E.trail st') ~payload:Strategy.visit
+               ~state:(Some st'))
+      in
       match ctx.Strategy.c_materialize it with
       | None -> ()
+      | Some st when it.Strategy.i_payload <> Strategy.visit ->
+        Option.iter reach
+          (Search_core.step_guarded (module E) col st it.Strategy.i_payload)
       | Some st -> (
         match E.status st with
         | Engine.Running ->
           List.iter
             (fun t ->
-              match Search_core.step_guarded (module E) col st t with
-              | None -> ()
-              | Some st' ->
-                let sg = E.signature st' in
-                Collector.touch col sg;
-                if not (seen w sg) then
-                  ctx.Strategy.c_push
-                    (item ~trail:(E.trail st') ~payload:Strategy.visit
-                       ~state:(Some st')))
+              match E.step st t with
+              | st' -> reach st'
+              | exception Collector.Stop -> raise Collector.Stop
+              | exception _ ->
+                ctx.Strategy.c_push
+                  (item ~trail:(E.trail st) ~payload:t ~state:(Some st)))
             (E.enabled st)
         | status ->
           Search_core.finish (module E) col st ~signature:(E.signature st)
@@ -603,7 +618,6 @@ let walks (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
     let tag = tag_
     let checkpointable = true
     let shardable = true
-    let atomic_items = true  (* one walk = one execution *)
 
     type wstate = { mutable w_kmax : int }
 
@@ -744,9 +758,10 @@ let pct (type s) (module E : Engine.S with type state = s) ~change_points
 (* vb:N and tb:N share this instance: one round over the sealed subspace,
    depth-first, with no limit on the preemption count — the bound is the
    *where*, not the *how many*.  Preempting branches go into the
-   *current* round's queue (run next, newest first: depth first); sealed
-   points bump the per-worker counter.  [vars] (vb:N) are the admitted
-   variable keys, persisted through checkpoints. *)
+   *current* round's queue, as free switches' do (run next, newest
+   first: depth first); sealed points bump the per-worker counter.
+   [vars] (vb:N) are the admitted variable keys, persisted through
+   checkpoints. *)
 let sealed_space (type s) (module E : Engine.S with type state = s) ~tag_
     ~name_ ~static ~cache ?vars ~mk_admit () :
     (module Strategy.S with type state = s) =
@@ -758,7 +773,6 @@ let sealed_space (type s) (module E : Engine.S with type state = s) ~tag_
     let tag = tag_
     let checkpointable = true
     let shardable = true
-    let atomic_items = false
 
     type wstate = item_wstate
 
@@ -779,9 +793,8 @@ let sealed_space (type s) (module E : Engine.S with type state = s) ~tag_
           ?seen:(Search_core.item_cache ~cache w.w_cache)
           ~admit:(mk_admit (module E : Engine.S with type state = state) !keys)
           ~seal:(fun () -> w.w_sealed <- w.w_sealed + 1)
-          ~defer:(fun st' t ->
-            ctx.Strategy.c_push
-              (item ~trail:(E.trail st') ~payload:t ~state:(Some st')))
+          ~defer:(follow_up (module E) ctx)
+          ~push:(follow_up (module E) ctx)
           (st, it.Strategy.i_payload)
 
     let rank = None

@@ -162,12 +162,6 @@ module type S = sig
       (most-enabled's global priority queue, sleep-set DFS) makes the
       driver reject [domains > 1]. *)
 
-  val atomic_items : bool
-  (** An item records at most one execution and is finished once it has
-      recorded it.  Lets the serial driver skip the conservative
-      re-enqueue of the in-flight item when a limit fires exactly at that
-      execution's end — a resumed randomized walk then repeats no walk. *)
-
   type wstate
   (** Per-worker scratch state: cache tables, truncation counters,
       per-round maxima.  Created once per run and per worker; merged or
@@ -192,9 +186,16 @@ module type S = sig
     state ctx ->
     state item ->
     unit
-  (** Process one item: materialize, step/walk, record executions via the
-      ctx collector, push or defer follow-ups.  [Collector.Stop] may
-      escape (serial mode — the driver checkpoints and stops); any other
+  (** Process one item: materialize, step/walk, push or defer follow-ups,
+      and record at most one execution via the ctx collector, as the
+      item's last act: an item that has recorded its execution is done.
+      [Collector.Stop] may escape (serial mode — the driver checkpoints
+      and stops): if the item had recorded its execution, the runner
+      keeps its follow-ups and deferrals; otherwise it drops them and
+      lists the item as unrun, so a resume repeats at most the one
+      execution a state or step limit, or the deadline, cut short.
+      sleep-dfs is the exception: its one item is the whole search,
+      which it cannot checkpoint, so nothing resumes it.  Any other
       exception escaping is a driver-level failure, engine crashes having
       already been contained by [Search_core.step_guarded]. *)
 
@@ -203,7 +204,8 @@ module type S = sig
   (** [None] but for most-enabled: every runner takes a round's items in
       order, an item's own follow-ups ([c_push]) next, newest first.
       [Some rank] makes the serial runner pop higher ranks first, ties in
-      push order, from items materialized on insertion ([i_state] set). *)
+      push order, from items that keep the state they arrive with
+      ([i_state] set; a resumed item is materialized on insertion). *)
 
   val round : unit -> int
   (** The current round counter, for progress display and

@@ -159,8 +159,9 @@ let stats_tests =
           serial.Replay_cache.steps_replayed pool.Replay_cache.steps_replayed);
     Alcotest.test_case "an uncached ranked run reports no snapshot hits"
       `Quick (fun () ->
-        (* most-enabled materializes an item to rank it; with the cache off
-           that replay is a miss, and expanding the item saves nothing *)
+        (* most-enabled ranks an item by its state, which the item keeps
+           even with the cache off: nothing is replayed, and expanding the
+           item saves nothing *)
         let stats = ref (Replay_cache.zero ()) in
         ignore
           (Icb.run ~cache:false
@@ -168,7 +169,10 @@ let stats_tests =
              ~strategy:(Explore.Most_enabled { cache = false })
              (equivalence_prog ()));
         check Alcotest.int "no snapshot hits" 0 !stats.Replay_cache.hits;
-        check Alcotest.int "no steps saved" 0 !stats.Replay_cache.steps_saved);
+        check Alcotest.int "no steps saved" 0 !stats.Replay_cache.steps_saved;
+        check Alcotest.int "no misses" 0 !stats.Replay_cache.misses;
+        check Alcotest.int "no steps replayed" 0
+          !stats.Replay_cache.steps_replayed);
     Alcotest.test_case "a CHESS-engine run reports no snapshot hits" `Quick
       (fun () ->
         (* a deferred item leaves its CHESS state behind, whose one-shot
@@ -248,32 +252,32 @@ let replay_rows =
       prog = (fun () -> Icb_models.Peterson.program Icb_models.Peterson.Correct);
       bound = 7; resume_at = None; deep = true;
       executions = 120_197; total_steps = 921_962;
-      hits = 91_536; misses = 0; saved = 1_936_597; replayed = 0 };
+      hits = 120_196; misses = 0; saved = 2_573_545; replayed = 0 };
     { name = "replay counts (transaction, icb:5)"; prog = transaction;
       bound = 5; resume_at = None; deep = true;
       executions = 40_839; total_steps = 287_352;
-      hits = 30_754; misses = 0; saved = 640_457; replayed = 0 };
+      hits = 40_838; misses = 0; saved = 867_864; replayed = 0 };
     { name = "replay counts (work-stealing, icb:3)";
       prog =
         (fun () ->
           Icb_models.Workstealing.program Icb_models.Workstealing.Correct);
       bound = 3; resume_at = None; deep = false;
       executions = 10_673; total_steps = 178_947;
-      hits = 7_877; misses = 0; saved = 196_210; replayed = 0 };
+      hits = 10_672; misses = 0; saved = 278_838; replayed = 0 };
     { name = "replay counts (bluetooth, icb:3)";
       prog = (fun () -> Icb_models.Bluetooth.program ~bug:false);
       bound = 3; resume_at = None; deep = false;
       executions = 56; total_steps = 400;
-      hits = 49; misses = 0; saved = 301; replayed = 0 };
+      hits = 55; misses = 0; saved = 328; replayed = 0 };
     { name = "replay counts (file system, icb:2)";
       prog = (fun () -> Icb_models.Filesystem.program ~threads:3);
       bound = 2; resume_at = None; deep = false;
       executions = 187; total_steps = 1_071;
-      hits = 113; misses = 0; saved = 806; replayed = 0 };
+      hits = 186; misses = 0; saved = 1_361; replayed = 0 };
     { name = "replay counts (transaction, resumed)"; prog = transaction;
       bound = 5; resume_at = Some 20_000; deep = false;
-      executions = 40_840; total_steps = 287_355;
-      hits = 15_710; misses = 1; saved = 305_912; replayed = 22_200 };
+      executions = 40_839; total_steps = 287_352;
+      hits = 20_838; misses = 1; saved = 422_483; replayed = 22_204 };
   ]
 
 let replay_case row () =

@@ -228,9 +228,10 @@ let forged_report ?(executions = 0) ?(deferred = []) (b : Proto.batch) =
   }
 
 (* A coordinator resuming a serial run stopped after 5 executions: its
-   first round is the 18 bound-1 items left, two batches at batch size
-   10.  Run to the end, it lands on the serial resume of the same
-   checkpoint, returned as the reference. *)
+   first round is the 17 bound-1 items left, two batches at batch size
+   10, and it carries the 7 bound-2 items the run had deferred.  Run to
+   the end, it lands on the serial resume of the same checkpoint,
+   returned as the reference. *)
 let resumed_executions = 5
 
 let two_batch_coord ?options () =
@@ -303,9 +304,10 @@ let pipeline_tests =
         ignore (finish ());
         Thread.join w;
         Coord.shutdown coord);
-    (* A drives round 0 by hand, deferring one item so that round 1 is
-       one batch; B's request parks until round 1 opens, then A's parks
-       until the run ends. *)
+    (* A drives the first round by hand, deferring one item so that the
+       next round (that item and the 7 carried ones) is one batch; B's
+       request parks until it opens, then A's parks until the run
+       ends. *)
     Alcotest.test_case
       "a parked request gets the next round's batch, then done" `Quick
       (fun () ->
@@ -325,7 +327,8 @@ let pipeline_tests =
              (Proto.Result
                 {
                   lease = b0.Proto.b_lease;
-                  report = forged_report ~deferred:b0.Proto.b_items b0;
+                  report =
+                    forged_report ~deferred:[ List.hd b0.Proto.b_items ] b0;
                 })
          with
         | Proto.Accepted -> ()

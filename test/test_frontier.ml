@@ -155,9 +155,9 @@ let v3_fixture_tests =
    strategy as one digest over both buggy models and three execution
    caps: the capped run's growth and per-bound curves, the frontier its
    checkpoint holds (timing params stripped), and the result of resuming
-   that checkpoint for 700 more executions.  A cap of 2 stops ICB inside
-   an item that has already deferred work, which a checkpoint must not
-   list twice.  Bug witnesses stay out, since
+   that checkpoint for 700 more executions.  A cap of 2 stops ICB at the
+   end of an item that has already deferred work, which the checkpoint
+   must list once.  Bug witnesses stay out, since
    a lesser witness found later may replace one; each bug's key and
    discovery stamp are in.  The strategies are the registry's plus the
    state-cached forms, whose caches change which items are queued. *)
@@ -244,22 +244,22 @@ let order_digest strategy =
 
 let order_pins =
   [
-    ("icb", "55be037d13a94f8c");
+    ("icb", "fceeee6bda5f4105");
     ("dfs", "e431d2a6861f4fdf");
     ("db:40", "ae56c924215bffe1");
     ("idfs:48", "b881eb25e74ccf2a");
     ("random", "6528ee0878f98f94");
     ("sleep-dfs", "479123028e38da32");
     ("pct:3", "630f2960129ddf04");
-    ("most-enabled", "47d4b78b066a2d34");
-    ("vb:2", "29b099be3b0841c4");
-    ("tb:2", "29e99614323d337f");
-    ("icb-vb:2", "af159ba24f58ce16");
-    ("icb, cached", "704a94c746d993f0");
+    ("most-enabled", "eea09a551936d371");
+    ("vb:2", "12cc4e45f9e04761");
+    ("tb:2", "ccef04065c24030d");
+    ("icb-vb:2", "63b3c2177419a312");
+    ("icb, cached", "16b80c000b6be82b");
     ("dfs, cached", "4fed65ade9bd0474");
-    ("most-enabled, cached", "c7030bdafc0ebee3");
-    ("vb:2, cached", "326d153ad6a5c8f4");
-    ("tb:2, cached", "6ae60b249838f16f");
+    ("most-enabled, cached", "791174ce2a9c9f50");
+    ("vb:2, cached", "2f0f00d5426816d6");
+    ("tb:2, cached", "30d6ccd62f0e57ef");
   ]
 
 let order_tests =

@@ -281,18 +281,59 @@ let format_tests =
 
 (* --- crash containment ---------------------------------------------------- *)
 
-(* A real engine wrapped so that stepping thread [tid] at depth [at]
-   explodes — simulating an interpreter bug or resource blow-up. *)
-let crashy prog ~at ~tid:crash_tid exn =
+(* A real engine wrapped so that stepping thread [tid] (any thread,
+   without [tid]) at depth [at] explodes — simulating an interpreter bug
+   or resource blow-up. *)
+let crashy ?tid:crash_tid prog ~at exn =
   let module Base = (val Icb.engine prog) in
   (module struct
     include Base
 
     let step st t =
-      if Base.depth st = at && t = crash_tid then raise exn
+      if Base.depth st = at && Option.fold ~none:true ~some:(( = ) t) crash_tid
+      then raise exn
       else Base.step st t
   end : Engine.S
     with type state = Icb_search.Mach_engine.state)
+
+(* Every step at depth 3 of Peterson (check-before-set) raises, so most
+   executions end in a crash.  A search stopped by each cap from 1 to 40
+   and resumed must run what the uninterrupted one runs: a crash is the
+   last thing its item records, so a cap there leaves nothing to redo. *)
+let crash_resume () =
+  let prog =
+    Icb_models.Peterson.program Icb_models.Peterson.Bug_check_before_set
+  in
+  let env = Icb_search.Strategy.env_of_prog prog in
+  let e = crashy prog ~at:3 (Failure "boom") in
+  List.iter
+    (fun strategy ->
+      let whole = Explore.run e ~env strategy in
+      let name = Explore.strategy_name strategy in
+      check Alcotest.bool (name ^ " records crashes") true
+        (List.mem "engine-crash:Failure" (bug_keys whole));
+      for cap = 1 to 40 do
+        let path = tmp_ckpt () in
+        ignore
+          (Explore.run e ~env ~checkpoint_out:path
+             ~options:
+               { Collector.default_options with max_executions = Some cap }
+             strategy);
+        let r = Explore.resume e (Checkpoint.load path) in
+        Sys.remove path;
+        check
+          (Alcotest.pair Alcotest.int Alcotest.int)
+          (Printf.sprintf "%s stopped at %d: executions and steps" name cap)
+          (whole.Sresult.executions, whole.Sresult.total_steps)
+          (r.Sresult.executions, r.Sresult.total_steps)
+      done)
+    [
+      icb_unbounded;
+      Explore.Variable_bound { n = 2; cache = false };
+      Explore.Thread_bound { n = 1; cache = false };
+      Explore.Dfs { cache = false };
+      Explore.Most_enabled { cache = false };
+    ]
 
 let crash_tests =
   [
@@ -358,6 +399,8 @@ let crash_tests =
             Explore.Random_walk { seed = 1L };
             Explore.Most_enabled { cache = false };
           ]);
+    Alcotest.test_case "a search stopped at a crash resumes exactly" `Quick
+      crash_resume;
   ]
 
 (* --- divergence detection -------------------------------------------------- *)
