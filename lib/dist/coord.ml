@@ -132,7 +132,7 @@ let check_limits t snap =
   n.steps <- n.steps + Collector.snapshot_steps snap;
   n.bugs <- n.bugs + List.length (Collector.snapshot_bugs snap);
   (match
-     Driver.limit_hit t.limits ~executions:n.executions ~states:n.states
+     Collector.limit_hit t.limits ~executions:n.executions ~states:n.states
        ~steps:n.steps ~bugs:n.bugs
    with
   | Some r -> request_stop t r

@@ -89,10 +89,7 @@ let process_batch (type s) (module E : Icb_search.Engine.S with type state = s)
         Driver.expand_item emit expand ctx it;
         loop ()
     in
-    (match loop () with
-    | () -> ()
-    | exception Collector.Stop -> ()
-      (* local collectors carry no limits, but a strategy may still raise *));
+    loop ();
     if mz.Search_core.mz_memo then
       Icb_obs.Emit.emit emit
         (Icb_obs.Event.Cache_stats

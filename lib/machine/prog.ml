@@ -51,8 +51,6 @@ let find_by name proj arr =
   go 0
 
 let find_global t name = find_by name (fun g -> g.gname) t.globals
-let find_sync t name = find_by name (fun s -> s.sname) t.syncs
-let find_proc t name = find_by name (fun p -> p.pname) t.procs
 
 let validate t =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in

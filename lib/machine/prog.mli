@@ -46,9 +46,6 @@ val sync_offsets : t -> int array
 val find_global : t -> string -> int
 (** Index of the named global.  Raises [Not_found]. *)
 
-val find_sync : t -> string -> int
-val find_proc : t -> string -> int
-
 val validate : t -> (unit, string) result
 (** Structural sanity checks: register/jump/global/proc indices in range,
     main exists, CAS only on volatile globals.  Programs produced by the

@@ -37,7 +37,3 @@ let truthy = function
 let as_int = function
   | Int n -> n
   | v -> invalid_arg ("Value.as_int: " ^ to_string v)
-
-let as_handle = function
-  | Handle h -> h
-  | v -> invalid_arg ("Value.as_handle: " ^ to_string v)

@@ -28,6 +28,3 @@ val truthy : t -> bool
 
 val as_int : t -> int
 (** Raises [Invalid_argument] on non-[Int]. *)
-
-val as_handle : t -> int
-(** Raises [Invalid_argument] on non-[Handle]. *)

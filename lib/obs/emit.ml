@@ -20,6 +20,3 @@ let emit t ev =
   match t with
   | Null -> ()
   | Live { worker; clock; push } -> push { Event.ts = clock (); worker; ev }
-
-let with_worker t worker =
-  match t with Null -> Null | Live l -> Live { l with worker }

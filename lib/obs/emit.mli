@@ -18,6 +18,3 @@ val live : worker:int -> clock:(unit -> float) -> push:(Event.envelope -> unit) 
 val enabled : t -> bool
 
 val emit : t -> Event.t -> unit
-
-val with_worker : t -> int -> t
-(** Same clock and sink, different worker stamp. *)

@@ -36,8 +36,6 @@ let default_options =
 
 let deadline_in secs = Unix.gettimeofday () +. secs
 
-exception Stop
-
 type t = {
   opts : options;
   visited : Sigset.t;
@@ -81,27 +79,9 @@ let create opts =
     bound_executions = [];
   }
 
-let over limit n = match limit with Some l -> n >= l | None -> false
-
-let stop t reason =
-  t.stop_reason <- Some reason;
-  raise Stop
-
-(* A gettimeofday syscall per step would dominate tight search loops, so
-   the deadline is polled every 32 steps (and at every execution end). *)
-let check_deadline t =
-  match t.opts.deadline with
-  | Some d when Unix.gettimeofday () >= d -> stop t Sresult.Deadline_exceeded
-  | Some _ | None -> ()
-
 let touch t signature =
   t.total_steps <- t.total_steps + 1;
-  if not t.opts.terminal_states_only then
-    Sigset.add t.visited signature;
-  if over t.opts.max_states (Sigset.length t.visited) then
-    stop t Sresult.State_limit;
-  if over t.opts.max_total_steps t.total_steps then stop t Sresult.Step_limit;
-  if t.total_steps land 31 = 0 then check_deadline t
+  if not t.opts.terminal_states_only then Sigset.add t.visited signature
 
 let seen_states t = Sigset.length t.visited
 
@@ -177,8 +157,6 @@ let end_execution t (e : execution_end) =
   t.max_preemptions <- max t.max_preemptions e.preemptions;
   t.max_threads <- max t.max_threads e.threads;
   t.growth <- (t.executions, Sigset.length t.visited) :: t.growth;
-  (* before bug handling: [stop_at_first_bug] raises from [bug_of], and
-     the execution that exposed the bug must already be in the stream *)
   if Icb_obs.Emit.enabled t.opts.events then
     Icb_obs.Emit.emit t.opts.events
       (Icb_obs.Event.Execution_done
@@ -208,10 +186,8 @@ let end_execution t (e : execution_end) =
     if offered <> `Kept && Icb_obs.Emit.enabled t.opts.events then
       Icb_obs.Emit.emit t.opts.events
         (Icb_obs.Event.Bug_found
-           { key; preemptions = e.preemptions; execution = t.executions });
-    if offered = `New && t.opts.stop_at_first_bug then
-      stop t Sresult.First_bug);
-  (match t.opts.on_progress with
+           { key; preemptions = e.preemptions; execution = t.executions }));
+  match t.opts.on_progress with
   | None -> ()
   | Some f ->
     f
@@ -222,10 +198,24 @@ let end_execution t (e : execution_end) =
         p_elapsed = Unix.gettimeofday () -. t.started;
         p_bound = t.current_bound;
         p_frontier = t.frontier;
-      });
-  if over t.opts.max_executions t.executions then
-    stop t Sresult.Execution_limit;
-  check_deadline t
+      }
+
+(* The limits against run totals, in one fixed order, so the recorded
+   reason does not depend on the runner when several trip at once. *)
+let limit_hit (o : options) ~executions ~states ~steps ~bugs =
+  match o with
+  | { max_states = Some l; _ } when states >= l -> Some Sresult.State_limit
+  | { max_total_steps = Some l; _ } when steps >= l -> Some Sresult.Step_limit
+  | { stop_at_first_bug = true; _ } when bugs > 0 -> Some Sresult.First_bug
+  | { max_executions = Some l; _ } when executions >= l ->
+    Some Sresult.Execution_limit
+  | { deadline = Some d; _ } when Unix.gettimeofday () >= d ->
+    Some Sresult.Deadline_exceeded
+  | _ -> None
+
+let limit_reached t =
+  limit_hit t.opts ~executions:t.executions ~states:(Sigset.length t.visited)
+    ~steps:t.total_steps ~bugs:(Hashtbl.length t.bugs)
 
 (* A checkpoint written at a barrier runs that barrier again on resume:
    the bound replaces the newest entry instead of repeating it. *)
@@ -369,8 +359,7 @@ let sat_add a b =
    maxima.  Bugs, growth curves and bound curves are deliberately NOT
    merged here — the parallel executor owns those, because making them
    deterministic requires sorting across all workers of a bound, not
-   pairwise folding.  Limits are not re-checked: merging happens at a
-   barrier, where the caller decides whether to stop. *)
+   pairwise folding. *)
 let merge_stats t (s : snapshot) =
   Array.iter (Sigset.add t.visited) s.s_visited;
   t.executions <- sat_add t.executions s.s_executions;

@@ -1,6 +1,7 @@
 (** Mutable accumulator shared by all search strategies: distinct-state
-    accounting, execution counting, bug deduplication, growth curves and
-    limit enforcement. *)
+    accounting, execution counting, bug deduplication and growth curves.
+    A collector only records; the round runners apply the limits between
+    work items, through {!limit_hit}. *)
 
 (** A live snapshot of the search, handed to [on_progress] after every
     completed execution; drive heartbeat displays from it. *)
@@ -20,9 +21,9 @@ type options = {
   max_states : int option;
   max_total_steps : int option;
   deadline : float option;
-      (** absolute wall-clock deadline ([Unix.gettimeofday] scale); when it
-          passes, the search stops with a partial result rather than
-          running unbounded — see {!deadline_in} *)
+      (** absolute wall-clock deadline ([Unix.gettimeofday] scale); once
+          it passes, the search stops at the end of the work item in
+          flight with a partial result — see {!deadline_in} *)
   deadlock_is_error : bool;
   stop_at_first_bug : bool;
   terminal_states_only : bool;
@@ -46,18 +47,12 @@ val deadline_in : float -> float
 (** [deadline_in secs] is the absolute deadline [secs] seconds from now,
     ready to store in [options.deadline]. *)
 
-exception Stop
-(** Raised when a limit fires or [stop_at_first_bug] triggers; strategies
-    let it propagate to their driver, which converts it into a
-    [complete = false] result carrying the {!Sresult.stop_reason}. *)
-
 type t
 
 val create : options -> t
 
 val touch : t -> int64 -> unit
-(** Record a reached state by signature.  Raises {!Stop} when the state or
-    step limit is hit, or (polled every 32 steps) the deadline passed. *)
+(** Record a reached state by signature, and count the step. *)
 
 val seen_states : t -> int
 
@@ -90,8 +85,26 @@ val end_execution : t -> execution_end -> unit
     ({!status_bug}).  Each bug key keeps the least
     [(preemptions, schedule)] witness seen, stamped with the execution
     that first found the key.  [Bug_found] is emitted whenever the
-    offered witness becomes its key's (a new key or a lesser witness);
-    only a new key honours [stop_at_first_bug]. *)
+    offered witness becomes its key's (a new key or a lesser witness).
+    Then [on_progress] is called. *)
+
+val limit_hit :
+  options ->
+  executions:int ->
+  states:int ->
+  steps:int ->
+  bugs:int ->
+  Sresult.stop_reason option
+(** The first limit the run totals meet, in a fixed order: states, steps,
+    the first bug, executions, the deadline.  Every runner stops through
+    it between work items — the serial runner on its collector
+    ({!limit_reached}), the domain pool and the distributed coordinator on
+    their round-wide totals — so the reason recorded when several limits
+    trip at once does not depend on the runner. *)
+
+val limit_reached : t -> Sresult.stop_reason option
+(** {!limit_hit} on the collector's own options and totals; under
+    [stop_at_first_bug], a restored bug counts. *)
 
 val status_bug :
   deadlock_is_error:bool -> Engine.status -> (string * string) option
@@ -109,9 +122,7 @@ val record_bound : t -> int -> unit
 val set_complete : t -> unit
 
 val note_stop : t -> Sresult.stop_reason -> unit
-(** Record why the search stopped without raising {!Stop} — the parallel
-    executor stops cooperatively at work-item boundaries instead of
-    unwinding.  The first recorded reason wins. *)
+(** Record why the search stopped.  The first recorded reason wins. *)
 
 val total_steps : t -> int
 
@@ -123,8 +134,7 @@ val bug_count : t -> int
 val absorb_bug : t -> Sresult.bug -> unit
 (** Add a bug found by another collector (a parallel worker, a
     distributed batch) under {!end_execution}'s witness rule: a known key
-    takes a lesser witness and keeps its stamp.  Never raises {!Stop} —
-    the caller enforces [stop_at_first_bug] at its own granularity. *)
+    takes a lesser witness and keeps its stamp. *)
 
 val mark_growth : t -> unit
 (** Append a (executions so far, distinct states) point to the growth
@@ -184,8 +194,7 @@ val merge_stats : t -> snapshot -> unit
     per-execution maxima.  Bugs and the growth/bound curves are NOT
     merged: deterministic bug merging needs a sort across all workers of a
     bound, which the parallel executor owns ({!absorb_bug},
-    {!mark_growth}, {!record_bound}).  No limit is re-checked and {!Stop}
-    is never raised. *)
+    {!mark_growth}, {!record_bound}). *)
 
 val forge_counts : snapshot -> executions:int -> total_steps:int -> snapshot
 (** A copy of the snapshot with the summed counters replaced; test support

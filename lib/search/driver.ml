@@ -6,15 +6,20 @@
 
    - the run [session]: everything about a run that does not depend on
      how a round's items execute — resume validation, the master
-     collector, checkpoint control and wall-clock stamps, the limit test,
-     the barrier merge, and the run's closing event ([finish]);
+     collector, checkpoint control and wall-clock stamps, the barrier
+     merge, and the run's closing event ([finish]);
    - the round loop ([rounds]): Algorithm 1's outer loop — emit the
      run's opening event, seed a fresh or resumed frontier, run a round,
      ask the strategy what comes next, and write the final checkpoint;
    - the round runners, which only execute one round's items and answer
      [Drained next] or [Stopped frontier]: the serial queue
      ([serial]), the domain pool ([pool]), and the coordinator's lease
-     server. *)
+     server.
+
+   Every runner applies the limits ({!Collector.limit_hit}) and takes
+   its periodic checkpoints only between work items, so an item always
+   runs to its end and a stopped run resumes to the uninterrupted
+   result. *)
 
 (* A mutex-protected deque: the owner pushes and pops at the front (so a
    strategy's own follow-ups pop depth-first, keeping the frontier
@@ -61,9 +66,14 @@ module Dq = struct
             q.back <- rest;
             Some x))
 
-  (* Non-destructive read, for checkpoint assembly while workers are
-     parked. *)
-  let snapshot q = Mutex.protect q.m (fun () -> q.front @ List.rev q.back)
+  (* Every item, in pop order, for checkpoint assembly and a new leg's
+     deal while no worker runs. *)
+  let take_all q =
+    Mutex.protect q.m (fun () ->
+        let xs = q.front @ List.rev q.back in
+        q.front <- [];
+        q.back <- [];
+        xs)
 end
 
 (* One worker's queue of a round's items, where nothing is stolen. *)
@@ -156,10 +166,8 @@ type session = {
   master : Collector.t;
   options : Collector.options;  (* the caller's, events wired to [emit] *)
   workers : Collector.options;
-      (* for worker-local collectors: the caller's semantic options
-         (deadlock_is_error, terminal_states_only) without its limits,
-         progress hook or events — they never raise [Collector.Stop];
-         stopping is the session's {!limit_hit}, applied by the runner *)
+      (* for worker-local collectors: the caller's options without its
+         progress hook or events, which the runner relays itself *)
   emit : Icb_obs.Emit.t;
   ckpt : Search_core.ckpt_ctl option;
   fingerprint : string Lazy.t;
@@ -254,16 +262,7 @@ let session (type s) (module E : Engine.S with type state = s)
     master;
     options;
     workers =
-      {
-        options with
-        Collector.max_executions = None;
-        max_states = None;
-        max_total_steps = None;
-        deadline = None;
-        stop_at_first_bug = false;
-        on_progress = None;
-        events = Icb_obs.Emit.null;
-      };
+      { options with Collector.on_progress = None; events = Icb_obs.Emit.null };
     emit;
     ckpt =
       Option.map
@@ -338,21 +337,6 @@ let save_partial ses ~round_start snaps f =
     merge scratch snaps;
     save ses scratch f
   end
-
-(* The caller's limits against run totals, in the order the serial
-   runner's master collector trips them (it enforces them itself), so the
-   recorded reason does not depend on the runner when several trip. *)
-let limit_hit (o : Collector.options) ~executions ~states ~steps ~bugs =
-  match o with
-  | { Collector.max_states = Some l; _ } when states >= l ->
-    Some Sresult.State_limit
-  | { max_total_steps = Some l; _ } when steps >= l -> Some Sresult.Step_limit
-  | { stop_at_first_bug = true; _ } when bugs > 0 -> Some Sresult.First_bug
-  | { max_executions = Some l; _ } when executions >= l ->
-    Some Sresult.Execution_limit
-  | { deadline = Some d; _ } when Unix.gettimeofday () >= d ->
-    Some Sresult.Deadline_exceeded
-  | _ -> None
 
 let finish ses =
   let res = Collector.result ses.master ~strategy:ses.strategy in
@@ -470,54 +454,42 @@ let rounds (type s w) ses (module E : Engine.S with type state = s)
         checkpoint (fun () -> ([], strip_items next))
       | `Round items -> loop items [])
   in
-  try
+  (* The batched-replay round: restored items carry no states, so sort
+     them — lexicographic order groups the frontier by longest common
+     prefix, and each materialization restores the previous one's path.
+     The round's result is a multiset, insensitive to this order. *)
+  let work, carry =
     match ses.resume with
-    | Some f -> (
-      (* Even an empty frontier goes through the round loop: a kill can
-         land exactly at a round boundary, where work and deferred are
-         both drained but the strategy still owes rounds (iterative
-         deepening with truncations pending, a sealed bound owing its
-         `Bounded verdict).  [after_round] re-derives the verdict from
-         the restored params, so a genuinely finished checkpoint still
-         concludes immediately.
-
-         The batched-replay round: restored items carry no states, so
-         sort them — lexicographic order groups the frontier by longest
-         common prefix, and each materialization restores the previous
-         one's path.  The round's result is a multiset, insensitive
-         to this order. *)
+    | Some f ->
       let work, carry = S.of_prefixes master f in
-      (* restored totals that already meet a limit stop the run before it
-         runs anything; under stop_at_first_bug, a restored bug counts,
-         as the pool's hook and the coordinator count it *)
-      match
-        Collector.(limit_hit ses.options ~executions:(executions master)
-          ~states:(seen_states master) ~steps:(total_steps master)
-          ~bugs:(bug_count master))
-      with
-      | Some r ->
-        Collector.note_stop master r;
-        checkpoint (fun () -> (work, carry))
-      | None ->
-        let work = sorted_items (List.map of_prefix work) in
-        loop work (List.map of_prefix carry))
-    | None -> (
-      match S.roots (module E) wstates.(0) master with
-      | [] ->
-        (* a trivial program: [roots] recorded its only execution *)
-        Collector.set_complete master
-      | items -> loop items [])
-  with Collector.Stop -> ()
+      (sorted_items (List.map of_prefix work), List.map of_prefix carry)
+    | None -> (S.roots (module E) wstates.(0) master, [])
+  in
+  (* Totals that already meet a limit, restored or recorded by [roots],
+     stop the run before its first item; under stop_at_first_bug, a
+     restored bug counts.  Even an empty resumed frontier goes through
+     the round loop: a kill can land exactly at a round boundary, where
+     work and deferred are both drained but the strategy still owes
+     rounds (iterative deepening with truncations pending, a sealed
+     bound owing its `Bounded verdict).  [after_round] re-derives the
+     verdict from the restored params, so a genuinely finished
+     checkpoint still concludes immediately. *)
+  match (Collector.limit_reached master, work) with
+  | Some r, _ ->
+    Collector.note_stop master r;
+    checkpoint (fun () -> (strip_items work, strip_items carry))
+  | None, [] when ses.resume = None ->
+    (* a trivial program: [roots] recorded its only execution *)
+    Collector.set_complete master;
+    checkpoint (fun () -> ([], []))
+  | None, _ -> loop work carry
 
 (* --- the serial runner --------------------------------------------------- *)
 
 (* One worker draining a round as a pool worker drains its deque, or
-   best-first for a strategy that ranks its items.  Limits fire as
-   [Collector.Stop] from inside an expansion; the runner then reports the
-   remaining frontier.  An item that had recorded its execution, its
-   last act ({!Strategy.S.expand}), is done; any other is listed unrun,
-   and what it pushed or deferred is dropped for its re-run to make
-   again, so resume explores nothing twice. *)
+   best-first for a strategy that ranks its items.  After each item it
+   applies the limits to the master's totals; a stopped round's frontier
+   is what is still queued and deferred. *)
 let serial (type s w) ses (module E : Engine.S with type state = s)
     (module S : Strategy.S with type state = s and type wstate = w)
     ~(wstates : w array) ~(mz : s Search_core.materializer) =
@@ -558,22 +530,15 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
               (materialize it))
   in
   (* [deferred]: the next round's items from finished items, newest
-     first.  [pushed] and [pending]: the item in flight's follow-ups and
-     deferrals, newest first, until it ends.  Then follow-ups go to the
-     queue in push order, and deferrals are committed newest first, so
-     the next round takes each item's deepest preemption point first, as
+     first.  [pending]: the item in flight's deferrals, newest first,
+     until it ends.  Then they are committed newest first, so the next
+     round takes each item's deepest preemption point first, as
      Algorithm 1's recursion does. *)
-  let deferred = ref [] and pushed = ref [] and pending = ref [] in
-  let commit () =
-    List.iter sq.sq_push (List.rev !pushed);
-    deferred := List.rev_append !pending !deferred;
-    pushed := [];
-    pending := []
-  in
+  let deferred = ref [] and pending = ref [] in
   let ctx =
     {
       Strategy.c_col = master;
-      c_push = (fun it -> pushed := it :: !pushed);
+      c_push = sq.sq_push;
       c_defer = (fun it -> pending := mz.Search_core.mz_move it :: !pending);
       c_materialize = materialize;
     }
@@ -588,41 +553,34 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
             ~next:(strip_items (List.rev !deferred)))
     | Some _ | None -> ()
   in
-  (* [Some in_flight] when a limit stopped the round *)
+  (* whether a limit stopped the round *)
   let rec drain () =
     match sq.sq_pop () with
-    | None -> None
+    | None -> false
     | Some it -> (
-      let execs0 = Collector.executions master in
-      match expand_item ses.emit expand ctx it with
-      | () ->
-        commit ();
+      expand_item ses.emit expand ctx it;
+      deferred := List.rev_append !pending !deferred;
+      pending := [];
+      match Collector.limit_reached master with
+      | Some r ->
+        Collector.note_stop master r;
+        true
+      | None ->
         periodic ();
-        drain ()
-      | exception Collector.Stop ->
-        if Collector.executions master > execs0 then begin
-          commit ();
-          Some []
-        end
-        else begin
-          pushed := [];
-          pending := [];
-          Some [ it ]
-        end)
+        drain ())
   in
   fun items ~carry ->
     deferred := List.rev_map mz.Search_core.mz_move carry;
     sq.sq_seed items;
-    match drain () with
-    | None ->
+    if drain () then
+      Stopped
+        (fun () ->
+          (strip_items (sq.sq_items ()), strip_items (List.rev !deferred)))
+    else begin
       let next = List.rev !deferred in
       deferred := [];
       Drained next
-    | Some in_flight ->
-      Stopped
-        (fun () ->
-          ( strip_items (in_flight @ sq.sq_items ()),
-            strip_items (List.rev !deferred) ))
+    end
 
 (* --- the domain pool ----------------------------------------------------- *)
 
@@ -635,11 +593,12 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
    independent of worker count and timing for any strategy whose
    per-item work is a function of the item alone (docs/PARALLEL.md).
    Stopping is cooperative and item-granular: a per-execution hook
-   aggregates global counters, applies {!limit_hit} and sets a stop flag,
-   which keeps the no-duplicate resume guarantee.  Mid-round periodic
-   checkpoints use the pause protocol: every live worker parks at its
-   next item boundary and the last one to park saves from the quiescent
-   state. *)
+   aggregates global counters, applies {!Collector.limit_hit} and sets a
+   stop flag, which keeps the no-duplicate resume guarantee.  A periodic
+   checkpoint that falls due ends a leg of the round the same way: every
+   worker stops at its next item boundary and is joined, the checkpoint
+   is written from the quiescent deques and collectors, and the next leg
+   deals what is left. *)
 let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
     (module S : Strategy.S with type state = s and type wstate = w)
     ~(wstates : w array) ~tel ~(mzs : s Search_core.materializer array) =
@@ -655,19 +614,23 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
     Array.init domains (fun _ -> Icb_util.Rng.split base)
   in
   let user_cb_m = Mutex.create () in
-  fun work ~carry ->
-    let work = List.map mzs.(0).Search_core.mz_move (sorted_items work) in
-    (* Batched replay: the sort above is lexicographic on schedules, i.e.
-       the round is grouped by longest common prefix.  Shard it in
-       contiguous chunks (not round-robin) so each worker's run of items
-       shares prefixes and each materialization restores the previous
-       one's path; the barrier merge is independent of the assignment,
-       and the assignment itself stays deterministic. *)
-    let n_work = List.length work in
-    let chunk = max 1 ((n_work + domains - 1) / domains) in
+  (* Batched replay: sorting is lexicographic on schedules, i.e. it groups
+     the items by longest common prefix.  Deal them in contiguous chunks
+     (not round-robin) so each worker's run of items shares prefixes and
+     each materialization restores the previous one's path; the barrier
+     merge is independent of the assignment, and the assignment itself
+     stays deterministic.  The items were handed off by [mz_move]. *)
+  let deal items =
+    let items = sorted_items items in
+    let n = List.length items in
+    let chunk = max 1 ((n + domains - 1) / domains) in
     List.iteri
       (fun k it -> Dq.push_back deques.(min (domains - 1) (k / chunk)) it)
-      work;
+      items;
+    n
+  in
+  fun work ~carry ->
+    let n_work = deal (List.map mzs.(0).Search_core.mz_move work) in
     let round_start = Collector.snapshot master in
     let base_execs = Collector.executions master in
     let base_states = Collector.seen_states master in
@@ -687,13 +650,8 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
     (* Workers whose deque drained spin while a peer still expands an
        item: the peer may push more current-round work their way. *)
     let busy = Atomic.make 0 in
-    (* Pause/checkpoint protocol state; [parked] and [running] are
-       guarded by [pm]. *)
-    let pause = Atomic.make false in
-    let pm = Mutex.create () in
-    let pc = Condition.create () in
-    let parked = ref 0 in
-    let running = ref domains in
+    (* a periodic checkpoint is due: the leg ends *)
+    let due = Atomic.make false in
     let emits =
       Array.init domains (fun i ->
           match tel with
@@ -703,8 +661,8 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
     let nexts = Array.init domains (fun _ -> ref []) in
     (* The per-execution hook installed in every worker's collector: bump
        the round-wide counters, apply the caller's limits by setting the
-       stop flag, and relay aggregated progress to the caller's own
-       hook. *)
+       stop flag, mark a periodic checkpoint due, and relay aggregated
+       progress to the caller's own hook. *)
     let hook cell =
       let prev_states = ref 0 and prev_steps = ref 0 and prev_bugs = ref 0 in
       fun (p : Collector.progress) ->
@@ -722,12 +680,16 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
         let bugs = db + Atomic.fetch_and_add g_bugs db in
         let total_execs = base_execs + execs in
         (match
-           limit_hit ses.options ~executions:total_execs
+           Collector.limit_hit ses.options ~executions:total_execs
              ~states:(base_states + states) ~steps:(base_steps + steps)
              ~bugs:(base_bugs + bugs)
          with
         | Some r -> request_stop r
         | None -> ());
+        (match ses.ckpt with
+        | Some ctl when total_execs - ctl.ck_last >= ctl.ck_every ->
+          Atomic.set due true
+        | Some _ | None -> ());
         match ses.options.Collector.on_progress with
         | None -> ()
         | Some f ->
@@ -756,14 +718,18 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
           cell := Some c;
           c)
     in
-    (* Mid-round checkpoint, run by the last worker to park (all other
-       live workers are blocked on [pc], so their collectors, next-lists,
-       deques and worker states are quiescent; the mutex hand-offs make
-       their writes visible). *)
-    let assemble_and_save () =
-      let queued =
-        Array.fold_left (fun acc q -> acc @ Dq.snapshot q) [] deques
-      in
+    (* The items the deques still hold, once every worker has been
+       joined, each handed off by its domain's materializer. *)
+    let take_queued () =
+      List.concat
+        (Array.to_list
+           (Array.mapi
+              (fun i q -> List.map mzs.(i).Search_core.mz_move (Dq.take_all q))
+              deques))
+    in
+    (* Mid-round checkpoint, between legs: every worker has been joined,
+       so their collectors, next-lists and worker states are quiescent. *)
+    let assemble_and_save queued =
       let deferred = Array.fold_left (fun acc r -> acc @ !r) [] nexts in
       save_partial ses ~round_start
         (Array.to_list (Array.map Collector.snapshot lcols))
@@ -771,43 +737,6 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
           S.to_prefixes ~wstates
             ~work:(strip_items (sorted_items queued))
             ~next:(strip_items (sorted_items (carry @ deferred))))
-    in
-    (* Called under [pm] by the worker that completes the quorum. *)
-    let release () =
-      assemble_and_save ();
-      Atomic.set pause false;
-      Condition.broadcast pc
-    in
-    let park () =
-      Mutex.protect pm (fun () ->
-          if Atomic.get pause then begin
-            incr parked;
-            if !parked = !running then release ()
-            else
-              while Atomic.get pause do
-                Condition.wait pc pm
-              done;
-            decr parked
-          end)
-    in
-    (* A worker that runs out of work may be the one whose parking the
-       others are waiting for; complete the quorum on the way out. *)
-    let retire () =
-      Mutex.protect pm (fun () ->
-          decr running;
-          if Atomic.get pause && !parked = !running then release ())
-    in
-    let maybe_request_ckpt () =
-      match ses.ckpt with
-      | Some ctl
-        when Collector.snapshot_executions round_start + Atomic.get g_execs
-             - ctl.ck_last
-             >= ctl.ck_every ->
-        Mutex.protect pm (fun () ->
-            (* only between pauses: [parked] must have drained *)
-            if (not (Atomic.get pause)) && !parked = 0 then
-              Atomic.set pause true)
-      | Some _ | None -> ()
     in
     let worker i () =
       let (module E : Engine.S with type state = s) = engs.(i) in
@@ -844,9 +773,11 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
           go 0
       in
       let rec loop () =
-        if Atomic.get stop <> None || Atomic.get failed <> None then ()
-        else begin
-          if Atomic.get pause then park ();
+        if
+          Atomic.get stop = None
+          && Atomic.get failed = None
+          && not (Atomic.get due)
+        then
           match take () with
           | Some it ->
             Atomic.incr busy;
@@ -855,7 +786,6 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
             | exception e ->
               Atomic.decr busy;
               raise e);
-            maybe_request_ckpt ();
             loop ()
           | None ->
             if Atomic.get busy > 0 then begin
@@ -863,15 +793,25 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
               Domain.cpu_relax ();
               loop ()
             end
-        end
       in
-      (try loop ()
-       with exn -> ignore (Atomic.compare_and_set failed None (Some exn)));
-      retire ()
+      try loop ()
+      with exn -> ignore (Atomic.compare_and_set failed None (Some exn))
     in
-    let doms = Array.init domains (fun i -> Domain.spawn (worker i)) in
-    Array.iter Domain.join doms;
-    (match Atomic.get failed with Some exn -> raise exn | None -> ());
+    (* A leg: run the workers until the round drains, a limit stops it or
+       a checkpoint falls due; a due checkpoint is written, and the next
+       leg deals what is left, handed off as a round's items are. *)
+    let rec legs () =
+      let doms = Array.init domains (fun i -> Domain.spawn (worker i)) in
+      Array.iter Domain.join doms;
+      (match Atomic.get failed with Some exn -> raise exn | None -> ());
+      if Atomic.get due && Atomic.get stop = None then begin
+        let queued = take_queued () in
+        assemble_and_save queued;
+        Atomic.set due false;
+        if deal queued > 0 then legs ()
+      end
+    in
+    legs ();
     let snaps = Array.map Collector.snapshot lcols in
     merge master (Array.to_list snaps);
     (* telemetry: flush the worker streams in worker order — the merged
@@ -883,10 +823,7 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
         worker_stats ses.emit i snaps.(i))
       emits;
     merged master (Atomic.get stop)
-      ~work:(fun () ->
-        strip_items
-          (sorted_items
-             (Array.fold_left (fun acc q -> acc @ Dq.snapshot q) [] deques)))
+      ~work:(fun () -> strip_items (sorted_items (take_queued ())))
       ~next:
         (sorted_items (carry @ Array.fold_left (fun acc r -> acc @ !r) [] nexts))
 

@@ -68,7 +68,6 @@ let step_guarded (type s) (module E : Engine.S with type state = s) col
     (st : s) tid =
   match E.step st tid with
   | st' -> Some st'
-  | exception Collector.Stop -> raise Collector.Stop
   | exception exn ->
     record_crash (module E) col st tid exn;
     None
@@ -96,10 +95,9 @@ let step_guarded (type s) (module E : Engine.S with type state = s) col
 
    Each point hands off its other branches before the item goes on, so
    the execution's end (or its crash) is the last thing an item reports
-   to the collector: a limit that fires there leaves nothing of the item
-   to run again.  An item is fully determined by (schedule prefix, tid)
-   plus the strategy's deterministic [admit], independent of who runs it
-   or when. *)
+   to the collector.  An item is fully determined by (schedule prefix,
+   tid) plus the strategy's deterministic [admit], independent of who
+   runs it or when. *)
 let icb_item (type s) (module E : Engine.S with type state = s) col ?seen
     ?(admit = fun _ _ -> true) ?(seal = fun () -> ()) ~defer ~push
     (st0, tid0) =

@@ -72,7 +72,6 @@ let top_var_keys (env : Strategy.env) n =
    conservatively admit (never miss a bug to an optimization). *)
 let var_admit (type s) (module E : Engine.S with type state = s) keys st tid =
   match E.step_footprint st tid with
-  | exception Collector.Stop -> raise Collector.Stop
   | exception _ -> true
   | fp ->
     Engine.Footprint.Var_set.exists
@@ -438,7 +437,8 @@ let iterative_dfs (type s) (module E : Engine.S with type state = s) ~start
 
    The sleep sets are footprint closures of the whole path, so the
    frontier does not serialize to schedule prefixes and the whole search
-   runs as a single item: serial-only, no checkpointing. *)
+   runs as a single item: serial-only, no checkpointing.  That item
+   applies the limits itself, before each step. *)
 let sleep_dfs (type s) (module _ : Engine.S with type state = s) :
     (module Strategy.S with type state = s) =
   (module struct
@@ -466,9 +466,11 @@ let sleep_dfs (type s) (module _ : Engine.S with type state = s) :
           let explored = ref [] in
           List.iter
             (fun t ->
-              if not (List.mem_assoc t sleep) then begin
+              if
+                (not (List.mem_assoc t sleep))
+                && Option.is_none (Collector.limit_reached col)
+              then begin
                 match E.step_footprint st t with
-                | exception Collector.Stop -> raise Collector.Stop
                 | exception exn -> Search_core.record_crash (module E) col st t exn
                 | fp -> (
                   match Search_core.step_guarded (module E) col st t with
@@ -558,7 +560,6 @@ let most_enabled (type s) (module E : Engine.S with type state = s) ~cache :
             (fun t ->
               match E.step st t with
               | st' -> reach st'
-              | exception Collector.Stop -> raise Collector.Stop
               | exception _ ->
                 ctx.Strategy.c_push
                   (item ~trail:(E.trail st) ~payload:t ~state:(Some st)))

@@ -188,16 +188,13 @@ module type S = sig
     unit
   (** Process one item: materialize, step/walk, push or defer follow-ups,
       and record at most one execution via the ctx collector, as the
-      item's last act: an item that has recorded its execution is done.
-      [Collector.Stop] may escape (serial mode — the driver checkpoints
-      and stops): if the item had recorded its execution, the runner
-      keeps its follow-ups and deferrals; otherwise it drops them and
-      lists the item as unrun, so a resume repeats at most the one
-      execution a state or step limit, or the deadline, cut short.
-      sleep-dfs is the exception: its one item is the whole search,
-      which it cannot checkpoint, so nothing resumes it.  Any other
-      exception escaping is a driver-level failure, engine crashes having
-      already been contained by [Search_core.step_guarded]. *)
+      item's last act.  An item always runs to its end: every runner
+      applies the limits and takes its checkpoints between items.
+      sleep-dfs is the exception: its one item is the whole search, which
+      cannot checkpoint, so it applies the limits itself
+      ({!Collector.limit_reached}) before each step.  An exception
+      escaping is a driver-level failure, engine crashes having already
+      been contained by [Search_core.step_guarded]. *)
 
   val rank :
     ((module Engine.S with type state = state) -> state item -> int) option
@@ -232,11 +229,10 @@ module type S = sig
     next:(int list * int) list ->
     Checkpoint.v3
   (** Serialize the frontier: [work] and [next] are the stripped pending
-      and deferred items (the driver includes the in-flight item when a
-      limit interrupted an expansion mid-way).  [wstates] lets a strategy
-      persist round-local progress that lives per worker (iterative
-      DFS's truncation count, PCT's depth estimate); per-worker caches
-      are deliberately not persisted. *)
+      and deferred items.  [wstates] lets a strategy persist round-local
+      progress that lives per worker (iterative DFS's truncation count,
+      PCT's depth estimate); per-worker caches are deliberately not
+      persisted. *)
 
   val of_prefixes :
     Collector.t -> Checkpoint.v3 -> (int list * int) list * (int list * int) list

@@ -24,7 +24,3 @@ let pick t = function
   | l -> List.nth l (int t (List.length l))
 
 let split t = create (next_int64 t)
-
-let state t = t.state
-
-let of_state s = { state = s }

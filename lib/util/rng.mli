@@ -23,12 +23,3 @@ val pick : t -> 'a list -> 'a
 val split : t -> t
 (** A new generator whose stream is independent of the parent's subsequent
     output. *)
-
-val state : t -> int64
-(** The generator's current internal state.  Together with {!of_state} this
-    lets a long-running search checkpoint its random stream and resume it in
-    another process at exactly the point it left off. *)
-
-val of_state : int64 -> t
-(** Rebuild a generator from a {!state} snapshot; the rebuilt generator
-    produces the same stream the snapshotted one would have. *)

@@ -21,10 +21,18 @@ open Harness
 
 type runner = Serial | Pool of int | Workers of int * int (* n, batch size *)
 
+type limit = States | Steps
+
 type cut =
   | Whole  (* uninterrupted *)
   | Half of runner
       (* killed at half the reference's executions, resumed on [runner] *)
+  | Limit of limit
+      (* killed by a state or a step limit at half the reference's states
+         or steps, resumed on the same runner *)
+  | Periodic of runner
+      (* every checkpoint an uninterrupted run writes, taken every third
+         of the reference's executions, each resumed on [runner] *)
   | Chunks  (* killed every third of the reference's executions until done *)
   | Each  (* killed at every execution until done *)
   | Finished  (* the finished run's checkpoint resumed *)
@@ -43,6 +51,9 @@ let cell_name c =
     (match c.cut with
     | Whole -> ""
     | Half r -> ", killed at half, resumed on " ^ runner_name r
+    | Limit States -> ", killed by a state limit at half, resumed"
+    | Limit Steps -> ", killed by a step limit at half, resumed"
+    | Periodic r -> ", each checkpoint resumed on " ^ runner_name r
     | Chunks -> ", killed in chunks"
     | Each -> ", killed at every execution"
     | Finished -> ", finished checkpoint resumed")
@@ -97,6 +108,7 @@ type row = {
   cells : cell list;
   slice : cell -> string * string;  (* the group and case that run a cell *)
   exec : tape -> runner -> cache:bool -> ?max:int -> ?first_bug:bool ->
+    ?limit:limit * int -> ?every:int -> ?telemetry:Icb_obs.Telemetry.t ->
     ?out:string -> ?from:Checkpoint.t -> unit -> Sresult.t;
   whole : (runner * bool, run * Checkpoint.t option) Hashtbl.t;
       (* each runner's uninterrupted run and final checkpoint, made once *)
@@ -118,14 +130,20 @@ let recorded f =
 
 let make_row (type s) ~name (module E : Engine.S with type state = s) ~env
     ~slice ?cap ?(first_bug = false) ?(pins = []) ?least ?(cross = false)
-    ?cells strategy =
+    ?cells ?(extra = []) strategy =
   let module S = (val Explore.instantiate ~env (module E) strategy) in
-  let exec tape on ~cache ?max ?(first_bug = first_bug) ?out ?from () =
+  let exec tape on ~cache ?max ?(first_bug = first_bug) ?limit
+      ?(every = max_int) ?telemetry ?out ?from () =
     let (module R : Engine.S with type state = s) = recording (module E) tape in
+    let below l =
+      Option.bind limit (fun (l', n) -> if l' = l then Some n else None)
+    in
     let options =
       {
         Collector.default_options with
         max_executions = (if max = None then cap else max);
+        max_states = below States;
+        max_total_steps = below Steps;
         stop_at_first_bug = first_bug;
       }
     in
@@ -135,15 +153,15 @@ let make_row (type s) ~name (module E : Engine.S with type state = s) ~env
     match on with
     | Workers (workers, batch_size) ->
       fst
-        (distributed ~workers ~batch_size ~options ~cache ?env
-           ?checkpoint_out:out ~checkpoint_every:max_int ?resume_from:from
+        (distributed ~workers ~batch_size ~options ~cache ?env ?telemetry
+           ?checkpoint_out:out ~checkpoint_every:every ?resume_from:from
            (module R)
            strategy)
     | Serial | Pool _ ->
       Explore.run
         (module R)
-        ~options ~cache ?env ?checkpoint_out:out ~checkpoint_every:max_int
-        ?resume_from:from
+        ~options ~cache ?env ?telemetry ?checkpoint_out:out
+        ~checkpoint_every:every ?resume_from:from
         ~domains:(match on with Pool n -> n | _ -> 1)
         strategy
   in
@@ -159,7 +177,8 @@ let make_row (type s) ~name (module E : Engine.S with type state = s) ~env
       Option.value cells
         ~default:
           (registry_cells ~cross ~shardable:S.shardable
-             ~checkpointable:S.checkpointable);
+             ~checkpointable:S.checkpointable)
+      @ extra;
     slice;
     exec;
     whole = Hashtbl.create 8;
@@ -249,64 +268,102 @@ and reference row = fst (whole row Serial false)
 let stopped_by_cap (r : Sresult.t) =
   r.Sresult.stop_reason = Some Sresult.Execution_limit
 
-(* A cell's result, and the schedules of every execution it ran across
-   its kill and resume. *)
+(* A cell's results, and the schedules of every execution each ran
+   across its kill and resume: one per checkpoint for [Periodic], else
+   one. *)
 let run row cell =
   let on = cell.runner and cache = cell.cache in
-  let n = (reference row).res.Sresult.executions in
+  let reference = (reference row).res in
+  let n = reference.Sresult.executions in
   let path = tmp_ckpt () in
-  let part tape ?max ?from on =
-    row.exec tape on ~cache ?max ~out:path ?from ()
+  let part tape ?max ?limit ?from on =
+    row.exec tape on ~cache ?max ?limit ~out:path ?from ()
   in
-  let killed (r : Sresult.t) =
+  let stopped reason (r : Sresult.t) =
     check Alcotest.bool (cell_name cell ^ ": the kill stopped the run") true
-      (stopped_by_cap r)
+      (r.Sresult.stop_reason = Some reason)
   in
-  let r =
+  let killed = stopped Sresult.Execution_limit in
+  let rs =
     match cell.cut with
-    | Whole -> fst (whole row on cache)
+    | Whole -> [ fst (whole row on cache) ]
     | Finished ->
       let w, finished = whole row on cache in
       let r = recorded (fun tape -> part tape ?from:finished on) in
-      { r with tape = List.merge compare w.tape r.tape }
+      [ { r with tape = List.merge compare w.tape r.tape } ]
     | Half resumed_on ->
-      recorded (fun tape ->
-          killed (part tape ~max:(max 1 (n / 2)) on);
-          part tape ~from:(Checkpoint.load path) resumed_on)
+      [ recorded (fun tape ->
+            killed (part tape ~max:(max 1 (n / 2)) on);
+            part tape ~from:(Checkpoint.load path) resumed_on) ]
+    | Limit l ->
+      let total, reason =
+        match l with
+        | States -> (reference.Sresult.distinct_states, Sresult.State_limit)
+        | Steps -> (reference.Sresult.total_steps, Sresult.Step_limit)
+      in
+      [ recorded (fun tape ->
+            stopped reason (part tape ~limit:(l, max 1 (total / 2)) on);
+            part tape ~from:(Checkpoint.load path) on) ]
+    | Periodic resumed_on ->
+      (* a copy of each checkpoint as it is written, with the schedules
+         run until then *)
+      let tape = new_tape () and copies = ref [] in
+      let tel = Icb_obs.Telemetry.create () in
+      Icb_obs.Telemetry.add_consumer tel (fun e ->
+          match e.Icb_obs.Event.ev with
+          | Icb_obs.Event.Checkpoint_written _ ->
+            let runs = Mutex.protect tape.lock (fun () -> tape.runs) in
+            copies := (Checkpoint.load path, runs) :: !copies
+          | _ -> ());
+      ignore
+        (row.exec tape on ~cache ~every:(max 1 (n / 3)) ~telemetry:tel
+           ~out:path ());
+      check Alcotest.bool (cell_name cell ^ ": checkpoints written mid-run")
+        true
+        (List.length !copies > 2);
+      List.rev_map
+        (fun (ck, runs) ->
+          let r =
+            recorded (fun tape -> row.exec tape resumed_on ~cache ~from:ck ())
+          in
+          { r with tape = List.merge compare (List.sort compare runs) r.tape })
+        !copies
     | Chunks | Each ->
       let k = if cell.cut = Each then 1 else max 1 (n / 3) in
       let until = Option.value row.cap ~default:max_int in
       (* an exact resume needs n / k of them, and one more to conclude *)
-      recorded (fun tape ->
-          let rec go i (r : Sresult.t) =
-            if i > (n / k) + 2 then
-              Alcotest.failf "%s: %d chunks of %d left it at %d"
-                (cell_name cell) i k r.Sresult.executions
-            else if stopped_by_cap r && r.Sresult.executions < until then
-              go (i + 1)
-                (part tape ~max:(min until (r.Sresult.executions + k))
-                   ~from:(Checkpoint.load path) on)
-            else r
-          in
-          let first = part tape ~max:(min until k) on in
-          killed first;
-          go 1 first)
+      [ recorded (fun tape ->
+            let rec go i (r : Sresult.t) =
+              if i > (n / k) + 2 then
+                Alcotest.failf "%s: %d chunks of %d left it at %d"
+                  (cell_name cell) i k r.Sresult.executions
+              else if stopped_by_cap r && r.Sresult.executions < until then
+                go (i + 1)
+                  (part tape ~max:(min until (r.Sresult.executions + k))
+                     ~from:(Checkpoint.load path) on)
+              else r
+            in
+            let first = part tape ~max:(min until k) on in
+            killed first;
+            go 1 first) ]
   in
   Sys.remove path;
-  r
+  rs
 
 (* --- relaxations --------------------------------------------------------- *)
 
 let interrupted c =
-  match c.cut with Half _ | Chunks | Each -> true | Whole | Finished -> false
+  match c.cut with
+  | Half _ | Limit _ | Periodic _ | Chunks | Each -> true
+  | Whole | Finished -> false
 
 (* A finished checkpoint resumed is compared with the run it resumed,
    so no relaxation for a barrier or a cap applies to it. *)
 let involves_barrier c =
   match c.cut with
   | Finished -> false
-  | Half r -> barrier c.runner || barrier r
-  | Whole | Chunks | Each -> barrier c.runner
+  | Half r | Periodic r -> barrier c.runner || barrier r
+  | Whole | Limit _ | Chunks | Each -> barrier c.runner
 
 (* a single worker drains its batches in order, so its cap stops it
    after the same batch every time: it is exact *)
@@ -436,9 +493,9 @@ let relaxations =
     };
     {
       why =
-        "5. a stopped coordinator absorbs no more results: the batches its \
-         workers still hold were run all the same, and run again after a \
-         resume";
+        "5. a coordinator's checkpoint holds the results it absorbed, and a \
+         stopped one absorbs no more: the batches its workers still held \
+         were run all the same, and run again after a resume";
       applies = (fun row c -> dropped_leases row c && exact row c);
       fields = [ "tape" ];
       instead =
@@ -459,23 +516,26 @@ let compare_cell row cell =
     if cell.cut = Finished then fst (whole row cell.runner cell.cache)
     else reference row
   in
-  let got = run row cell in
   let what f = Printf.sprintf "%s [%s]: %s" row.name (cell_name cell) f in
   let relaxed = List.filter (fun r -> r.applies row cell) relaxations in
   let want = observe ref in
   List.iter
-    (fun (field, v) ->
-      if not (List.exists (fun r -> List.mem field r.fields) relaxed) then
-        check Alcotest.string (what field) (List.assoc field want) v)
-    (observe got);
-  List.iter
-    (fun r ->
+    (fun got ->
       List.iter
-        (fun (claim, ok) ->
-          check Alcotest.bool (what claim ^ " (relaxation " ^ r.why ^ ")") true
-            ok)
-        (r.instead row cell ref got))
-    relaxed
+        (fun (field, v) ->
+          if not (List.exists (fun r -> List.mem field r.fields) relaxed) then
+            check Alcotest.string (what field) (List.assoc field want) v)
+        (observe got);
+      List.iter
+        (fun r ->
+          List.iter
+            (fun (claim, ok) ->
+              check Alcotest.bool
+                (what claim ^ " (relaxation " ^ r.why ^ ")")
+                true ok)
+            (r.instead row cell ref got))
+        relaxed)
+    (run row cell)
 
 (* --- inputs -------------------------------------------------------------- *)
 
@@ -494,6 +554,24 @@ let pop_head () =
   Icb_models.Workstealing.program
     Icb_models.Workstealing.Bug_pop_reads_head_first
 
+(* Bluetooth's icb, dfs, random and most-enabled rows are also killed by
+   a state limit and by a step limit, serially and on 2 domains; its icb
+   row also resumes each checkpoint of a run that writes one every third
+   of its executions, serially, on 2 domains and on 2 workers (whose
+   checkpoints are resumed serially). *)
+let bluetooth_cells s =
+  let limits =
+    List.concat_map (fun r -> [ at r (Limit States); at r (Limit Steps) ])
+  in
+  match s with
+  | "icb" ->
+    limits [ Serial; Pool 2 ]
+    @ [ at Serial (Periodic Serial); at (Pool 2) (Periodic (Pool 2));
+        at (Workers (2, 4)) (Periodic Serial) ]
+  | "dfs" | "random" -> limits [ Serial; Pool 2 ]
+  | "most-enabled" -> limits [ Serial ]
+  | _ -> []
+
 (* Every registry strategy on both models, the randomized ones capped at
    400 executions; icb and dfs are also killed in chunks and resumed
    across runners.  The checkpoint cases' chunked Peterson run and
@@ -508,6 +586,7 @@ let registry_rows =
           ?cap:(if r.Explore.reg_bounded then Some 400 else None)
           ~pins:(if r.Explore.reg_bounded then [ ("executions", "400") ] else [])
           ~cross:(s = "icb" || s = "dfs")
+          ~extra:(if model = "bluetooth" then bluetooth_cells s else [])
           ~slice:(fun c ->
             match (c.runner, c.cut) with
             | _, Chunks when name = "peterson, icb" ->
@@ -516,6 +595,10 @@ let registry_rows =
             | Serial, Half Serial when name = "bluetooth, random" && not c.cache
               ->
               ("checkpoint", "random walk resumes its RNG stream")
+            | _, Limit _ ->
+              ("kill-resume", "a state or step limit's kill resumes exactly")
+            | _, Periodic _ ->
+              ("checkpoint", "every periodic checkpoint resumes exactly")
             | Workers _, Whole -> ("equivalence", s)
             | Pool _, Whole ->
               ("equivalence", s ^ " on peterson and bluetooth matches serially")
@@ -608,11 +691,16 @@ let pinned_rows =
     make_row ~name:"msqueue, icb:2" ~env:Strategy.empty_env
       (Icb_chess.Chess_engine.engine msqueue)
       ~pins:[ ("executions", "8677"); ("states", "83869") ]
-      ~cells:[ at (Pool 2) Whole; at Serial Chunks ]
+      ~cells:
+        [ at (Pool 2) Whole; at Serial Chunks; at Serial (Periodic Serial);
+          at (Pool 2) (Periodic (Pool 2)) ]
       ~slice:(fun c ->
-        if c.cut = Whole then
+        match c.cut with
+        | Whole ->
           ("equivalence", "a CHESS search on 2 domains matches serially")
-        else ("kill-resume", "a CHESS search resumes as it ran"))
+        | Periodic _ ->
+          ("checkpoint", "every periodic checkpoint resumes exactly")
+        | _ -> ("kill-resume", "a CHESS search resumes as it ran"))
       (icb (Some 2));
   ]
 

@@ -1,9 +1,10 @@
 (* The distributed coordinator/worker pair: lease re-issue after a
    worker dies mid-batch, stale-report rejection, pipelined and parked
-   requests, telemetry over the wire, coordinator interrupt/resume
-   through its checkpoint, and the HTTP observability endpoints — all
-   over real loopback sockets.  Equivalence with the serial search for
-   every shardable strategy is test_conformance's worker cells. *)
+   requests, telemetry over the wire, a foreign checkpoint refused on
+   resume, and the HTTP observability endpoints — all over real loopback
+   sockets.  Equivalence with the serial search for every shardable
+   strategy, and a killed coordinator resumed on any runner, are
+   test_conformance's worker cells. *)
 
 module Explore = Icb_search.Explore
 module Collector = Icb_search.Collector
@@ -564,58 +565,6 @@ let telemetry_tests =
 
 let resume_tests =
   [
-    (* The execution cap is the deterministic stand-in for kill -9: the
-       checkpoint on disk is exactly what a killed coordinator leaves
-       behind (absorbed batches in the collector, unabsorbed ones in the
-       work list).  Resuming on a fresh coordinator — new port, new
-       workers — must land on the full serial result. *)
-    Alcotest.test_case "an interrupted coordinator resumes exactly" `Quick
-      (fun () ->
-        let p = prog () in
-        let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
-        let full = Icb.run ~strategy p in
-        let cap = max 1 (full.Sresult.executions / 2) in
-        let path = Filename.temp_file "icb-dist" ".ckpt" in
-        let killed, _ =
-          distributed (Icb.engine p) strategy ~checkpoint_out:path
-            ~options:
-              {
-                Collector.default_options with
-                Collector.max_executions = Some cap;
-              }
-        in
-        check Alcotest.bool "was interrupted" true
-          (killed.Sresult.stop_reason = Some Sresult.Execution_limit);
-        let resumed, _ =
-          distributed (Icb.engine p) strategy
-            ~resume_from:(Checkpoint.load path)
-        in
-        Sys.remove path;
-        assert_equivalent "kill + distributed resume vs uninterrupted serial"
-          full resumed);
-    (* The same checkpoint must also resume serially: the distributed
-       and serial drivers share one checkpoint format. *)
-    Alcotest.test_case "a serial resume reads a distributed checkpoint"
-      `Quick (fun () ->
-        let p = prog () in
-        let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
-        let full = Icb.run ~strategy p in
-        let cap = max 1 (full.Sresult.executions / 2) in
-        let path = Filename.temp_file "icb-dist" ".ckpt" in
-        let killed, _ =
-          distributed (Icb.engine p) strategy ~checkpoint_out:path
-            ~options:
-              {
-                Collector.default_options with
-                Collector.max_executions = Some cap;
-              }
-        in
-        check Alcotest.bool "was interrupted" true
-          (killed.Sresult.stop_reason <> None);
-        let resumed = Icb.resume p (Checkpoint.load path) in
-        Sys.remove path;
-        assert_equivalent "kill + serial resume vs uninterrupted serial" full
-          resumed);
     (* The coordinator validates a resumed checkpoint like the serial
        driver: another program's, or another strategy's, is refused up
        front, before any job is published. *)

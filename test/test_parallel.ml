@@ -1,6 +1,6 @@
 (* The parallel ICB executor: the first bug's bound, the refused
-   strategies, determinism across runs, and the saturating statistics
-   merge.  Equivalence with the serial search, and interrupt/resume
+   strategies and the saturating statistics merge.  Equivalence with the
+   serial search (and so determinism across runs), and interrupt/resume
    without duplicated work, are test_conformance's cells. *)
 
 module Explore = Icb_search.Explore
@@ -35,40 +35,6 @@ let equivalence_tests =
                 (String.length msg > 0)
             | _ -> Alcotest.fail "expected Invalid_argument")
           [ Explore.Sleep_dfs; Explore.Most_enabled { cache = true } ]);
-  ]
-
-(* --- determinism across identical parallel runs --------------------------- *)
-
-(* Everything observable, including each bug's schedule and execution
-   stamp, rendered to one string; two runs of the same parallel search
-   must produce byte-identical renderings regardless of worker timing. *)
-let render (r : Sresult.t) =
-  let bug (b : Sresult.bug) =
-    Printf.sprintf "%s@%d p%d cs%d d%d <%s>" b.Sresult.key b.Sresult.execution
-      b.Sresult.preemptions b.Sresult.context_switches b.Sresult.depth
-      (String.concat "," (List.map string_of_int b.Sresult.schedule))
-  in
-  Printf.sprintf "%s|execs=%d|states=%d|steps=%d|complete=%b|bexec=%s|bugs=%s"
-    r.Sresult.strategy r.Sresult.executions r.Sresult.distinct_states
-    r.Sresult.total_steps r.Sresult.complete
-    (String.concat ";"
-       (List.map
-          (fun (b, e) -> Printf.sprintf "%d:%d" b e)
-          (Array.to_list r.Sresult.bound_executions)))
-    (String.concat ";" (List.map bug (List.sort compare r.Sresult.bugs)))
-
-let determinism_tests =
-  [
-    Alcotest.test_case "two 4-domain runs are byte-identical" `Quick
-      (fun () ->
-        let prog =
-          Icb_models.Workstealing.program
-            Icb_models.Workstealing.Bug_pop_reads_head_first
-        in
-        let run () =
-          render (Icb.run_parallel ~max_bound:2 ~domains:4 prog)
-        in
-        check Alcotest.string "identical rendering" (run ()) (run ()));
   ]
 
 (* --- the statistics merge saturates --------------------------------------- *)
@@ -109,6 +75,5 @@ let () =
   Alcotest.run "parallel"
     [
       ("equivalence", equivalence_tests);
-      ("determinism", determinism_tests);
       ("saturation", saturation_tests);
     ]

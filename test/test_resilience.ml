@@ -1,6 +1,7 @@
 (* The resilience layer: wall-clock budgets, checkpoint files, crash
    containment and divergence detection.  Resuming a killed search to
-   the uninterrupted result is test_conformance's interrupted cells. *)
+   the uninterrupted result is test_conformance's interrupted cells, and
+   for a deadline, whose moment no test can fix, this suite's sweep. *)
 
 module Explore = Icb_search.Explore
 module Collector = Icb_search.Collector
@@ -16,6 +17,42 @@ open Harness
 let icb_unbounded = Explore.Icb { max_bound = None; cache = false }
 
 (* --- wall-clock budgets -------------------------------------------------- *)
+
+(* Every runner applies the deadline between work items, so a run it
+   stops resumes to the uninterrupted totals.  40 deadlines are spread
+   over the time one uninterrupted transaction-manager icb:3 search
+   takes; some of them must fire. *)
+let deadline_sweep ~domains () =
+  let e =
+    Icb.engine (Icb_models.Transaction.program Icb_models.Transaction.Correct)
+  in
+  let strategy = Explore.Icb { max_bound = Some 3; cache = false } in
+  let totals (r : Sresult.t) =
+    (r.executions, r.distinct_states, r.total_steps)
+  in
+  let t0 = Unix.gettimeofday () in
+  let whole = Explore.run e ~domains strategy in
+  let span = Unix.gettimeofday () -. t0 in
+  let fired = ref 0 in
+  for k = 1 to 40 do
+    let path = tmp_ckpt () in
+    let deadline = Collector.deadline_in (span *. float_of_int k /. 40.) in
+    let r =
+      Explore.run e ~domains ~checkpoint_out:path
+        ~options:{ Collector.default_options with deadline = Some deadline }
+        strategy
+    in
+    if r.Sresult.stop_reason = Some Sresult.Deadline_exceeded then begin
+      incr fired;
+      check
+        Alcotest.(triple int int int)
+        (Printf.sprintf "deadline %d of 40: executions, states and steps" k)
+        (totals whole)
+        (totals (Explore.resume e ~domains (Checkpoint.load path)))
+    end;
+    Sys.remove path
+  done;
+  check Alcotest.bool "some deadlines fired" true (!fired > 0)
 
 let deadline_tests =
   [
@@ -95,9 +132,48 @@ let deadline_tests =
         in
         check Alcotest.int "one call per execution" r.Sresult.executions
           !calls);
+    Alcotest.test_case "40 deadline stops resume exactly, serially" `Quick
+      (deadline_sweep ~domains:1);
+    Alcotest.test_case "40 deadline stops resume exactly on 2 domains" `Quick
+      (deadline_sweep ~domains:2);
   ]
 
 (* --- checkpoint / resume -------------------------------------------------- *)
+
+(* A program whose initial state has already ended: ICB's roots record
+   its only execution.  Stopped there by the first bug, or finished, the
+   run still writes its checkpoint, and the checkpoint resumes. *)
+let roots_checkpoint () =
+  let first_bug = { Collector.default_options with stop_at_first_bug = true } in
+  List.iter
+    (fun (src, options, want) ->
+      let prog = Icb.compile src in
+      let path = tmp_ckpt () in
+      Sys.remove path;
+      let r =
+        Icb.run ~options ~checkpoint_out:path ~strategy:icb_unbounded prog
+      in
+      check Alcotest.bool (src ^ ": checkpoint written") true
+        (Sys.file_exists path);
+      let resumed = Icb.resume ~options prog (Checkpoint.load path) in
+      Sys.remove path;
+      List.iter
+        (fun (what, (r : Sresult.t)) ->
+          check
+            Alcotest.(triple int (list string) string)
+            (Printf.sprintf "%s: %s executions, bugs and stop reason" src what)
+            want
+            ( r.executions,
+              bug_keys r,
+              Option.fold ~none:"-" ~some:Sresult.stop_reason_string
+                r.stop_reason ))
+        [ ("run", r); ("resumed", resumed) ])
+    [
+      ( {|main { assert(false, "x"); }|},
+        first_bug,
+        (1, [ "assert:x" ], "stopped at first bug") );
+      ({|main { }|}, Collector.default_options, (1, [], "-"));
+    ]
 
 let checkpoint_tests =
   [
@@ -112,6 +188,8 @@ let checkpoint_tests =
           check Alcotest.bool "non-empty diagnostic" true
             (String.length msg > 0)
         | _ -> Alcotest.fail "expected Invalid_argument");
+    Alcotest.test_case "a search its roots finish writes its checkpoint"
+      `Quick roots_checkpoint;
   ]
 
 (* --- checkpoint file robustness ------------------------------------------ *)
