@@ -318,9 +318,12 @@ let run row cell =
       ignore
         (row.exec tape on ~cache ~every:(max 1 (n / 3)) ~telemetry:tel
            ~out:path ());
-      check Alcotest.bool (cell_name cell ^ ": checkpoints written mid-run")
+      check Alcotest.bool (cell_name cell ^ ": a checkpoint written mid-run")
         true
-        (List.length !copies > 2);
+        (List.exists
+           (fun ((ck : Checkpoint.t), _) ->
+             Collector.snapshot_executions ck.Checkpoint.collector < n)
+           !copies);
       List.rev_map
         (fun (ck, runs) ->
           let r =
