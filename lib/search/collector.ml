@@ -49,6 +49,10 @@ type t = {
   mutable max_threads : int;
   mutable complete : bool;
   mutable stop_reason : Sresult.stop_reason option;
+  mutable expired : bool;  (* the deadline was seen to pass *)
+  mutable polled : int;  (* steps and executions at the last poll *)
+  mutable overdue_from : int;  (* steps when an item saw a limit, or -1 *)
+  mutable gave_up : bool;
   mutable current_bound : int option;
   mutable frontier : int option;
   started : float;
@@ -71,6 +75,10 @@ let create opts =
     max_threads = 0;
     complete = false;
     stop_reason = None;
+    expired = false;
+    polled = -32;
+    overdue_from = -1;
+    gave_up = false;
     current_bound = None;
     frontier = None;
     started = Unix.gettimeofday ();
@@ -201,21 +209,52 @@ let end_execution t (e : execution_end) =
       }
 
 (* The limits against run totals, in one fixed order, so the recorded
-   reason does not depend on the runner when several trip at once. *)
-let limit_hit (o : options) ~executions ~states ~steps ~bugs =
+   reason does not depend on the runner when several trip at once;
+   [expired d] tells whether the deadline [d] has passed. *)
+let limits ~expired (o : options) ~executions ~states ~steps ~bugs =
   match o with
   | { max_states = Some l; _ } when states >= l -> Some Sresult.State_limit
   | { max_total_steps = Some l; _ } when steps >= l -> Some Sresult.Step_limit
   | { stop_at_first_bug = true; _ } when bugs > 0 -> Some Sresult.First_bug
   | { max_executions = Some l; _ } when executions >= l ->
     Some Sresult.Execution_limit
-  | { deadline = Some d; _ } when Unix.gettimeofday () >= d ->
-    Some Sresult.Deadline_exceeded
+  | { deadline = Some d; _ } when expired d -> Some Sresult.Deadline_exceeded
   | _ -> None
 
+let limit_hit = limits ~expired:(fun d -> Unix.gettimeofday () >= d)
+
+(* A gettimeofday per step would dominate tight search loops, so a
+   collector polls the deadline once per 32 steps and executions, and
+   remembers that it passed. *)
+let expired t d =
+  let work = t.total_steps + t.executions in
+  if (not t.expired) && work - t.polled >= 32 then begin
+    t.polled <- work;
+    t.expired <- Unix.gettimeofday () >= d
+  end;
+  t.expired
+
 let limit_reached t =
-  limit_hit t.opts ~executions:t.executions ~states:(Sigset.length t.visited)
-    ~steps:t.total_steps ~bugs:(Hashtbl.length t.bugs)
+  limits ~expired:(expired t) t.opts ~executions:t.executions
+    ~states:(Sigset.length t.visited) ~steps:t.total_steps
+    ~bugs:(Hashtbl.length t.bugs)
+
+(* An item that a limit finds running goes on to its end, so the stop
+   lands between items; but an execution may never end (a spin on a
+   volatile), so an item gives up [grace] steps after a poll first found
+   a limit. *)
+let grace = 1 lsl 14
+
+let overdue t =
+  t.total_steps land 31 = 0
+  && begin
+    if t.overdue_from < 0 && Option.is_some (limit_reached t) then
+      t.overdue_from <- t.total_steps;
+    t.gave_up <- t.overdue_from >= 0 && t.total_steps - t.overdue_from >= grace;
+    t.gave_up
+  end
+
+let gave_up t = t.gave_up
 
 (* A checkpoint written at a barrier runs that barrier again on resume:
    the bound replaces the newest entry instead of repeating it. *)

@@ -22,8 +22,9 @@ type options = {
   max_total_steps : int option;
   deadline : float option;
       (** absolute wall-clock deadline ([Unix.gettimeofday] scale); once
-          it passes, the search stops at the end of the work item in
-          flight with a partial result — see {!deadline_in} *)
+          it passes, the search stops between work items with a partial
+          result (see {!overdue} for an execution that does not end, and
+          {!deadline_in}) *)
   deadlock_is_error : bool;
   stop_at_first_bug : bool;
   terminal_states_only : bool;
@@ -103,8 +104,18 @@ val limit_hit :
     trip at once does not depend on the runner. *)
 
 val limit_reached : t -> Sresult.stop_reason option
-(** {!limit_hit} on the collector's own options and totals; under
-    [stop_at_first_bug], a restored bug counts. *)
+(** {!limit_hit} on the collector's own options and totals, polling the
+    deadline once per 32 steps and executions; under [stop_at_first_bug],
+    a restored bug counts. *)
+
+val overdue : t -> bool
+(** Tested by an item after each step of an execution: [true] once
+    2{^14} steps have passed since a poll every 32 steps first found
+    {!limit_reached}, and the item gives up, so an execution that never
+    ends cannot hold a run past its limits ({!Strategy.S.expand}). *)
+
+val gave_up : t -> bool
+(** Whether an item gave up: {!overdue} held. *)
 
 val status_bug :
   deadlock_is_error:bool -> Engine.status -> (string * string) option

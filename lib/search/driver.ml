@@ -17,9 +17,9 @@
      server.
 
    Every runner applies the limits ({!Collector.limit_hit}) and takes
-   its periodic checkpoints only between work items, so an item always
-   runs to its end and a stopped run resumes to the uninterrupted
-   result. *)
+   its periodic checkpoints only between work items, so an item runs to
+   its end, unless its execution outlasts a limit ({!Collector.overdue}),
+   and a stopped run resumes to the uninterrupted result. *)
 
 (* A mutex-protected deque: the owner pushes and pops at the front (so a
    strategy's own follow-ups pop depth-first, keeping the frontier
@@ -66,14 +66,13 @@ module Dq = struct
             q.back <- rest;
             Some x))
 
-  (* Every item, in pop order, for checkpoint assembly and a new leg's
-     deal while no worker runs. *)
-  let take_all q =
+  (* Hand every item off with [f] in place and list them in pop order,
+     while no worker runs. *)
+  let hand_off q f =
     Mutex.protect q.m (fun () ->
-        let xs = q.front @ List.rev q.back in
-        q.front <- [];
-        q.back <- [];
-        xs)
+        q.front <- List.map f q.front;
+        q.back <- List.map f q.back;
+        q.front @ List.rev q.back)
 end
 
 (* One worker's queue of a round's items, where nothing is stolen. *)
@@ -369,9 +368,9 @@ let worker_stats emit i sn =
    repeats: [expand] (a worker's [S.expand e w]) between [Item_started]
    and [Item_finished]. *)
 let expand_item emit expand ctx it =
+  let col = ctx.Strategy.c_col in
   if not (Icb_obs.Emit.enabled emit) then expand ctx it
   else begin
-    let col = ctx.Strategy.c_col in
     let execs0 = Collector.executions col in
     let steps0 = Collector.total_steps col in
     Icb_obs.Emit.emit emit
@@ -389,7 +388,11 @@ let expand_item emit expand ctx it =
            executions = Collector.executions col - execs0;
            steps = Collector.total_steps col - steps0;
          })
-  end
+  end;
+  (* one that gave up ({!Collector.overdue}) runs again from its start;
+     its runner drops the items it deferred *)
+  if Collector.gave_up col then
+    ctx.Strategy.c_push { it with Strategy.i_state = None }
 
 (* --- the round loop ------------------------------------------------------ *)
 
@@ -466,14 +469,12 @@ let rounds (type s w) ses (module E : Engine.S with type state = s)
     | None -> (S.roots (module E) wstates.(0) master, [])
   in
   (* Totals that already meet a limit, restored or recorded by [roots],
-     stop the run before its first item; under stop_at_first_bug, a
-     restored bug counts.  Even an empty resumed frontier goes through
-     the round loop: a kill can land exactly at a round boundary, where
-     work and deferred are both drained but the strategy still owes
-     rounds (iterative deepening with truncations pending, a sealed
-     bound owing its `Bounded verdict).  [after_round] re-derives the
-     verdict from the restored params, so a genuinely finished
-     checkpoint still concludes immediately. *)
+     stop the run before its first item (a restored bug counts under
+     stop_at_first_bug).  Even an empty resumed frontier goes through
+     the round loop: a kill can land at a round boundary where the
+     strategy still owes rounds (iterative deepening with truncations
+     pending, a sealed bound owing its `Bounded verdict), which
+     [after_round] re-derives from the restored params. *)
   match (Collector.limit_reached master, work) with
   | Some r, _ ->
     Collector.note_stop master r;
@@ -559,6 +560,7 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
     | None -> false
     | Some it -> (
       expand_item ses.emit expand ctx it;
+      if Collector.gave_up master then pending := [];
       deferred := List.rev_append !pending !deferred;
       pending := [];
       match Collector.limit_reached master with
@@ -598,7 +600,7 @@ let serial (type s w) ses (module E : Engine.S with type state = s)
    checkpoint that falls due ends a leg of the round the same way: every
    worker stops at its next item boundary and is joined, the checkpoint
    is written from the quiescent deques and collectors, and the next leg
-   deals what is left. *)
+   runs what the deques still hold. *)
 let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
     (module S : Strategy.S with type state = s and type wstate = w)
     ~(wstates : w array) ~tel ~(mzs : s Search_core.materializer array) =
@@ -614,23 +616,19 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
     Array.init domains (fun _ -> Icb_util.Rng.split base)
   in
   let user_cb_m = Mutex.create () in
-  (* Batched replay: sorting is lexicographic on schedules, i.e. it groups
-     the items by longest common prefix.  Deal them in contiguous chunks
-     (not round-robin) so each worker's run of items shares prefixes and
-     each materialization restores the previous one's path; the barrier
-     merge is independent of the assignment, and the assignment itself
-     stays deterministic.  The items were handed off by [mz_move]. *)
-  let deal items =
-    let items = sorted_items items in
-    let n = List.length items in
-    let chunk = max 1 ((n + domains - 1) / domains) in
+  fun work ~carry ->
+    let work = List.map mzs.(0).Search_core.mz_move (sorted_items work) in
+    (* Batched replay: the sort above is lexicographic on schedules, i.e.
+       the round is grouped by longest common prefix.  Shard it in
+       contiguous chunks (not round-robin) so each worker's run of items
+       shares prefixes and each materialization restores the previous
+       one's path; the barrier merge is independent of the assignment,
+       and the assignment itself stays deterministic. *)
+    let n_work = List.length work in
+    let chunk = max 1 ((n_work + domains - 1) / domains) in
     List.iteri
       (fun k it -> Dq.push_back deques.(min (domains - 1) (k / chunk)) it)
-      items;
-    n
-  in
-  fun work ~carry ->
-    let n_work = deal (List.map mzs.(0).Search_core.mz_move work) in
+      work;
     let round_start = Collector.snapshot master in
     let base_execs = Collector.executions master in
     let base_states = Collector.seen_states master in
@@ -718,25 +716,20 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
           cell := Some c;
           c)
     in
-    (* The items the deques still hold, once every worker has been
-       joined, each handed off by its domain's materializer. *)
-    let take_queued () =
-      List.concat
-        (Array.to_list
-           (Array.mapi
-              (fun i q -> List.map mzs.(i).Search_core.mz_move (Dq.take_all q))
-              deques))
+    (* Once every worker has been joined: the items the deques still
+       hold, sorted, each handed off in place by its domain's
+       materializer (the next leg runs on new domains), and the next
+       round's. *)
+    let queued () =
+      sorted_items
+        (List.concat
+           (Array.to_list
+              (Array.mapi
+                 (fun i q -> Dq.hand_off q mzs.(i).Search_core.mz_move)
+                 deques)))
     in
-    (* Mid-round checkpoint, between legs: every worker has been joined,
-       so their collectors, next-lists and worker states are quiescent. *)
-    let assemble_and_save queued =
-      let deferred = Array.fold_left (fun acc r -> acc @ !r) [] nexts in
-      save_partial ses ~round_start
-        (Array.to_list (Array.map Collector.snapshot lcols))
-        (fun () ->
-          S.to_prefixes ~wstates
-            ~work:(strip_items (sorted_items queued))
-            ~next:(strip_items (sorted_items (carry @ deferred))))
+    let next () =
+      sorted_items (carry @ List.concat_map ( ! ) (Array.to_list nexts))
     in
     let worker i () =
       let (module E : Engine.S with type state = s) = engs.(i) in
@@ -780,12 +773,17 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
         then
           match take () with
           | Some it ->
+            let deferred = !(nexts.(i)) in
             Atomic.incr busy;
             (match expand_item (fst emits.(i)) expand ctx it with
             | () -> Atomic.decr busy
             | exception e ->
               Atomic.decr busy;
               raise e);
+            if Collector.gave_up lcol then nexts.(i) := deferred;
+            (* an item that ended no execution did not reach the hook; a
+               limit the worker's own totals meet, the round's meet too *)
+            Option.iter request_stop (Collector.limit_reached lcol);
             loop ()
           | None ->
             if Atomic.get busy > 0 then begin
@@ -797,18 +795,21 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
       try loop ()
       with exn -> ignore (Atomic.compare_and_set failed None (Some exn))
     in
-    (* A leg: run the workers until the round drains, a limit stops it or
-       a checkpoint falls due; a due checkpoint is written, and the next
-       leg deals what is left, handed off as a round's items are. *)
+    (* A leg runs the workers until the round drains, a limit stops it
+       or a checkpoint falls due, which is written between legs. *)
     let rec legs () =
       let doms = Array.init domains (fun i -> Domain.spawn (worker i)) in
       Array.iter Domain.join doms;
       (match Atomic.get failed with Some exn -> raise exn | None -> ());
       if Atomic.get due && Atomic.get stop = None then begin
-        let queued = take_queued () in
-        assemble_and_save queued;
+        let work = queued () in
+        save_partial ses ~round_start
+          (Array.to_list (Array.map Collector.snapshot lcols))
+          (fun () ->
+            S.to_prefixes ~wstates ~work:(strip_items work)
+              ~next:(strip_items (next ())));
         Atomic.set due false;
-        if deal queued > 0 then legs ()
+        if work <> [] then legs ()
       end
     in
     legs ();
@@ -823,9 +824,8 @@ let pool (type s w) ses (engs : (module Engine.S with type state = s) array)
         worker_stats ses.emit i snaps.(i))
       emits;
     merged master (Atomic.get stop)
-      ~work:(fun () -> strip_items (sorted_items (take_queued ())))
-      ~next:
-        (sorted_items (carry @ Array.fold_left (fun acc r -> acc @ !r) [] nexts))
+      ~work:(fun () -> strip_items (queued ()))
+      ~next:(next ())
 
 (* --- entry --------------------------------------------------------------- *)
 

@@ -95,9 +95,10 @@ let step_guarded (type s) (module E : Engine.S with type state = s) col
 
    Each point hands off its other branches before the item goes on, so
    the execution's end (or its crash) is the last thing an item reports
-   to the collector.  An item is fully determined by (schedule prefix,
-   tid) plus the strategy's deterministic [admit], independent of who
-   runs it or when. *)
+   to the collector, unless {!Collector.overdue} makes it give up.  An
+   item is fully determined by (schedule prefix, tid) plus the
+   strategy's deterministic [admit], independent of who runs it or
+   when. *)
 let icb_item (type s) (module E : Engine.S with type state = s) col ?seen
     ?(admit = fun _ _ -> true) ?(seal = fun () -> ()) ~defer ~push
     (st0, tid0) =
@@ -122,7 +123,7 @@ let icb_item (type s) (module E : Engine.S with type state = s) col ?seen
             if admit st' tid then
               List.iter (fun t -> if t <> tid then defer st' t) en
             else seal ();
-          if not (cached sg tid) then search st' tid
+          if not (Collector.overdue col || cached sg tid) then search st' tid
         end
         else free st' sg en
       | status -> finish (module E) col st' ~signature:sg status)
@@ -130,6 +131,7 @@ let icb_item (type s) (module E : Engine.S with type state = s) col ?seen
      others are pushed last first, so they run in order *)
   and free st sg = function
     | [] -> ()
+    | _ when Collector.overdue col -> ()
     | t :: rest when cached sg t -> free st sg rest
     | t :: rest ->
       List.iter (fun t' -> push st t') (List.rev rest);

@@ -639,25 +639,25 @@ let walks (type s) (module _ : Engine.S with type state = s) ~tag_ ~name_
     let expand (module E : Engine.S with type state = state) w ctx it =
       let col = ctx.Strategy.c_col in
       let pick = picker ~k:!k_estimate (walk_rng seed it.Strategy.i_payload) in
-      (* returns the execution's last state *)
+      (* returns the execution's length, or 0 if the walk gave up *)
       let rec walk st sg =
         match E.status st with
         | Engine.Running -> (
           let t = pick (E.enabled st) in
           match Search_core.step_guarded (module E) col st t with
-          | None -> st  (* crash recorded; this execution is over *)
+          | None -> E.depth st  (* crash recorded; this execution is over *)
           | Some st' ->
             let sg' = E.signature st' in
             Collector.touch col sg';
-            walk st' sg')
+            if Collector.overdue col then 0 else walk st' sg')
         | status ->
           Search_core.finish (module E) col st ~signature:sg status;
-          st
+          E.depth st
       in
       let s0 = E.initial () in
       let sg0 = E.signature s0 in
       Collector.touch col sg0;
-      w.w_kmax <- max w.w_kmax (E.depth (walk s0 sg0))
+      w.w_kmax <- max w.w_kmax (walk s0 sg0)
 
     let rank = None
     let round () = !next_index

@@ -188,8 +188,10 @@ module type S = sig
     unit
   (** Process one item: materialize, step/walk, push or defer follow-ups,
       and record at most one execution via the ctx collector, as the
-      item's last act.  An item always runs to its end: every runner
-      applies the limits and takes its checkpoints between items.
+      item's last act.  Every runner applies the limits and takes its
+      checkpoints between items, so an item runs to its end, unless it
+      follows an execution (ICB, a walk) that {!Collector.overdue} makes
+      it give up: its runner drops its deferrals and queues it again.
       sleep-dfs is the exception: its one item is the whole search, which
       cannot checkpoint, so it applies the limits itself
       ({!Collector.limit_reached}) before each step.  An exception

@@ -54,6 +54,81 @@ let deadline_sweep ~domains () =
   done;
   check Alcotest.bool "some deadlines fired" true (!fired > 0)
 
+(* Two threads spin on a volatile, so no execution ever ends, and each
+   step of one defers a preemption by the other.  A deadline and a step
+   limit must still stop the run, serially and on 2 domains: the item in
+   flight gives up and is queued again without its deferrals, so the
+   checkpoint holds only unrun items at the root, and its resume stops
+   again. *)
+let spin_src =
+  {|volatile var g: int;
+proc spinner() { while (g == 0) { } }
+main { spawn spinner(); while (g == 0) { } }|}
+
+let spin_stops () =
+  let prog = Icb.compile spin_src in
+  let limits =
+    [
+      ( "a deadline",
+        (fun () ->
+          {
+            Collector.default_options with
+            deadline = Some (Collector.deadline_in 0.05);
+          }),
+        Sresult.Deadline_exceeded );
+      ( "a step limit",
+        (fun () ->
+          { Collector.default_options with max_total_steps = Some 5000 }),
+        Sresult.Step_limit );
+    ]
+  in
+  let strategies =
+    [
+      ("icb", icb_unbounded);
+      ("random", Explore.Random_walk { seed = 3L });
+    ]
+  in
+  List.iter
+    (fun (what, options, reason) ->
+      List.iter
+        (fun (sname, strategy) ->
+          List.iter
+            (fun domains ->
+              let label =
+                Printf.sprintf "%s, %s on %d domain(s)" what sname domains
+              in
+              let path = tmp_ckpt () in
+              let r =
+                Icb.run ~options:(options ()) ~domains ~checkpoint_out:path
+                  ~strategy prog
+              in
+              let stopped (r : Sresult.t) =
+                (r.executions, r.stop_reason = Some reason)
+              in
+              check
+                Alcotest.(pair int bool)
+                (label ^ ": no execution, stopped by its limit")
+                (0, true) (stopped r);
+              let f = Checkpoint.to_v3 (Checkpoint.load path) in
+              check
+                Alcotest.(pair bool int)
+                (label ^ ": unrun root items, nothing deferred")
+                (true, 0)
+                ( f.Checkpoint.v3_work <> []
+                  && List.for_all (fun (p, _) -> p = []) f.Checkpoint.v3_work,
+                  List.length f.Checkpoint.v3_next );
+              check
+                Alcotest.(pair int bool)
+                (label ^ ": the resume stops too")
+                (0, true)
+                (stopped
+                   (Icb.resume ~options:(options ()) ~domains prog
+                      (Checkpoint.load path)));
+              Sys.remove path)
+            [ 1; 2 ])
+        strategies)
+    limits
+
 let deadline_tests =
   [
     Alcotest.test_case "an expired deadline stops the search with coverage"
@@ -136,6 +211,8 @@ let deadline_tests =
       (deadline_sweep ~domains:1);
     Alcotest.test_case "40 deadline stops resume exactly on 2 domains" `Quick
       (deadline_sweep ~domains:2);
+    Alcotest.test_case "a spin that never ends stops at its limits" `Quick
+      spin_stops;
   ]
 
 (* --- checkpoint / resume -------------------------------------------------- *)
